@@ -16,8 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,7 +88,6 @@ class CharacterTable:
 
 
 _TABLE_CACHE: dict = {}
-_TABLE_LOCK = threading.Lock()
 
 
 def _column(n: int, nu) -> dict:
@@ -103,27 +100,21 @@ def _column(n: int, nu) -> dict:
     return out
 
 
-def character_table(n: int, workers: Optional[int] = None) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
     """The table zeta^lambda(T_w_nu); columns are independent exact solves."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    with _TABLE_LOCK:
-        cached = _TABLE_CACHE.get(n)
+    cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
     rows = tuple(enumerate_partitions(n, "strict"))
     columns = tuple(enumerate_partitions(n, "odd"))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(lambda nu: _column(n, nu), columns))
-    else:
-        solved = [_column(n, nu) for nu in columns]
+    solved = [_column(n, nu) for nu in columns]
     entries = {
         (lam, nu): col[lam] for nu, col in zip(columns, solved) for lam in rows
     }
     table = CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
-    with _TABLE_LOCK:
-        _TABLE_CACHE[n] = table
+    _TABLE_CACHE[n] = table
     return table
 
 
@@ -173,25 +164,6 @@ def generic_degree(lam) -> Scalar:
 def u_weight(lam) -> Scalar:
     """The coefficient of zeta^lambda in the trace decomposition."""
     return ONE / (TWO ** delta_stat(tuple(lam)) * schur_element(lam))
-
-
-@dataclass(frozen=True)
-class SchurDegreeData:
-    lam: tuple
-    schur_element: Scalar
-    generic_degree: Scalar
-    u: Scalar
-
-
-def schur_degree_data(lam) -> SchurDegreeData:
-    lam = tuple(lam)
-    c = schur_element(lam)
-    return SchurDegreeData(
-        lam=lam,
-        schur_element=c,
-        generic_degree=TWO ** sum(lam) * poincare(sum(lam)) / c,
-        u=ONE / (TWO ** delta_stat(lam) * c),
-    )
 
 
 # ---------------------------------------------------------------------------

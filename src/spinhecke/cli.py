@@ -4,8 +4,7 @@ Seven subcommands: rendering the character table, class polynomials for
 parsed elements or spin words, the trace form on either side, Schur elements,
 generic degrees, and a verification driver with selectable suites.  JSON is
 the machine format of record; output bytes are deterministic for fixed flags
-and seed.  The environment variable SPINHECKE_THREADS caps parallel workers
-(0 means one per CPU; unset means sequential).
+and seed.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage, parse, or domain errors.
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -56,7 +54,6 @@ class Config:
 
     n: int
     format: str = "json"
-    m: Optional[int] = None
     seed: int = 0
     suite: Optional[str] = None
 
@@ -65,28 +62,12 @@ def _config_from(args) -> Config:
     cfg = Config(
         n=args.n,
         format=getattr(args, "format", "json"),
-        m=getattr(args, "m", None),
         seed=getattr(args, "seed", 0),
         suite=getattr(args, "suite", None),
     )
     if cfg.n < 1:
         raise ValueError("--n must be at least 1")
-    if cfg.m is not None and cfg.m < cfg.n:
-        raise ValueError("--m must be at least --n when given")
     return cfg
-
-
-def worker_count() -> Optional[int]:
-    raw = os.environ.get("SPINHECKE_THREADS")
-    if raw is None or not raw.strip():
-        return None
-    try:
-        k = int(raw)
-    except ValueError:
-        return None
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +76,7 @@ def worker_count() -> Optional[int]:
 
 def _cmd_char_table(args) -> int:
     cfg = _config_from(args)
-    table = character_table(cfg.n, workers=worker_count())
+    table = character_table(cfg.n)
     if cfg.format == "json":
         print(table.to_json())
     elif cfg.format == "csv":

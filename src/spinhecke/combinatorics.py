@@ -17,8 +17,8 @@ Conventions used throughout the package:
 ((2, 3, 1), [1, 2])
 >>> w_gamma((2, 1))
 ((2, 1, 3), [1])
->>> sort_to_partition((3, 1, 3))
-(3, 3, 1)
+>>> w_gamma_form((2, 3, 1, 5, 4))
+(3, 2)
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ def is_strict(parts: tuple) -> bool:
     return is_partition(parts) and all(
         parts[k] > parts[k + 1] for k in range(len(parts) - 1)
     )
-
-
-def is_odd_partition(parts: tuple) -> bool:
-    return is_partition(parts) and all(p % 2 == 1 for p in parts)
 
 
 def enumerate_partitions(n: int, kind: str = "all") -> list:
@@ -86,26 +82,8 @@ def enumerate_partitions(n: int, kind: str = "all") -> list:
     return out
 
 
-def sort_to_partition(gamma: Composition) -> Partition:
-    """The partition rearranging a composition's parts."""
-    return tuple(sorted(gamma, reverse=True))
-
-
 def partition_str(parts: tuple) -> str:
     return ",".join(str(p) for p in parts)
-
-
-def parse_partition(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError as err:
-        raise ValueError(f"bad partition string {text!r}") from err
-    if any(p < 1 for p in parts):
-        raise ValueError(f"bad partition string {text!r}")
-    return parts
 
 
 def delta_stat(lam: tuple) -> int:
@@ -119,11 +97,6 @@ def delta_stat(lam: tuple) -> int:
 
 def perm_identity(n: int) -> Permutation:
     return tuple(range(1, n + 1))
-
-
-def perm_mul(a: Permutation, b: Permutation) -> Permutation:
-    """Composition as functions: (a*b)(x) = a(b(x))."""
-    return tuple(a[x - 1] for x in b)
 
 
 def perm_inverse(a: Permutation) -> Permutation:

@@ -15,7 +15,9 @@ stored in the normal form
 
 keyed by the pair (one-line permutation, frozen index set).  Keeping the
 Clifford part on the left makes right multiplication by any T_j a plain Hecke
-step on sigma, which is what the trace reductions lean on.
+step on sigma.  Products and the trace reduction in traces.py both work on
+these terms through the generator products below: _lmul_T and _lmul_c on the
+left, _rmul_T and _rmul_c on the right.
 """
 
 from __future__ import annotations
@@ -163,11 +165,6 @@ def c_gen(n: int, k: int) -> AlgebraElement:
     return AlgebraElement(n, {(perm_identity(n), frozenset((k,))): ONE})
 
 
-def t_prime(n: int, i: int) -> AlgebraElement:
-    """T_i - v + 1."""
-    return T_gen(n, i) - one(n).scale(V_MINUS_1)
-
-
 # ---------------------------------------------------------------------------
 # generator multiplication on raw term dicts
 
@@ -233,6 +230,11 @@ def _lmul_T(terms: dict, j: int) -> dict:
 
 
 _PUSH_MEMO: dict = {}
+
+
+def clear_push_memo() -> None:
+    """Empty the memo of Clifford pushes through T_sigma."""
+    _PUSH_MEMO.clear()
 
 
 def _push_c_left(sigma, k: int) -> dict:
@@ -356,25 +358,6 @@ def build_T_w(mu, n: Optional[int] = None) -> AlgebraElement:
         raise ValueError(f"composition {mu} does not compose {n}")
     perm, _ = w_gamma(mu)
     return AlgebraElement(n, {(perm, frozenset()): ONE})
-
-
-def inverse_of_clifford_word(I, n: Optional[int] = None) -> AlgebraElement:
-    """The inverse of C_I: (-1)^(k(k-1)/2) C_I for |I| = k."""
-    idx = sorted(set(I))
-    if n is None:
-        n = idx[-1] if idx else 1
-    if idx and not 1 <= idx[0] <= idx[-1] <= n:
-        raise IndexError(f"Clifford indices {idx} out of range for n={n}")
-    k = len(idx)
-    sign = -1 if (k * (k - 1) // 2) % 2 else 1
-    return AlgebraElement(
-        n, {(perm_identity(n), frozenset(idx)): sc_int(sign)}
-    )
-
-
-def x_element(n: int) -> AlgebraElement:
-    """T_1 T_2 ... T_{n-1}, the full staircase."""
-    return build_T_w((n,))
 
 
 # ---------------------------------------------------------------------------

@@ -62,19 +62,6 @@ def R_element(word, n: int) -> AlgebraElement:
     return out
 
 
-@dataclass(frozen=True)
-class SpinElement:
-    """A word in the odd generators together with its embedded normal form."""
-
-    n: int
-    word: tuple
-    image: AlgebraElement
-
-
-def spin_element(word, n: int) -> SpinElement:
-    return SpinElement(n=n, word=tuple(word), image=R_element(word, n))
-
-
 # ---------------------------------------------------------------------------
 # the embedding is an isomorphism: relations one way, generators back
 

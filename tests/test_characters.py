@@ -7,12 +7,10 @@ import pytest
 from spinhecke._linalg import column_rank
 from spinhecke.characters import (
     CharacterTable,
-    _TABLE_CACHE,
     character_table,
     character_value,
     generic_degree,
     poincare,
-    schur_degree_data,
     schur_element,
     u_weight,
     verify_gimel_decomposition,
@@ -103,14 +101,6 @@ def test_cache_returns_identical_object():
     assert character_table(3) is character_table(3)
 
 
-def test_workers_give_the_same_table():
-    _TABLE_CACHE.pop(3, None)
-    parallel = character_table(3, workers=2)
-    _TABLE_CACHE.pop(3, None)
-    serial = character_table(3)
-    assert parallel.entries == serial.entries
-
-
 def test_bad_rank_rejected():
     with pytest.raises(ValueError):
         character_table(0)
@@ -170,14 +160,6 @@ def test_u_weight_pinned():
     for lam in enumerate_partitions(3, "strict"):
         total = total + u_weight(lam) * character_table(3).entry(lam, (1, 1, 1))
     assert total == ONE
-
-
-def test_schur_degree_data_bundle():
-    d = schur_degree_data((2,))
-    assert d.lam == (2,)
-    assert d.schur_element == TWO
-    assert d.generic_degree == TWO * (V + ONE)
-    assert d.u == ONE / sc_int(4)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from spinhecke.cli import run, worker_count
+from spinhecke.cli import run
 
 
 def invoke(capsys, *argv):
@@ -143,17 +143,15 @@ def test_usage_errors_exit_two():
 # -- plumbing -------------------------------------------------------------------
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("SPINHECKE_THREADS", raising=False)
-    assert worker_count() is None
-    monkeypatch.setenv("SPINHECKE_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("SPINHECKE_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("SPINHECKE_THREADS", "junk")
-    assert worker_count() is None
-    monkeypatch.setenv("SPINHECKE_THREADS", "")
-    assert worker_count() is None
+def test_import_keeps_the_recursion_limit():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); import spinhecke.cli; "
+        "print(before, sys.getrecursionlimit())"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    before, after = result.stdout.split()
+    assert before == after
 
 
 def test_module_entry_point():

@@ -18,12 +18,9 @@ from spinhecke.hecke_clifford import (
     build_T_w,
     c_gen,
     from_word,
-    inverse_of_clifford_word,
     multiply,
     one,
     parse_element,
-    t_prime,
-    x_element,
     zero,
 )
 from spinhecke.scalars import HALF, MINUS_ONE, ONE, TWO, V, V_MINUS_1, sc_int, sc_parse
@@ -229,14 +226,20 @@ def test_build_T_w_matches_word_product():
 
 
 def test_inverse_of_clifford_word():
-    assert inverse_of_clifford_word({1}, n=2) == term(2, (1, 2), {1})
-    assert inverse_of_clifford_word([1, 2]) == term(2, (1, 2), {1, 2}, MINUS_ONE)
-    assert inverse_of_clifford_word([1, 2, 3, 4]) == term(4, (1, 2, 3, 4), {1, 2, 3, 4})
+    # the inverse of C_I is the reversed word, (-1)^(k(k-1)/2) C_I for |I| = k
+    def inverse(n, cliff):
+        return from_word(n, [("c", k) for k in reversed(cliff)])
+
+    assert inverse(2, (1,)) == term(2, (1, 2), {1})
+    assert inverse(2, (1, 2)) == term(2, (1, 2), {1, 2}, MINUS_ONE)
+    assert inverse(4, (1, 2, 3, 4)) == term(4, (1, 2, 3, 4), {1, 2, 3, 4})
     for n in (1, 2, 3, 4):
         for size in range(n + 1):
             for cliff in itertools.combinations(range(1, n + 1), size):
                 forward = from_word(n, [("c", k) for k in cliff])
-                inv = inverse_of_clifford_word(cliff, n=n)
+                inv = inverse(n, cliff)
+                sign = MINUS_ONE if (size * (size - 1) // 2) % 2 else ONE
+                assert inv == forward.scale(sign)
                 assert multiply(forward, inv) == one(n)
                 assert multiply(inv, forward) == one(n)
 
@@ -244,16 +247,20 @@ def test_inverse_of_clifford_word():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_staircase_absorbs_last_clifford(n):
     # x_n c_n = c_1 T'_1...T'_{n-1} + (v-1) sum_k c_k T_1..T_{k-2} T'_k..T'_{n-1}
-    lhs = multiply(x_element(n), c_gen(n, n))
+    # with x_n = T_1...T_{n-1} and T'_i = T_i - v + 1
+    def t_prime(i):
+        return T_gen(n, i) - one(n).scale(V_MINUS_1)
+
+    lhs = multiply(build_T_w((n,)), c_gen(n, n))
     expected = c_gen(n, 1)
     for i in range(1, n):
-        expected = multiply(expected, t_prime(n, i))
+        expected = multiply(expected, t_prime(i))
     for k in range(2, n + 1):
         piece = c_gen(n, k)
         for j in range(1, k - 1):
             piece = multiply(piece, T_gen(n, j))
         for i in range(k, n):
-            piece = multiply(piece, t_prime(n, i))
+            piece = multiply(piece, t_prime(i))
         expected = expected + piece.scale(V_MINUS_1)
     assert lhs == expected
 

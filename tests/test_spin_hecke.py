@@ -9,7 +9,6 @@ from spinhecke.hecke_clifford import T_gen, c_gen, multiply, one
 from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO
 from spinhecke.spin_hecke import (
     R_element,
-    SpinElement,
     canonical_class_word,
     delta_minus,
     dim_clifford_module,
@@ -17,7 +16,6 @@ from spinhecke.spin_hecke import (
     spin_character_table,
     spin_character_value,
     spin_class_polynomials,
-    spin_element,
     spin_schur_elements,
     verify_iso,
     verify_trace_vanishing,
@@ -49,13 +47,6 @@ def test_index_range_checked():
         R_element([2], 2)
     with pytest.raises(ValueError):
         R_element([0], 3)
-
-
-def test_spin_element_wrapper():
-    el = spin_element([1, 2], 3)
-    assert isinstance(el, SpinElement)
-    assert el.word == (1, 2)
-    assert el.image == R_element([1, 2], 3)
 
 
 def test_images_are_odd_elements():

@@ -1,5 +1,6 @@
 """Class polynomial reduction and the symmetrizing trace."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -16,9 +17,11 @@ from spinhecke.hecke_clifford import (
     multiply,
     one,
 )
+from spinhecke import hecke_clifford, traces
 from spinhecke.scalars import HALF, ONE, V, V_MINUS_1, ZERO, sc_parse
 from spinhecke.traces import (
     ClassVector,
+    clear_caches,
     f_nu,
     gimel,
     gimel_weight,
@@ -180,6 +183,36 @@ def test_vector_plumbing_errors():
         unit_vector(3, (2, 1))
     with pytest.raises(ValueError):
         zero_vector(2).add(zero_vector(3))
+
+
+# sha256 of the class vectors of every basis term C_I T_sigma with n <= 5, one
+# to_json() line per term in the order of all_basis_terms(); recorded from the
+# earlier reduction engine, which rewrote terms in the T_sigma C_I orientation
+GOLDEN_BASIS_DIGEST = "4a21ad291fe815bf39fa345f882ed3d42bd0bdda407b237541ac110a17053600"
+
+
+def all_basis_terms(max_n):
+    for n in range(1, max_n + 1):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            for size in range(n + 1):
+                for cliff in itertools.combinations(range(1, n + 1), size):
+                    yield basis_term(n, sigma, cliff)
+
+
+def test_golden_class_vectors_through_rank_five():
+    lines = [reduce(h).to_json() for h in all_basis_terms(5)]
+    assert len(lines) == 4282
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_BASIS_DIGEST
+
+
+def test_clear_caches_empties_every_reduction_memo():
+    reduce(from_word(4, ["c1", "c3", "T2", "T1", "T3"]))
+    assert traces._MEMO and hecke_clifford._PUSH_MEMO
+    clear_caches()
+    assert not traces._MEMO
+    assert not hecke_clifford._PUSH_MEMO
+    assert reduce(build_T_w((3, 1))) == unit_vector(4, (3, 1))
 
 
 def test_full_basis_reduction_closes_rank_four():
