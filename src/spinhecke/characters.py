@@ -5,10 +5,11 @@ each odd partition nu the deformed product function expands as
 
     g-tilde_nu = sum over strict lambda of 2^(-(len+delta)/2) Q_lambda zeta^lambda(T_w_nu),
 
-so one exact linear solve per column recovers the zeta values.  Values on
-arbitrary elements follow by pairing a column with class polynomials, and the
-Schur element / generic degree formulas come from hooks and contents of the
-doubled diagram.
+and since Q_lambda = 2^len(lambda) m_lambda + dominance-lower terms, the zeta
+values of a column come out by back-substitution against one Q basis built
+once per table.  Values on arbitrary elements follow by pairing a column with
+class polynomials, and the Schur element / generic degree formulas come from
+hooks and contents of the doubled diagram.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from ._linalg import solve_triangular
 from .combinatorics import (
     delta_stat,
     enumerate_partitions,
@@ -27,7 +29,7 @@ from .combinatorics import (
 )
 from .hecke_clifford import AlgebraElement, build_T_w
 from .scalars import ONE, Scalar, TWO, ZERO
-from .symfunc import expand_in_Q, g_tilde
+from .symfunc import g_tilde, q_basis
 from .traces import gimel, reduce
 
 _V = Scalar.v_power(1)
@@ -90,18 +92,9 @@ class CharacterTable:
 _TABLE_CACHE: dict = {}
 
 
-def _column(n: int, nu) -> dict:
-    coeffs = expand_in_Q(g_tilde(nu, n))
-    out = {}
-    for lam in enumerate_partitions(n, "strict"):
-        a = coeffs.get(lam, ZERO)
-        power = (len(lam) + delta_stat(lam)) // 2
-        out[lam] = a * TWO**power
-    return out
-
-
 def character_table(n: int) -> CharacterTable:
-    """The table zeta^lambda(T_w_nu); columns are independent exact solves."""
+    """The table zeta^lambda(T_w_nu): each column g-tilde_nu is back-substituted
+    against the Q basis of degree n."""
     if n < 1:
         raise ValueError("rank must be at least 1")
     cached = _TABLE_CACHE.get(n)
@@ -109,10 +102,13 @@ def character_table(n: int) -> CharacterTable:
         return cached
     rows = tuple(enumerate_partitions(n, "strict"))
     columns = tuple(enumerate_partitions(n, "odd"))
-    solved = [_column(n, nu) for nu in columns]
-    entries = {
-        (lam, nu): col[lam] for nu, col in zip(columns, solved) for lam in rows
-    }
+    basis = q_basis(n, n)
+    entries = {}
+    for nu in columns:
+        coeffs = solve_triangular(basis, g_tilde(nu, n).monomial_view())
+        for lam in rows:
+            power = (len(lam) + delta_stat(lam)) // 2
+            entries[(lam, nu)] = coeffs.get(lam, ZERO) * TWO**power
     table = CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
     _TABLE_CACHE[n] = table
     return table

@@ -16,8 +16,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .characters import (
     character_table,
@@ -35,7 +33,7 @@ from .hecke_clifford import (
     one,
     parse_element,
 )
-from .scalars import MINUS_ONE, ONE, V, V_MINUS_1, half
+from .scalars import MINUS_ONE, ONE, V, V_MINUS_1
 from .spin_hecke import (
     R_element,
     gimel_minus,
@@ -48,38 +46,15 @@ from .tensor_oracle import TensorSpace, apply, cross_check
 from .traces import gimel, gimel_weight, reduce
 
 
-@dataclass(frozen=True)
-class Config:
-    """Validated run parameters shared by the subcommands."""
-
-    n: int
-    format: str = "json"
-    seed: int = 0
-    suite: Optional[str] = None
-
-
-def _config_from(args) -> Config:
-    cfg = Config(
-        n=args.n,
-        format=getattr(args, "format", "json"),
-        seed=getattr(args, "seed", 0),
-        suite=getattr(args, "suite", None),
-    )
-    if cfg.n < 1:
-        raise ValueError("--n must be at least 1")
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_char_table(args) -> int:
-    cfg = _config_from(args)
-    table = character_table(cfg.n)
-    if cfg.format == "json":
+    table = character_table(args.n)
+    if args.format == "json":
         print(table.to_json())
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         print(table.to_csv(), end="")
     else:
         print(table.to_latex())
@@ -87,54 +62,49 @@ def _cmd_char_table(args) -> int:
 
 
 def _cmd_class_poly(args) -> int:
-    cfg = _config_from(args)
-    element = parse_element(cfg.n, args.element)
+    element = parse_element(args.n, args.element)
     print(reduce(element).to_json())
     return 0
 
 
 def _cmd_spin_class_poly(args) -> int:
-    cfg = _config_from(args)
-    print(spin_class_polynomials(parse_word(args.word), cfg.n).to_json())
+    print(spin_class_polynomials(parse_word(args.word), args.n).to_json())
     return 0
 
 
 def _cmd_gimel(args) -> int:
-    cfg = _config_from(args)
     if args.spin:
         if args.element is not None:
             raise ValueError("--spin takes --word, not --element")
         if args.word is None:
             raise ValueError("--spin requires --word")
-        print(gimel_minus(parse_word(args.word), cfg.n).render())
+        print(gimel_minus(parse_word(args.word), args.n).render())
         return 0
     if args.element is None:
         raise ValueError("need --element (or --spin with --word)")
     if args.word is not None:
         raise ValueError("--word only applies with --spin")
-    print(gimel(parse_element(cfg.n, args.element)).render())
+    print(gimel(parse_element(args.n, args.element)).render())
     return 0
 
 
 def _cmd_schur_elements(args) -> int:
-    cfg = _config_from(args)
     if args.spin:
-        values = spin_schur_elements(cfg.n)
+        values = spin_schur_elements(args.n)
         payload = {partition_str(lam): values[lam].render() for lam in values}
     else:
         payload = {
             partition_str(lam): schur_element(lam).render()
-            for lam in enumerate_partitions(cfg.n, "strict")
+            for lam in enumerate_partitions(args.n, "strict")
         }
     print(json.dumps(payload))
     return 0
 
 
 def _cmd_generic_degrees(args) -> int:
-    cfg = _config_from(args)
     payload = {
         partition_str(lam): generic_degree(lam).render()
-        for lam in enumerate_partitions(cfg.n, "strict")
+        for lam in enumerate_partitions(args.n, "strict")
     }
     print(json.dumps(payload))
     return 0
@@ -210,45 +180,45 @@ def _random_basis_term(n: int, rng: random.Random):
     return element
 
 
-def _suite_core(cfg: Config):
+def _suite_core(args):
     checks = []
-    ok = all(lhs == rhs for _, lhs, rhs in _relation_pairs(cfg.n))
+    ok = all(lhs == rhs for _, lhs, rhs in _relation_pairs(args.n))
     checks.append(("normal-form relations", ok, ""))
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     bad = ""
     for _ in range(25):
-        a = _random_basis_term(cfg.n, rng)
-        b = _random_basis_term(cfg.n, rng)
+        a = _random_basis_term(args.n, rng)
+        b = _random_basis_term(args.n, rng)
         if reduce(multiply(a, b)) != reduce(multiply(b, a)):
             bad = "a trace function separated hh' from h'h"
             break
     checks.append(("trace property on random pairs", not bad, bad))
     closed = all(
-        gimel(build_T_w(mu)) == gimel_weight(cfg.n, mu)
-        for mu in enumerate_partitions(cfg.n)
+        gimel(build_T_w(mu)) == gimel_weight(args.n, mu)
+        for mu in enumerate_partitions(args.n)
     )
     checks.append(("gimel closed form on all classes", closed, ""))
-    report = verify_gimel_decomposition(cfg.n)
+    report = verify_gimel_decomposition(args.n)
     checks.append(
         ("gimel decomposition", report.passed, report.counterexample or "")
     )
     return checks
 
 
-def _suite_oracle(cfg: Config):
+def _suite_oracle(args):
     checks = []
-    report = cross_check(cfg.n)
+    report = cross_check(args.n)
     checks.append(("character table cross-check", report.passed, report.mismatch or ""))
-    space = TensorSpace(m=cfg.n, n=cfg.n) if cfg.n >= 2 else None
+    space = TensorSpace(m=args.n, n=args.n) if args.n >= 2 else None
     if space is None:
         checks.append(("tensor relations on random vectors", True, "no generators"))
         return checks
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     tuples = list(space.basis_tuples())
     failure = ""
     for _ in range(10):
         vec = {tup: ONE for tup in rng.sample(tuples, min(3, len(tuples)))}
-        for i in range(1, cfg.n):
+        for i in range(1, args.n):
             lhs = apply(space, ("T", i), apply(space, ("T", i), vec))
             mid = apply(space, ("T", i), vec)
             rhs = {}
@@ -274,31 +244,31 @@ def _suite_oracle(cfg: Config):
     return checks
 
 
-def _suite_spin(cfg: Config):
+def _suite_spin(args):
     checks = []
-    if cfg.n >= 2:
-        report = verify_iso(cfg.n)
+    if args.n >= 2:
+        report = verify_iso(args.n)
         checks.append(("embedding relations", report.passed, report.failure or ""))
     else:
         checks.append(("embedding relations", True, "no generators"))
-    vanishing = verify_trace_vanishing(cfg.n)
+    vanishing = verify_trace_vanishing(args.n)
     checks.append(
         ("spin trace vanishing", vanishing.passed, vanishing.failure or "")
     )
     try:
-        spin_schur_elements(cfg.n)
+        spin_schur_elements(args.n)
         checks.append(("spin Schur halving", True, ""))
     except RuntimeError as err:
         checks.append(("spin Schur halving", False, str(err)))
-    if cfg.n <= 4:
+    if args.n <= 4:
         import itertools
 
         from ._linalg import column_rank
         from .combinatorics import reduced_word
         from .scalars import ZERO
 
-        perms = list(itertools.permutations(range(1, cfg.n + 1)))
-        images = [R_element(reduced_word(p), cfg.n) for p in perms]
+        perms = list(itertools.permutations(range(1, args.n + 1)))
+        images = [R_element(reduced_word(p), args.n) for p in perms]
         keys = sorted({key for img in images for key in img.terms})
         rows = [[img.terms.get(key, ZERO) for key in keys] for img in images]
         ok = column_rank(rows) == len(perms)
@@ -311,11 +281,10 @@ _SUITES["all"] = _SUITES["core"] + _SUITES["oracle"] + _SUITES["spin"]
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config_from(args)
     failed = 0
     total = 0
-    for suite in _SUITES[cfg.suite]:
-        for name, ok, detail in suite(cfg):
+    for suite in _SUITES[args.suite]:
+        for name, ok, detail in suite(args):
             total += 1
             if ok:
                 print(f"ok - {name}")
@@ -385,6 +354,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n < 1:
+            raise ValueError("--n must be at least 1")
         return args.handler(args)
     except (ValueError, ZeroDivisionError) as err:
         # ElementParseError and ScalarParseError carry positions in their text

@@ -373,9 +373,3 @@ def _conjugate(parts: tuple) -> tuple:
     return tuple(
         sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)
     )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

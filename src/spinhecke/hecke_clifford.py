@@ -457,9 +457,3 @@ def _parse_term(n: int, chunk: str, pos: int) -> AlgebraElement:
         return from_word(n, word, coeff)
     except IndexError as err:
         raise ElementParseError(str(err)) from err
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

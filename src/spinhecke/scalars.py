@@ -85,9 +85,6 @@ class GaussianRational:
         a, b = self.re, self.im
         return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -301,10 +298,6 @@ class Scalar:
     @staticmethod
     def from_rational(q: Rat) -> "Scalar":
         return Scalar(UPoly.const(GaussianRational(q)))
-
-    @staticmethod
-    def from_gaussian(g: GaussianRational) -> "Scalar":
-        return Scalar(UPoly.const(g))
 
     @staticmethod
     def v_power(k: int) -> "Scalar":
@@ -536,11 +529,6 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
     def parse(self) -> Scalar:
         value = self.expr()
         self.skip_ws()
@@ -664,23 +652,3 @@ def half(x: Scalar) -> Scalar:
 
 def sc_int(k: int) -> Scalar:
     return Scalar.from_int(k)
-
-
-def sc_sum(values) -> Scalar:
-    acc = ZERO
-    for x in values:
-        acc = acc + x
-    return acc
-
-
-def sc_prod(values) -> Scalar:
-    acc = ONE
-    for x in values:
-        acc = acc * x
-    return acc
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

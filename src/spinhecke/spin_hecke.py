@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._linalg import solve_exact
-from .characters import CharacterTable, character_table, character_value, schur_element
+from .characters import CharacterTable, character_value, schur_element
 from .combinatorics import (
     all_reduced_words,
     delta_stat,
@@ -27,7 +27,7 @@ from .combinatorics import (
 )
 from .hecke_clifford import AlgebraElement, T_gen, c_gen, multiply, one
 from .scalars import ONE, Scalar, TWO, V_MINUS_1, ZERO, half, sc_int
-from .traces import ClassVector, gimel, zero_vector
+from .traces import ClassVector, gimel, reduce, zero_vector
 
 
 def dim_clifford_module(n: int) -> int:
@@ -52,12 +52,18 @@ def _generator_image(i: int, n: int) -> AlgebraElement:
     ).scale(V_MINUS_1)
 
 
-def R_element(word, n: int) -> AlgebraElement:
-    """Normal form of R_{i_1} ... R_{i_r}; the word need not be reduced."""
-    out = one(n)
+def _checked_word(word, n: int) -> tuple:
+    word = tuple(word)
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} out of range for n={n}")
+    return word
+
+
+def R_element(word, n: int) -> AlgebraElement:
+    """Normal form of R_{i_1} ... R_{i_r}; the word need not be reduced."""
+    out = one(n)
+    for i in _checked_word(word, n):
         out = multiply(out, _generator_image(i, n))
     return out
 
@@ -126,15 +132,9 @@ def canonical_class_word(nu) -> tuple:
     return tuple(reduced_word(perm))
 
 
-_SPIN_TABLE_CACHE: dict = {}
-
-
 def spin_character_table(n: int) -> CharacterTable:
     """zeta-minus on the canonical class words: the ordinary value divided by
     the Clifford-module dimension, doubled in the odd-rank/even-rows case."""
-    cached = _SPIN_TABLE_CACHE.get(n)
-    if cached is not None:
-        return cached
     rows = tuple(enumerate_partitions(n, "strict"))
     columns = tuple(enumerate_partitions(n, "odd"))
     dim_u = sc_int(dim_clifford_module(n))
@@ -144,9 +144,7 @@ def spin_character_table(n: int) -> CharacterTable:
         for lam in rows:
             scale = TWO ** _gamma_exponent(lam, n) / dim_u
             entries[(lam, nu)] = scale * character_value(lam, img)
-    table = CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
-    _SPIN_TABLE_CACHE[n] = table
-    return table
+    return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
 
 
 def spin_character_value(lam, h: AlgebraElement) -> Scalar:
@@ -160,18 +158,19 @@ def spin_class_polynomials(word, n: int) -> ClassVector:
     """Coordinates of the R-word in the R_{w_nu} class basis.
 
     Odd-length words lie in the kernel of every trace function and return the
-    zero vector outright; even-length words are resolved by one exact solve
-    against the (invertible) spin character table.
+    zero vector outright.  An even-length word is resolved by one exact solve
+    B x = reduce(R(word)), where column nu of B is the class vector of the
+    canonical class word of nu; no character table is built.
     """
-    word = tuple(word)
+    word = _checked_word(word, n)
     if len(word) % 2 == 1:
         return zero_vector(n)
-    table = spin_character_table(n)
-    img = R_element(word, n)
-    rows = [[table.entry(lam, nu) for nu in table.columns] for lam in table.rows]
-    rhs = [spin_character_value(lam, img) for lam in table.rows]
-    solution = solve_exact(rows, rhs)
-    return ClassVector(n=n, coeffs=dict(zip(table.columns, solution)))
+    columns = enumerate_partitions(n, "odd")
+    basis = [reduce(R_element(canonical_class_word(nu), n)) for nu in columns]
+    target = reduce(R_element(word, n))
+    rows = [[vec[mu] for vec in basis] for mu in columns]
+    solution = solve_exact(rows, [target[mu] for mu in columns])
+    return ClassVector(n=n, coeffs=dict(zip(columns, solution)))
 
 
 def spin_schur_elements(n: int) -> dict:

@@ -14,9 +14,9 @@ import itertools
 import json
 from types import MappingProxyType
 
-from ._linalg import solve_exact
+from ._linalg import solve_triangular
 from .combinatorics import enumerate_partitions, is_strict, shifted_data
-from .scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_int
+from .scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO
 
 _V = Scalar.v_power(1)
 
@@ -276,28 +276,30 @@ def _schur_q_rec(lam, m: int) -> SymPoly:
     return out
 
 
-def expand_in_Q(f: SymPoly) -> dict:
-    """Coefficients a_lambda with f = sum a_lambda Q_lambda, solved exactly.
+def q_basis(n: int, m: int) -> dict:
+    """Monomial coefficients of every Q_lambda, lambda a strict partition of n.
 
-    The monomial-coefficient system is overdetermined; inconsistency means f
-    is not in the span and raises ValueError.
+    Q_lambda = 2^len(lambda) m_lambda + dominance-lower terms (Macdonald III.8),
+    so lambda is the largest key of its own vector and the family is
+    triangular.
+    """
+    stricts = enumerate_partitions(n, "strict")
+    return {lam: schur_q(lam, m).monomial_view() for lam in stricts}
+
+
+def expand_in_Q(f: SymPoly) -> dict:
+    """Coefficients a_lambda with f = sum a_lambda Q_lambda, by back-substitution
+    against the triangular Q basis; a leftover non-strict monomial means f is
+    not in the span and raises ValueError.
     """
     n = f.degree
     if f.m < n:
         raise ValueError(f"too few variables: need {n}, have {f.m}")
-    stricts = enumerate_partitions(n, "strict")
-    columns = [schur_q(lam, f.m).monomial_view() for lam in stricts]
-    row_keys = enumerate_partitions(n)
-    target = f.monomial_view()
-    rows = [[col.get(key, ZERO) for col in columns] for key in row_keys]
-    rhs = [target.get(key, ZERO) for key in row_keys]
+    basis, target = q_basis(n, f.m), f.monomial_view()
     try:
-        sol = solve_exact(rows, rhs)
+        return solve_triangular(basis, target)
     except ValueError as err:
-        if "inconsistent" in str(err):
-            raise ValueError("not in the span of Q-functions") from err
-        raise
-    return {lam: val for lam, val in zip(stricts, sol) if not val.is_zero()}
+        raise ValueError("not in the span of Q-functions") from err
 
 
 def principal_specialization_Q(lam) -> Scalar:

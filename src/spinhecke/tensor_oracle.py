@@ -5,9 +5,14 @@ k in {-m,...,-1,1,...,m} (e_k is odd exactly when k < 0).  T_j acts on the
 adjacent factors (j, j+1) through an eight-case exchange operator and c_k acts
 on factor k through a quarter-turn on the +/- pair with the usual sign crossing
 the first k-1 factors.  Traces against the diagonal weight operator produce
-symmetric polynomials whose Q-expansion recovers the character table without
-ever touching the normal-form engine, which is what makes the comparison a
-genuine cross-check.
+symmetric polynomials whose Q-expansion recovers the character table.
+
+Shared with the symmetric-function route: the scalars, the combinatorics, the
+element type with build_T_w, SymPoly with expand_in_Q, and CharacterTable.
+Independent of it: the tensor action and trace_poly here, against the
+normal-form product, the reduction modulo commutators and g-tilde there.  An
+element's normal-form terms are read but never multiplied or reduced, which is
+what makes the comparison a genuine cross-check.
 
 Operators are never materialized: everything is the action on sparse vectors
 (dicts mapping index tuples to scalars), and traces accumulate diagonal

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import factorial
@@ -232,6 +233,24 @@ def test_json_orders_n4():
     payload = json.loads(character_table(4).to_json())
     assert [r["lambda"] for r in payload["rows"]] == ["4", "3,1"]
     assert list(payload["rows"][0]["values"]) == ["3,1", "1,1,1,1"]
+
+
+# sha256 of to_json(), captured with the Gaussian-elimination solver that
+# preceded the triangular back-substitution
+_TABLE_DIGESTS = {
+    1: "c067ac8043cdc3701fab2d16c132bb83ccef3ec5ce5a2fb7b05878a6b40a2843",
+    2: "ae73c32663dc39350d219768c7203a7a33fd7c69d128d895c7c233c6e339fd90",
+    3: "970feb1202fa5103a0397ad8ac121fcd07a040ae867165ccd2cd5cf43c3ea599",
+    4: "646e0f3e17232c3baf9b72d3641d5e6a5c5dfdee2d20ec265c54a3ad3127b88a",
+    5: "85b5276da4b72d5f53149f599b7fcae8718b925196f843fe0ac3a7baddb4b2ef",
+    6: "ea2232cf1596d7d7aa5b4ddf6b1d8b2e8e795e08bf15deb606eb51b2d4ac06a7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_TABLE_DIGESTS))
+def test_table_json_digest_pinned(n):
+    text = character_table(n).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _TABLE_DIGESTS[n]
 
 
 def test_csv_n3_exact():

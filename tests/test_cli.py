@@ -131,6 +131,14 @@ def test_bad_word_rejected(capsys):
     assert "word" in err
 
 
+@pytest.mark.parametrize("word", ["7", "0"])
+def test_out_of_range_odd_word_rejected(capsys, word):
+    # an odd-length word is checked before the zero-vector shortcut
+    code, out, err = invoke(capsys, "spin-class-poly", "--n", "3", "--word", word)
+    assert code == 2 and out == ""
+    assert "out of range" in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         run(["no-such-command"])

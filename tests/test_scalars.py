@@ -22,8 +22,6 @@ from spinhecke.scalars import (
     half,
     sc_int,
     sc_parse,
-    sc_prod,
-    sc_sum,
 )
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spinhecke._linalg import column_rank
+from spinhecke._linalg import column_rank, solve_exact
 from spinhecke.combinatorics import enumerate_partitions, reduced_word, w_gamma
 from spinhecke.hecke_clifford import T_gen, c_gen, multiply, one
 from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO
@@ -159,6 +159,21 @@ def test_trace_reads_off_the_identity_coefficient():
             word = [rng.randrange(1, n) for _ in range(rng.choice([2, 4]))]
             vec = spin_class_polynomials(word, n)
             assert gimel_minus(word, n) == vec[(1,) * n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_class_polynomials_match_the_spin_table_solve(n):
+    # the spin table is D X B with D, X invertible, so solving against it
+    # gives the same vector as solving against B alone
+    table = spin_character_table(n)
+    rows = [[table.entry(lam, nu) for nu in table.columns] for lam in table.rows]
+    rng = random.Random(19 + n)
+    for _ in range(4):
+        word = [rng.randrange(1, n) for _ in range(rng.choice([2, 4, 6]))]
+        img = R_element(word, n)
+        rhs = [spin_character_value(lam, img) for lam in table.rows]
+        expected = dict(zip(table.columns, solve_exact(rows, rhs)))
+        assert spin_class_polynomials(word, n).coeffs == expected
 
 
 def test_class_polynomial_trace_property():

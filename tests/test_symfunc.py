@@ -1,10 +1,11 @@
 """Symmetric polynomial layer: monomials, Q-functions, deformed family."""
 
 import json
+import random
 
 import pytest
 
-from spinhecke._linalg import column_rank, solve_exact
+from spinhecke._linalg import column_rank, solve_exact, solve_triangular
 from spinhecke.combinatorics import enumerate_partitions
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_parse
 from spinhecke.symfunc import (
@@ -19,6 +20,7 @@ from spinhecke.symfunc import (
     principal_specialization_Q,
     principal_specialization_g_tilde,
     product,
+    q_basis,
     schur_q,
     zero_poly,
 )
@@ -177,6 +179,35 @@ def test_q_family_has_full_column_rank(n):
     assert column_rank(rows) == len(stricts)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_q_basis_is_triangular(n):
+    # the precondition of the back-substitution in expand_in_Q: the largest
+    # key of Q_lambda is lambda, with coefficient 2^len, and every other key
+    # is dominance-below lambda
+    def dominated(mu, lam):
+        return all(sum(mu[:k]) <= sum(lam[:k]) for k in range(1, len(mu) + 1))
+
+    for lam, vec in q_basis(n, n).items():
+        assert max(vec) == lam
+        assert vec[lam] == TWO ** len(lam)
+        assert all(dominated(mu, lam) for mu in vec if mu != lam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_expand_in_Q_round_trips_seeded_combinations(n):
+    rng = random.Random(2012 + n)
+    values = [ZERO, ONE, MINUS_ONE, TWO, V, V_MINUS_1, sc_parse("1/3")]
+    basis = q_basis(n, n)
+    for _ in range(4):
+        coeffs = {lam: rng.choice(values) for lam in basis}
+        f = zero_poly(n, n)
+        for lam, a in coeffs.items():
+            f = f + schur_q(lam, n).scale(a)
+        expected = {lam: a for lam, a in coeffs.items() if not a.is_zero()}
+        assert solve_triangular(basis, f.monomial_view()) == expected
+        assert expand_in_Q(f) == expected
+
+
 def test_expand_in_Q_examples():
     assert expand_in_Q(schur_q((2, 1), 3)) == {(2, 1): ONE}
     assert expand_in_Q(g_tilde((1, 1), 2)) == {(2,): TWO}
@@ -196,6 +227,12 @@ def test_solver_plumbing():
         solve_exact([[ONE, ONE]], [TWO])
     assert solve_exact([[TWO]], [ONE]) == [sc_parse("1/2")]
     assert column_rank([[ONE, ONE], [ONE, ONE]]) == 1
+    basis = {(2,): {(2,): TWO, (1, 1): ONE}, (1, 1): {(1, 1): sc_parse("4")}}
+    got = solve_triangular(basis, {(2,): TWO, (1, 1): TWO})
+    assert got == {(2,): ONE, (1, 1): sc_parse("1/4")}
+    assert solve_triangular(basis, {(2,): ZERO}) == {}
+    with pytest.raises(ValueError, match="no basis vector"):
+        solve_triangular({(1, 1): {(1, 1): ONE}}, {(2,): ONE})
 
 
 # ---------------------------------------------------------------------------
