@@ -8,11 +8,11 @@ the first k-1 factors.  Traces against the diagonal weight operator produce
 symmetric polynomials whose Q-expansion recovers the character table.
 
 Shared with the symmetric-function route: the scalars, the combinatorics, the
-element type with build_T_w, SymPoly with expand_in_Q, and CharacterTable.
-Independent of it: the tensor action and trace_poly here, against the
-normal-form product, the reduction modulo commutators and g-tilde there.  An
-element's normal-form terms are read but never multiplied or reduced, which is
-what makes the comparison a genuine cross-check.
+element type with build_T_w, SymPoly, the Q basis with solve_triangular, and
+CharacterTable.  Independent of it: the tensor action and trace_poly here,
+against the normal-form product, the reduction modulo commutators and g-tilde
+there.  An element's normal-form terms are read but never multiplied or
+reduced, which is what makes the comparison a genuine cross-check.
 
 Operators are never materialized: everything is the action on sparse vectors
 (dicts mapping index tuples to scalars), and traces accumulate diagonal
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from ._linalg import solve_triangular
 from .characters import CharacterTable, character_table
 from .combinatorics import (
     delta_stat,
@@ -35,7 +36,7 @@ from .combinatorics import (
 )
 from .hecke_clifford import AlgebraElement, build_T_w
 from .scalars import I, MINUS_ONE, ONE, Scalar, TWO, U, V, ZERO
-from .symfunc import SymPoly, expand_in_Q
+from .symfunc import SymPoly, q_basis
 
 _V1 = V - ONE
 _NEG_I = MINUS_ONE * I
@@ -202,12 +203,17 @@ def trace_poly(h: AlgebraElement, m: int) -> SymPoly:
 
 
 def oracle_characters(n: int) -> CharacterTable:
-    """The character table recomputed from tensor traces alone (m = n)."""
+    """The character table recomputed from tensor traces alone (m = n); each
+    trace is back-substituted against one Q basis built once per table."""
     rows = tuple(enumerate_partitions(n, "strict"))
     columns = tuple(enumerate_partitions(n, "odd"))
+    basis = q_basis(n, n)
     entries = {}
     for nu in columns:
-        coeffs = expand_in_Q(trace_poly(build_T_w(nu), n))
+        try:
+            coeffs = solve_triangular(basis, trace_poly(build_T_w(nu), n).monomial_view())
+        except ValueError as err:
+            raise ValueError("not in the span of Q-functions") from err
         for lam in rows:
             power = (len(lam) + delta_stat(lam)) // 2
             entries[(lam, nu)] = TWO**power * coeffs.get(lam, ZERO)

@@ -108,10 +108,24 @@ _CPUSH_MEMO: dict = {}
 _DEFAULT_FUEL = 5_000_000
 
 
+# caches of modules that import this one (the character tables), which
+# clear_caches() must reach without importing them
+_REGISTERED: list = []
+
+
+def register_cache(cache: dict) -> dict:
+    """Have clear_caches() empty `cache` as well; returns `cache`."""
+    _REGISTERED.append(cache)
+    return cache
+
+
 def clear_caches() -> None:
-    """Empty the reduction memo and the Clifford push memo it reads."""
+    """Empty the reduction memo, the Clifford push memo it reads and every
+    registered cache."""
     _MEMO.clear()
     clear_push_memo()
+    for cache in _REGISTERED:
+        cache.clear()
 
 
 class _Fuel:

@@ -163,6 +163,46 @@ def test_u_weight_pinned():
     assert total == ONE
 
 
+def _poincare_product(n):
+    num = ONE
+    for k in range(1, n + 1):
+        num = num * (ONE - Scalar.v_power(k))
+    return num / (ONE - V) ** n
+
+
+def _hook_content_product(lam):
+    """c^lambda multiplied out in plain Scalar arithmetic, every step
+    cancelled by polynomial gcd: the route the cyclotomic form replaced."""
+    n = sum(lam)
+    data = shifted_data(lam)
+    num = TWO ** (n + (len(lam) - data.delta) // 2)
+    for h in data.all_hooks():
+        num = num * (ONE - Scalar.v_power(h))
+    den = Scalar.v_power(data.n_stat) * (ONE - V) ** n
+    for c in data.all_contents():
+        den = den * (ONE + Scalar.v_power(c))
+    return num / den
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cyclotomic_form_matches_hook_content_products(n):
+    p_n = _poincare_product(n)
+    pairs = [(poincare(n), p_n)]
+    for lam in enumerate_partitions(n, "strict"):
+        c = _hook_content_product(lam)
+        pairs += [
+            (schur_element(lam), c),
+            (generic_degree(lam), TWO**n * p_n / c),
+            (u_weight(lam), ONE / (TWO ** delta_stat(lam) * c)),
+        ]
+    for got, want in pairs:
+        assert (got.num, got.den) == (want.num, want.den)
+        # the values are built with _canonical=True; the full constructor
+        # must find nothing left to cancel or normalize
+        rebuilt = Scalar(got.num, got.den)
+        assert (rebuilt.num, rebuilt.den) == (got.num, got.den)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_generic_degrees_are_polynomials(n):
     for lam in enumerate_partitions(n, "strict"):

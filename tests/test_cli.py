@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -96,6 +97,46 @@ def test_verify_output_is_deterministic(capsys):
     first = invoke(capsys, "verify", "--n", "2", "--suite", "core", "--seed", "5")
     second = invoke(capsys, "verify", "--n", "2", "--suite", "core", "--seed", "5")
     assert first == second
+
+
+# sha256 of stdout, captured with the hook-content products multiplied out
+# term by term and cancelled by polynomial gcd (before the cyclotomic form)
+_DEGREE_DIGESTS = {
+    "generic-degrees --n 1": "a5a99760ae04d337c2cbc4065e02d2630202f6ffeae908c878ad623b31a0dbc6",
+    "schur-elements --n 1": "3392886804cdf8bfc3a76abb16b2c9e3d93eeb5c1c830a3e3519fb1457504da6",
+    "generic-degrees --n 2": "372ce9992b87c1755ef38cd9940d991432525f0ba6d8e89671d8db1baae66163",
+    "schur-elements --n 2": "2c2607f49454f314e680a82ae747b6a9125c7dce61d7b0256ab26c464657139c",
+    "generic-degrees --n 3": "81418843521e0dd8619dfe5a75c67bc173f158a0fd7292b56e68600de1066e81",
+    "schur-elements --n 3": "e23655d3e144be7e51b5e1037143847242d9322267e3344f0edd20128c0dd5f2",
+    "generic-degrees --n 4": "537a90ca3ca0c3c59314eb816ee4332595722b6ca39976ff3fa3d052445515f1",
+    "schur-elements --n 4": "20443182245954530e3954dcda818ae13403e2efdb91c21f9255757637081e2f",
+    "generic-degrees --n 5": "7158b36b0e4f11a43aff94ae54a885de1171a915389fc048581f1071d1e54dfd",
+    "schur-elements --n 5": "7940aca0084dd697c753f6365a8b29f53a92461c5344616c55a0ef01441544ba",
+    "generic-degrees --n 6": "368d2cc4a2c8fd5f4bc9b91a50ef1ee25ee92305524b8a13f165719a682cdcec",
+    "schur-elements --n 6": "cdb3a8707befe88340d7c812006ae555376927916ab757440c97c132ecc1d57d",
+    "generic-degrees --n 7": "f9db1b20603130b40b34d4a1860f2a38dd27135c577c68b3c700a519ce2a085a",
+    "schur-elements --n 7": "1fb3626dd70a38c40bf273e46e89fa26665df3d6199817469262f15b6e3c64a2",
+    "generic-degrees --n 8": "d08e7e1d6437f528821bea84cd150c5fc0bb8ed79d81b2a43deae4ed66ac3773",
+    "schur-elements --n 8": "4840385d2cb94c9266a8f8c7b0c3e82b8e62371fdc72f2d816df619f1fbc1699",
+    "generic-degrees --n 9": "40e3f8be57ad24b15c62fccbf1cb5ff7d492324fc2b93e28c49454efe4f22cdc",
+    "schur-elements --n 9": "bd64ccdf33dbcfec7841a652a92c7d5b5884f39d890c1ba27460a3afa6143bd0",
+    "generic-degrees --n 10": "cbfb8cd86d3109550aa340cb5938ebaa757695cf699cd907abc1e564b0b8b929",
+    "schur-elements --n 10": "199827dac325a68710eb4ca7b8cc95450dd8751ca0749ddcf65328edcb4fc7a2",
+    "generic-degrees --n 11": "084e1914d0550903d2df323a3816ca9ff1d3803000a6d2be60b4da8b2ff05085",
+    "schur-elements --n 11": "be5914ba197979d83e030f6c4a435ca0c4c27a5830baafbfb5c19eb526764652",
+    "generic-degrees --n 12": "1bd31f43a49a4d3c7473d47aee3c736b9cf2f4a00786e7ccb0125baae857b202",
+    "schur-elements --n 12": "cac9d2cdb313e17079c52103f6b1046d70e33ec65d6b8289eb1c913de51283e7",
+    "generic-degrees --n 13": "5d7b1ae870b4bf20fbe1f0f6e2b12fc275aeef66ff408e08cddb8a37a3ee0f01",
+    "schur-elements --n 13": "f931f8755e9f433becd30f116b2e18dd72b970e0f626af13d4461b741218abcf",
+    "schur-elements --n 6 --spin": "2e812124998acab997418fa1f9d9e599cf97fd12f745130f16514d78f599ef2c",
+}
+
+
+@pytest.mark.parametrize("command", list(_DEGREE_DIGESTS))
+def test_degree_commands_golden_stdout(capsys, command):
+    code, out, _ = invoke(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DEGREE_DIGESTS[command]
 
 
 # -- error paths ---------------------------------------------------------------

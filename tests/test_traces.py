@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from spinhecke.characters import character_table
 from spinhecke.combinatorics import enumerate_partitions
 from spinhecke.hecke_clifford import (
     AlgebraElement,
@@ -17,7 +18,7 @@ from spinhecke.hecke_clifford import (
     multiply,
     one,
 )
-from spinhecke import hecke_clifford, traces
+from spinhecke import characters, hecke_clifford, traces
 from spinhecke.scalars import HALF, ONE, V, V_MINUS_1, ZERO, sc_parse
 from spinhecke.traces import (
     ClassVector,
@@ -208,10 +209,12 @@ def test_golden_class_vectors_through_rank_five():
 
 def test_clear_caches_empties_every_reduction_memo():
     reduce(from_word(4, ["c1", "c3", "T2", "T1", "T3"]))
-    assert traces._MEMO and hecke_clifford._PUSH_MEMO
+    character_table(2)
+    assert traces._MEMO and hecke_clifford._PUSH_MEMO and characters._TABLE_CACHE
     clear_caches()
     assert not traces._MEMO
     assert not hecke_clifford._PUSH_MEMO
+    assert not characters._TABLE_CACHE
     assert reduce(build_T_w((3, 1))) == unit_vector(4, (3, 1))
 
 
