@@ -94,38 +94,53 @@ class CharacterTable:
 _TABLE_CACHE: dict = register_cache({})
 
 
-def character_table(n: int) -> CharacterTable:
-    """The table zeta^lambda(T_w_nu): each column g-tilde_nu is back-substituted
-    against the Q basis of degree n."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    cached = _TABLE_CACHE.get(n)
-    if cached is not None:
-        return cached
+def table_from_columns(n: int, column) -> CharacterTable:
+    """The table whose column nu is read off column(nu) = sum over strict
+    lambda of a_lambda Q_lambda, as zeta^lambda = 2^((len+delta)/2) a_lambda;
+    every column is back-substituted against one Q basis of degree n."""
     rows = tuple(enumerate_partitions(n, "strict"))
     columns = tuple(enumerate_partitions(n, "odd"))
     basis = q_basis(n, n)
     entries = {}
     for nu in columns:
-        coeffs = solve_triangular(basis, g_tilde(nu, n).monomial_view())
+        try:
+            coeffs = solve_triangular(basis, column(nu).terms)
+        except ValueError as err:
+            raise ValueError("not in the span of Q-functions") from err
         for lam in rows:
             power = (len(lam) + delta_stat(lam)) // 2
             entries[(lam, nu)] = coeffs.get(lam, ZERO) * TWO**power
-    table = CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
-    _TABLE_CACHE[n] = table
-    return table
+    return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
+
+
+def character_table(n: int) -> CharacterTable:
+    """The table zeta^lambda(T_w_nu), column nu from g-tilde_nu."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    cached = _TABLE_CACHE.get(n)
+    if cached is None:
+        cached = _TABLE_CACHE[n] = table_from_columns(n, lambda nu: g_tilde(nu, n))
+    return cached
+
+
+def character_values(h: AlgebraElement) -> dict:
+    """zeta^lambda(h) for every strict lambda: one class vector of h, paired
+    with each row of the table."""
+    table = character_table(h.n)
+    vec = reduce(h)
+    out = {}
+    for lam in table.rows:
+        total = ZERO
+        for nu, val in vec.coeffs.items():
+            if not val.is_zero():
+                total = total + val * table.entry(lam, nu)
+        out[lam] = total
+    return out
 
 
 def character_value(lam, h: AlgebraElement) -> Scalar:
     """zeta^lambda(h) through class polynomials."""
-    table = character_table(h.n)
-    lam = tuple(lam)
-    vec = reduce(h)
-    total = ZERO
-    for nu, val in vec.coeffs.items():
-        if not val.is_zero():
-            total = total + val * table.entry(lam, nu)
-    return total
+    return character_values(h)[tuple(lam)]
 
 
 # ---------------------------------------------------------------------------

@@ -428,9 +428,9 @@ class Scalar:
         """Canonical string; see the module docstring for the format."""
         if self.num.is_zero():
             return "0"
+        # the numerator (num / c) * c.numerator, written as one scaling
         c = _rational_content(self.num)
-        num_int = self.num.scale(GaussianRational(1 / c))
-        top = num_int.scale(GaussianRational(c.numerator))
+        top = self.num.scale(GaussianRational(c.denominator))
         bot = self.den.scale(GaussianRational(c.denominator))
         if bot.is_one():
             return _render_poly(top)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._linalg import solve_exact
-from .characters import CharacterTable, character_value, schur_element
+from .characters import CharacterTable, character_value, character_values, schur_element
 from .combinatorics import (
     all_reduced_words,
     delta_stat,
@@ -134,16 +134,17 @@ def canonical_class_word(nu) -> tuple:
 
 def spin_character_table(n: int) -> CharacterTable:
     """zeta-minus on the canonical class words: the ordinary value divided by
-    the Clifford-module dimension, doubled in the odd-rank/even-rows case."""
+    the Clifford-module dimension, doubled in the odd-rank/even-rows case;
+    each column's R-image is reduced once."""
     rows = tuple(enumerate_partitions(n, "strict"))
     columns = tuple(enumerate_partitions(n, "odd"))
     dim_u = sc_int(dim_clifford_module(n))
     entries = {}
     for nu in columns:
-        img = R_element(canonical_class_word(nu), n)
+        values = character_values(R_element(canonical_class_word(nu), n))
         for lam in rows:
             scale = TWO ** _gamma_exponent(lam, n) / dim_u
-            entries[(lam, nu)] = scale * character_value(lam, img)
+            entries[(lam, nu)] = scale * values[lam]
     return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
 
 

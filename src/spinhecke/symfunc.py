@@ -1,36 +1,56 @@
-"""Symmetric polynomials: monomials, power sums, Schur Q-functions, and the
-deformed family underlying the character formula.
+"""Symmetric polynomials: monomials, Schur Q-functions, and the deformed
+family underlying the character formula.
 
 All polynomials here are homogeneous of a declared degree in a fixed number m
-of variables, stored on full exponent vectors so that products stay exact and
-symmetry is a checkable property rather than a convention.  Degree-n linear
-algebra only ever needs m = n variables; larger m exists for the truncation
-cross-checks.
+of variables, stored as monomial coefficients {partition: coefficient}: the
+key lambda stands for the orbit sum m_lambda, so keys have at most m parts and
+truncating to m variables drops longer keys.  Full exponent vectors appear only
+at the tensor oracle's boundary, where `SymPoly.from_exponents` checks that
+every orbit is complete with equal weights.  Degree-n linear algebra only ever
+needs m = n variables; larger m exists for the truncation cross-checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
+from math import factorial
 from types import MappingProxyType
 
 from ._linalg import solve_triangular
 from .combinatorics import enumerate_partitions, is_strict, shifted_data
-from .scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO
+from .scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_int
 
 _V = Scalar.v_power(1)
 
 
 class SymPoly:
-    """Homogeneous symmetric polynomial on full exponent vectors."""
+    """Homogeneous symmetric polynomial as monomial coefficients keyed by
+    partitions."""
 
     __slots__ = ("m", "degree", "terms")
 
     def __init__(self, m: int, degree: int, terms: dict):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "degree", degree)
-        clean = {exp: c for exp, c in terms.items() if not c.is_zero()}
+        clean = {key: c for key, c in terms.items() if not c.is_zero()}
         object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    @classmethod
+    def from_exponents(cls, m: int, degree: int, terms: dict) -> "SymPoly":
+        """The polynomial sum c x^e given on full exponent vectors of length m;
+        raises unless every monomial orbit is complete with equal weights."""
+        orbits: dict = {}
+        for exp, coeff in terms.items():
+            if not coeff.is_zero():
+                key = tuple(sorted((e for e in exp if e), reverse=True))
+                orbits.setdefault(key, []).append(coeff)
+        for key, coeffs in orbits.items():
+            expected = factorial(m) // _multiplicity_factorials(key, m)
+            if len(coeffs) != expected or any(c != coeffs[0] for c in coeffs):
+                raise ValueError(f"not symmetric: orbit {key} incomplete or uneven")
+        return cls(m, degree, {key: coeffs[0] for key, coeffs in orbits.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("SymPoly is immutable")
@@ -49,18 +69,13 @@ class SymPoly:
     def __add__(self, other: "SymPoly") -> "SymPoly":
         self._check(other)
         acc = dict(self.terms)
-        for exp, c in other.terms.items():
-            cur = acc.get(exp)
-            acc[exp] = c if cur is None else cur + c
+        for key, c in other.terms.items():
+            cur = acc.get(key)
+            acc[key] = c if cur is None else cur + c
         return SymPoly(self.m, max(self.degree, other.degree), acc)
 
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + other.scale(MINUS_ONE)
-
     def scale(self, s: Scalar) -> "SymPoly":
-        if s.is_zero():
-            return SymPoly(self.m, self.degree, {})
-        return SymPoly(self.m, self.degree, {e: c * s for e, c in self.terms.items()})
+        return SymPoly(self.m, self.degree, {k: c * s for k, c in self.terms.items()})
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         return product(self, other)
@@ -69,62 +84,73 @@ class SymPoly:
         if self.m != other.m:
             raise ValueError(f"variable count mismatch: {self.m} vs {other.m}")
 
-    def monomial_view(self) -> dict:
-        """Coefficients keyed by the sorted exponent partition."""
-        view: dict = {}
-        for exp, coeff in self.terms.items():
-            key = tuple(sorted((e for e in exp if e), reverse=True))
-            seen = view.get(key)
-            if seen is None:
-                view[key] = coeff
-            elif seen != coeff:
-                raise ValueError("polynomial is not symmetric")
-        return view
-
-    def validate_symmetric(self) -> None:
-        """Raise unless every monomial orbit is complete with equal weights."""
-        orbits: dict = {}
-        for exp, coeff in self.terms.items():
-            key = tuple(sorted(exp, reverse=True))
-            orbits.setdefault(key, []).append(coeff)
-        for key, coeffs in orbits.items():
-            expected = _orbit_size(key, self.m)
-            if len(coeffs) != expected or any(c != coeffs[0] for c in coeffs):
-                raise ValueError(f"orbit of {key} is incomplete or uneven")
-
     def specialize(self, point) -> Scalar:
         """Evaluate at x_i = point[i]."""
         if len(point) != self.m:
             raise ValueError("point length must equal the variable count")
         total = ZERO
-        for exp, coeff in self.terms.items():
-            val = coeff
-            for base, e in zip(point, exp):
-                if e:
-                    val = val * base**e
-            total = total + val
+        for key, coeff in self.terms.items():
+            for exp in _arrangements(key, self.m):
+                val = coeff
+                for base, e in zip(point, exp):
+                    if e:
+                        val = val * base**e
+                total = total + val
         return total
 
     def to_json(self) -> str:
-        view = self.monomial_view()
-        return json.dumps(
-            {",".join(map(str, key)): val.render() for key, val in sorted(view.items(), reverse=True)}
-        )
+        items = sorted(self.terms.items(), reverse=True)
+        return json.dumps({",".join(map(str, key)): val.render() for key, val in items})
 
     def __repr__(self):
         return f"<SymPoly m={self.m} deg={self.degree} {self.to_json()}>"
 
 
-def _orbit_size(sorted_exp, m):
-    from math import factorial
+def _multiplicity_factorials(key, slots: int) -> int:
+    """prod over values of (multiplicity)! for key padded with zeros to slots."""
+    out = factorial(slots - len(key))
+    for count in Counter(key).values():
+        out *= factorial(count)
+    return out
 
-    counts: dict = {}
-    for e in sorted_exp:
-        counts[e] = counts.get(e, 0) + 1
-    size = factorial(m)
-    for c in counts.values():
-        size //= factorial(c)
-    return size
+
+def _arrangements(key, slots: int) -> list:
+    """Every distinct exponent vector of length slots that sorts to key, each
+    once: the positions of each part value are chosen among the free ones."""
+    vecs = [[0] * slots]
+    for value, count in Counter(key).items():
+        placed = []
+        for vec in vecs:
+            free = [i for i, x in enumerate(vec) if not x]
+            for chosen in itertools.combinations(free, count):
+                new = vec.copy()
+                for i in chosen:
+                    new[i] = value
+                placed.append(new)
+        vecs = placed
+    return vecs
+
+
+def _monomial_product(lam: tuple, mu: tuple, m: int) -> dict:
+    """m_lam * m_mu in m variables as {nu: integer coefficient}.
+
+    Fix x^lam and add every arrangement b of mu: the count N(nu) of sums
+    sorting to nu equals c_nu |orbit(nu)| / |orbit(lam)|.  Working in
+    min(m, len(lam) + len(mu)) slots loses nothing and truncates to m.
+    """
+    if len(lam) < len(mu):
+        lam, mu = mu, lam
+    slots = min(m, len(lam) + len(mu))
+    base = lam + (0,) * (slots - len(lam))
+    hits = Counter(
+        tuple(sorted((a + b for a, b in zip(base, vec) if a + b), reverse=True))
+        for vec in _arrangements(mu, slots)
+    )
+    weight = _multiplicity_factorials(lam, slots)
+    return {
+        nu: count * _multiplicity_factorials(nu, slots) // weight
+        for nu, count in hits.items()
+    }
 
 
 def zero_poly(m: int, degree: int = 0) -> SymPoly:
@@ -132,38 +158,27 @@ def zero_poly(m: int, degree: int = 0) -> SymPoly:
 
 
 def one_poly(m: int) -> SymPoly:
-    return SymPoly(m, 0, {(0,) * m: ONE})
+    return SymPoly(m, 0, {(): ONE})
 
 
 def monomial(mu, m: int) -> SymPoly:
     """m_mu in m variables: the orbit sum of x^mu."""
-    mu = tuple(mu)
-    if len(mu) > m:
-        raise ValueError(f"too few variables: need {len(mu)}, have {m}")
-    padded = mu + (0,) * (m - len(mu))
-    terms = {exp: ONE for exp in set(itertools.permutations(padded))}
-    return SymPoly(m, sum(mu), terms)
-
-
-def power_sum(r: int, m: int) -> SymPoly:
-    if r < 1:
-        raise ValueError("power sum needs r >= 1")
-    return monomial((r,), m)
+    key = tuple(sorted((p for p in mu if p), reverse=True))
+    if len(key) > m:
+        raise ValueError(f"too few variables: need {len(key)}, have {m}")
+    return SymPoly(m, sum(key), {key: ONE})
 
 
 def product(f: SymPoly, g: SymPoly) -> SymPoly:
     f._check(g)
     acc: dict = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            exp = tuple(a + b for a, b in zip(e1, e2))
+    for lam, c1 in f.terms.items():
+        for mu, c2 in g.terms.items():
             val = c1 * c2
-            cur = acc.get(exp)
-            total = val if cur is None else cur + val
-            if total.is_zero():
-                acc.pop(exp, None)
-            else:
-                acc[exp] = total
+            for nu, count in _monomial_product(lam, mu, f.m).items():
+                term = val if count == 1 else val * sc_int(count)
+                cur = acc.get(nu)
+                acc[nu] = term if cur is None else cur + term
     return SymPoly(f.m, f.degree + g.degree, acc)
 
 
@@ -216,26 +231,10 @@ def g_tilde(mu, m: int) -> SymPoly:
 
 
 def q_whole(r: int, m: int) -> SymPoly:
-    """q_r: the t^r coefficient of prod_i (1 + 2 sum_s (t x_i)^s)."""
-    if r == 0:
-        return one_poly(m)
-    if r < 0:
-        return zero_poly(m)
-    # dp over variables, truncated at degree r; descending s keeps the
-    # lower slices at their pre-variable state, so each variable is
-    # consumed at most once
-    slices = [dict() for _ in range(r + 1)]
-    slices[0][(0,) * m] = ONE
-    for i in range(m):
-        for s in range(r, 0, -1):
-            acc = slices[s]
-            for a in range(1, s + 1):
-                for exp, coeff in slices[s - a].items():
-                    new = exp[:i] + (a,) + exp[i + 1 :]
-                    val = coeff * TWO
-                    cur = acc.get(new)
-                    acc[new] = val if cur is None else cur + val
-    return SymPoly(m, r, slices[r])
+    """q_r: the t^r coefficient of prod_i (1 + 2 sum_s (t x_i)^s), which is
+    sum over partitions lambda of r of 2^len(lambda) m_lambda."""
+    terms = {lam: TWO ** len(lam) for lam in enumerate_partitions(r) if len(lam) <= m}
+    return SymPoly(m, r, terms)
 
 
 def _q_two_row(a: int, b: int, m: int) -> SymPoly:
@@ -284,7 +283,7 @@ def q_basis(n: int, m: int) -> dict:
     triangular.
     """
     stricts = enumerate_partitions(n, "strict")
-    return {lam: schur_q(lam, m).monomial_view() for lam in stricts}
+    return {lam: schur_q(lam, m).terms for lam in stricts}
 
 
 def expand_in_Q(f: SymPoly) -> dict:
@@ -295,7 +294,7 @@ def expand_in_Q(f: SymPoly) -> dict:
     n = f.degree
     if f.m < n:
         raise ValueError(f"too few variables: need {n}, have {f.m}")
-    basis, target = q_basis(n, f.m), f.monomial_view()
+    basis, target = q_basis(n, f.m), f.terms
     try:
         return solve_triangular(basis, target)
     except ValueError as err:

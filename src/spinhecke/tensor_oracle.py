@@ -8,11 +8,13 @@ the first k-1 factors.  Traces against the diagonal weight operator produce
 symmetric polynomials whose Q-expansion recovers the character table.
 
 Shared with the symmetric-function route: the scalars, the combinatorics, the
-element type with build_T_w, SymPoly, the Q basis with solve_triangular, and
-CharacterTable.  Independent of it: the tensor action and trace_poly here,
-against the normal-form product, the reduction modulo commutators and g-tilde
-there.  An element's normal-form terms are read but never multiplied or
-reduced, which is what makes the comparison a genuine cross-check.
+element type with build_T_w, SymPoly, and table_from_columns (the Q basis,
+back-substitution and scaling into a CharacterTable).  Independent of it: the
+columns, from the tensor action and trace_poly here against the normal-form
+product, the reduction modulo commutators and g-tilde there.  An element's
+normal-form terms are read but never multiplied or reduced, and trace_poly
+hands full exponent vectors to SymPoly.from_exponents, which checks every
+orbit; that is what makes the comparison a genuine cross-check.
 
 Operators are never materialized: everything is the action on sparse vectors
 (dicts mapping index tuples to scalars), and traces accumulate diagonal
@@ -26,17 +28,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from ._linalg import solve_triangular
-from .characters import CharacterTable, character_table
-from .combinatorics import (
-    delta_stat,
-    enumerate_partitions,
-    partition_str,
-    reduced_word,
-)
+from .characters import CharacterTable, character_table, table_from_columns
+from .combinatorics import partition_str, reduced_word
 from .hecke_clifford import AlgebraElement, build_T_w
-from .scalars import I, MINUS_ONE, ONE, Scalar, TWO, U, V, ZERO
-from .symfunc import SymPoly, q_basis
+from .scalars import I, MINUS_ONE, ONE, Scalar, U, V, ZERO
+from .symfunc import SymPoly
 
 _V1 = V - ONE
 _NEG_I = MINUS_ONE * I
@@ -185,7 +181,8 @@ def weight_trace(h: AlgebraElement, mu, m: int) -> Scalar:
 
 
 def trace_poly(h: AlgebraElement, m: int) -> SymPoly:
-    """All weight traces of h assembled into one symmetric polynomial."""
+    """All weight traces of h assembled into one symmetric polynomial; every
+    monomial orbit is checked to be complete with equal weights."""
     if m < 1:
         raise ValueError("need at least one variable")
     space = TensorSpace(m=m, n=h.n)
@@ -197,27 +194,12 @@ def trace_poly(h: AlgebraElement, m: int) -> SymPoly:
         exp = space.weight(tup)
         cur = terms.get(exp)
         terms[exp] = d if cur is None else cur + d
-    poly = SymPoly(m, h.n, terms)
-    poly.validate_symmetric()
-    return poly
+    return SymPoly.from_exponents(m, h.n, terms)
 
 
 def oracle_characters(n: int) -> CharacterTable:
-    """The character table recomputed from tensor traces alone (m = n); each
-    trace is back-substituted against one Q basis built once per table."""
-    rows = tuple(enumerate_partitions(n, "strict"))
-    columns = tuple(enumerate_partitions(n, "odd"))
-    basis = q_basis(n, n)
-    entries = {}
-    for nu in columns:
-        try:
-            coeffs = solve_triangular(basis, trace_poly(build_T_w(nu), n).monomial_view())
-        except ValueError as err:
-            raise ValueError("not in the span of Q-functions") from err
-        for lam in rows:
-            power = (len(lam) + delta_stat(lam)) // 2
-            entries[(lam, nu)] = TWO**power * coeffs.get(lam, ZERO)
-    return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
+    """The character table recomputed from tensor traces alone (m = n)."""
+    return table_from_columns(n, lambda nu: trace_poly(build_T_w(nu), n))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from spinhecke.combinatorics import (
 )
 from spinhecke.hecke_clifford import build_T_w, from_word, one
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, ZERO, sc_int
-from spinhecke.symfunc import expand_in_Q, g_tilde, power_sum
+from spinhecke.symfunc import expand_in_Q, g_tilde, monomial
 from spinhecke.traces import gimel
 
 
@@ -87,9 +87,9 @@ def test_table_at_v_equals_one_matches_doubled_power_sums(n):
     # at v = 1 the column generator degenerates to a product of 2*p_r factors
     t = character_table(n)
     for nu in t.columns:
-        f = power_sum(nu[0], n)
+        f = monomial((nu[0],), n)
         for part in nu[1:]:
-            f = f * power_sum(part, n)
+            f = f * monomial((part,), n)
         f = f.scale(TWO ** len(nu))
         coeffs = expand_in_Q(f)
         for lam in t.rows:
@@ -275,8 +275,9 @@ def test_json_orders_n4():
     assert list(payload["rows"][0]["values"]) == ["3,1", "1,1,1,1"]
 
 
-# sha256 of to_json(), captured with the Gaussian-elimination solver that
-# preceded the triangular back-substitution
+# sha256 of to_json(); n <= 6 captured with the Gaussian-elimination solver
+# that preceded the triangular back-substitution, n = 7, 8 with SymPoly still
+# stored on full exponent vectors
 _TABLE_DIGESTS = {
     1: "c067ac8043cdc3701fab2d16c132bb83ccef3ec5ce5a2fb7b05878a6b40a2843",
     2: "ae73c32663dc39350d219768c7203a7a33fd7c69d128d895c7c233c6e339fd90",
@@ -284,6 +285,8 @@ _TABLE_DIGESTS = {
     4: "646e0f3e17232c3baf9b72d3641d5e6a5c5dfdee2d20ec265c54a3ad3127b88a",
     5: "85b5276da4b72d5f53149f599b7fcae8718b925196f843fe0ac3a7baddb4b2ef",
     6: "ea2232cf1596d7d7aa5b4ddf6b1d8b2e8e795e08bf15deb606eb51b2d4ac06a7",
+    7: "b38527a6185d3080a9a5dfb6c7711b85cae61ab8aa7d1e2eceaf8f0eac502a7c",
+    8: "7c74af34345a91779c46ba86eaed3e1fcbed43f78c14921fcc92c51c9c84c55f",
 }
 
 

@@ -1,13 +1,15 @@
 """Symmetric polynomial layer: monomials, Q-functions, deformed family."""
 
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from spinhecke._linalg import column_rank, solve_exact, solve_triangular
 from spinhecke.combinatorics import enumerate_partitions
-from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_parse
+from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_int, sc_parse
 from spinhecke.symfunc import (
     SymPoly,
     delta,
@@ -16,7 +18,6 @@ from spinhecke.symfunc import (
     g_tilde_one_part,
     monomial,
     one_poly,
-    power_sum,
     principal_specialization_Q,
     principal_specialization_g_tilde,
     product,
@@ -33,34 +34,67 @@ V = Scalar.v_power(1)
 
 
 def test_monomial_examples():
-    assert monomial((1,), 2).terms == {(1, 0): ONE, (0, 1): ONE}
-    p1 = power_sum(1, 2)
-    assert (p1 * p1).monomial_view() == {(2,): ONE, (1, 1): TWO}
+    assert monomial((1,), 2).terms == {(1,): ONE}
+    assert monomial((0, 1, 2), 3).terms == {(2, 1): ONE}
+    p1 = monomial((1,), 2)
+    assert (p1 * p1).terms == {(2,): ONE, (1, 1): TWO}
     mixed = product(monomial((2,), 3), monomial((1,), 3))
-    assert mixed.monomial_view() == {(3,): ONE, (2, 1): ONE}
+    assert mixed.terms == {(3,): ONE, (2, 1): ONE}
+    # in one variable x^1 * x^1 is x^2 alone: the (1, 1) key is truncated
+    assert (monomial((1,), 1) * monomial((1,), 1)).terms == {(2,): ONE}
 
 
 def test_monomial_errors():
     with pytest.raises(ValueError, match="too few variables"):
         monomial((2, 1, 1), 2)
-    with pytest.raises(ValueError):
-        power_sum(0, 3)
     with pytest.raises(ValueError, match="variable count"):
         product(one_poly(2), one_poly(3))
 
 
+def _exponent_terms(f):
+    """f on full exponent vectors: every arrangement of each key, m slots."""
+    out = {}
+    for key, coeff in f.terms.items():
+        padded = key + (0,) * (f.m - len(key))
+        for exp in set(itertools.permutations(padded)):
+            out[exp] = coeff
+    return out
+
+
 def test_symmetry_validation():
-    power_sum(3, 4).validate_symmetric()
-    g_tilde((2, 1), 3).validate_symmetric()
-    lopsided = SymPoly(2, 2, {(2, 0): ONE})
+    for f in (monomial((3,), 4), g_tilde((2, 1), 3), schur_q((3, 1), 5)):
+        assert SymPoly.from_exponents(f.m, f.degree, _exponent_terms(f)) == f
+    # zero coefficients drop out before the orbits are counted: the lone
+    # (1, 1, 0) would otherwise be an incomplete orbit
+    padded = {(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE, (1, 1, 0): ZERO}
+    assert SymPoly.from_exponents(3, 2, padded) == monomial((2,), 3)
     with pytest.raises(ValueError, match="orbit"):
-        lopsided.validate_symmetric()
+        SymPoly.from_exponents(2, 2, {(2, 0): ONE})
     with pytest.raises(ValueError, match="not symmetric"):
-        SymPoly(2, 2, {(2, 0): ONE, (0, 2): TWO}).monomial_view()
+        SymPoly.from_exponents(2, 2, {(2, 0): ONE, (0, 2): TWO})
+
+
+@pytest.mark.parametrize("total", range(2, 8))
+def test_product_matches_full_vector_multiplication(total):
+    # every m_lam * m_mu with |lam| + |mu| = total, in every m from the longer
+    # length to total, against the product of the two full orbits; m below
+    # len(lam) + len(mu) exercises truncation
+    for a in range(1, total):
+        for lam in enumerate_partitions(a):
+            for mu in enumerate_partitions(total - a):
+                for m in range(max(len(lam), len(mu)), total + 1):
+                    f, g = monomial(lam, m), monomial(mu, m)
+                    counts = Counter()
+                    for e1 in _exponent_terms(f):
+                        for e2 in _exponent_terms(g):
+                            counts[tuple(x + y for x, y in zip(e1, e2))] += 1
+                    full = {exp: sc_int(c) for exp, c in counts.items()}
+                    expected = SymPoly.from_exponents(m, total, full)
+                    assert product(f, g) == expected, (lam, mu, m)
 
 
 def test_specialize_and_json():
-    p2 = power_sum(2, 3)
+    p2 = monomial((2,), 3)
     assert p2.specialize([ONE, V, V * V]) == ONE + Scalar.v_power(2) + Scalar.v_power(4)
     data = json.loads(g_tilde((2,), 2).to_json())
     assert data == {"2": "2*v-2", "1,1": "4*v-4"}
@@ -85,8 +119,8 @@ def test_delta_values():
 
 
 def test_g_tilde_small():
-    assert g_tilde((1,), 1).monomial_view() == {(1,): TWO}
-    got = g_tilde((2,), 2).monomial_view()
+    assert g_tilde((1,), 1).terms == {(1,): TWO}
+    got = g_tilde((2,), 2).terms
     assert got == {(2,): TWO * V_MINUS_1, (1, 1): sc_parse("4*v-4")}
     with pytest.raises(ValueError, match="too few variables"):
         g_tilde((3,), 2)
@@ -97,7 +131,7 @@ def test_g_tilde_at_v_equal_one(r):
     # 2 p_r for odd r, identically zero for even r
     spec = {
         key: val.specialize(1)
-        for key, val in g_tilde_one_part(r, r).monomial_view().items()
+        for key, val in g_tilde_one_part(r, r).terms.items()
     }
     if r % 2:
         assert {k: v for k, v in spec.items() if v != 0} == {(r,): 2}
@@ -121,19 +155,19 @@ def _series_coefficients(n):
                     piece = -piece
                 total = total + piece
         d.append(total)
-    series = [one_poly(n)] + [zero_poly(n, r) for r in range(1, n + 1)]
+    # the series on full exponent vectors: multiplying in variable i adds
+    # d_s at exponent s to slot i
+    series = [{(0,) * n: ONE}] + [{} for _ in range(n)]
     for i in range(n):
-        updated = [zero_poly(n, r) for r in range(n + 1)]
+        updated = [{} for _ in range(n + 1)]
         for r in range(n + 1):
             acc = updated[r]
             for s in range(r + 1):
                 if d[s].is_zero():
                     continue
-                factor = SymPoly(
-                    n, s, {tuple(s if k == i else 0 for k in range(n)): d[s]}
-                )
-                acc = acc + product(series[r - s], factor)
-            updated[r] = acc
+                for exp, coeff in series[r - s].items():
+                    key = exp[:i] + (exp[i] + s,) + exp[i + 1 :]
+                    acc[key] = acc.get(key, ZERO) + coeff * d[s]
         series = updated
     return series
 
@@ -142,7 +176,8 @@ def _series_coefficients(n):
 def test_generating_series_matches_closed_form(n):
     series = _series_coefficients(n)
     for r in range(1, n + 1):
-        assert series[r] == g_tilde_one_part(r, n).scale(V_MINUS_1), r
+        got = SymPoly.from_exponents(n, r, series[r])
+        assert got == g_tilde_one_part(r, n).scale(V_MINUS_1), r
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +185,9 @@ def test_generating_series_matches_closed_form(n):
 
 
 def test_schur_q_small():
-    assert schur_q((1,), 1).monomial_view() == {(1,): TWO}
-    assert schur_q((2,), 2).monomial_view() == {(2,): TWO, (1, 1): sc_parse("4")}
-    got = schur_q((2, 1), 3).monomial_view()
+    assert schur_q((1,), 1).terms == {(1,): TWO}
+    assert schur_q((2,), 2).terms == {(2,): TWO, (1, 1): sc_parse("4")}
+    got = schur_q((2, 1), 3).terms
     assert got == {(2, 1): sc_parse("4"), (1, 1, 1): sc_parse("8")}
     with pytest.raises(ValueError, match="strict"):
         schur_q((2, 2), 4)
@@ -163,7 +198,7 @@ def test_schur_q_small():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_schur_q_coefficients_even_nonnegative(n):
     for lam in enumerate_partitions(n, "strict"):
-        for val in schur_q(lam, n).monomial_view().values():
+        for val in schur_q(lam, n).terms.values():
             const = val.specialize(1)
             assert val == Scalar.from_rational(const.re)  # constant
             assert const.im == 0 and const.re == int(const.re)
@@ -173,7 +208,7 @@ def test_schur_q_coefficients_even_nonnegative(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_q_family_has_full_column_rank(n):
     stricts = enumerate_partitions(n, "strict")
-    columns = [schur_q(lam, n).monomial_view() for lam in stricts]
+    columns = [schur_q(lam, n).terms for lam in stricts]
     keys = enumerate_partitions(n)
     rows = [[col.get(key, ZERO) for col in columns] for key in keys]
     assert column_rank(rows) == len(stricts)
@@ -204,7 +239,7 @@ def test_expand_in_Q_round_trips_seeded_combinations(n):
         for lam, a in coeffs.items():
             f = f + schur_q(lam, n).scale(a)
         expected = {lam: a for lam, a in coeffs.items() if not a.is_zero()}
-        assert solve_triangular(basis, f.monomial_view()) == expected
+        assert solve_triangular(basis, f.terms) == expected
         assert expand_in_Q(f) == expected
 
 
@@ -219,7 +254,7 @@ def test_expand_in_Q_rejects_outsiders():
     with pytest.raises(ValueError, match="not in the span of Q-functions"):
         expand_in_Q(monomial((2,), 2))
     with pytest.raises(ValueError, match="not in the span of Q-functions"):
-        expand_in_Q(power_sum(4, 4))
+        expand_in_Q(monomial((4,), 4))
 
 
 def test_solver_plumbing():
