@@ -6,7 +6,7 @@ The package exposes, layer by layer:
 * combinatorics  — partitions, compositions, permutations, shifted diagrams;
 * hecke_clifford — the algebra itself: normal forms and exact products;
 * traces         — class polynomials f_nu and the symmetrizing form gimel;
-* symfunc        — monomial/power-sum/Q-function symmetric polynomials;
+* symfunc        — monomial and Schur Q-function symmetric polynomials;
 * characters     — the character table, Schur elements, generic degrees;
 * tensor_oracle  — an independent tensor-space realization used for checks;
 * spin_hecke     — the odd-generator subalgebra through its embedding;

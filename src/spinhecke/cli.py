@@ -13,6 +13,7 @@ Exit codes: 0 on success, 1 when a verification suite reports a failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -23,7 +24,8 @@ from .characters import (
     schur_element,
     verify_gimel_decomposition,
 )
-from .combinatorics import enumerate_partitions, partition_str, parse_word
+from ._linalg import column_rank
+from .combinatorics import enumerate_partitions, partition_str, parse_word, reduced_word
 from .hecke_clifford import (
     T_gen,
     build_T_w,
@@ -33,7 +35,7 @@ from .hecke_clifford import (
     one,
     parse_element,
 )
-from .scalars import MINUS_ONE, ONE, V, V_MINUS_1
+from .scalars import MINUS_ONE, ONE, V, V_MINUS_1, ZERO
 from .spin_hecke import (
     R_element,
     gimel_minus,
@@ -168,16 +170,8 @@ def _relation_pairs(n: int):
 def _random_basis_term(n: int, rng: random.Random):
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    cliff = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
-    word = []
-    for k in sorted(cliff):
-        word.append(f"c{k}")
-    element = from_word(n, word)
-    from .combinatorics import reduced_word
-
-    for j in reduced_word(tuple(perm)):
-        element = multiply(element, T_gen(n, j))
-    return element
+    cliff = [("c", k) for k in range(1, n + 1) if rng.random() < 0.5]
+    return from_word(n, cliff + [("T", j) for j in reduced_word(tuple(perm))])
 
 
 def _suite_core(args):
@@ -214,10 +208,15 @@ def _suite_oracle(args):
         checks.append(("tensor relations on random vectors", True, "no generators"))
         return checks
     rng = random.Random(args.seed)
-    tuples = list(space.basis_tuples())
+    size = len(space.indices)
     failure = ""
     for _ in range(10):
-        vec = {tup: ONE for tup in rng.sample(tuples, min(3, len(tuples)))}
+        # the draws of rng.sample(list(space.basis_tuples()), 3), unlisted
+        picks = rng.sample(range(size**args.n), 3)
+        vec = {
+            tuple(space.indices[j // size**p % size] for p in reversed(range(args.n))): ONE
+            for j in picks
+        }
         for i in range(1, args.n):
             lhs = apply(space, ("T", i), apply(space, ("T", i), vec))
             mid = apply(space, ("T", i), vec)
@@ -261,12 +260,6 @@ def _suite_spin(args):
     except RuntimeError as err:
         checks.append(("spin Schur halving", False, str(err)))
     if args.n <= 4:
-        import itertools
-
-        from ._linalg import column_rank
-        from .combinatorics import reduced_word
-        from .scalars import ZERO
-
         perms = list(itertools.permutations(range(1, args.n + 1)))
         images = [R_element(reduced_word(p), args.n) for p in perms]
         keys = sorted({key for img in images for key in img.terms})

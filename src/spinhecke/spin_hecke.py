@@ -20,6 +20,7 @@ from .combinatorics import (
     all_reduced_words,
     delta_stat,
     enumerate_partitions,
+    min_length_class_representatives,
     partition_str,
     reduced_word,
     w_gamma,
@@ -216,8 +217,6 @@ class VanishingReport:
 def verify_trace_vanishing(n: int) -> VanishingReport:
     """gimel-minus is 1 on the empty word and 0 for every reduced word of
     every minimal-length representative of every other conjugacy class."""
-    from .combinatorics import min_length_class_representatives
-
     checked = 0
     if gimel_minus((), n) != ONE:
         return VanishingReport(n, False, 1, "empty word does not trace to 1")

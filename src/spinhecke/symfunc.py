@@ -4,10 +4,10 @@ family underlying the character formula.
 All polynomials here are homogeneous of a declared degree in a fixed number m
 of variables, stored as monomial coefficients {partition: coefficient}: the
 key lambda stands for the orbit sum m_lambda, so keys have at most m parts and
-truncating to m variables drops longer keys.  Full exponent vectors appear only
-at the tensor oracle's boundary, where `SymPoly.from_exponents` checks that
-every orbit is complete with equal weights.  Degree-n linear algebra only ever
-needs m = n variables; larger m exists for the truncation cross-checks.
+truncating to m variables drops longer keys.  No caller hands in full exponent
+vectors: the tensor oracle's traces, one per dominant weight, are already
+m_lambda coefficients.  Degree-n linear algebra only ever needs m = n
+variables; larger m exists for the truncation cross-checks.
 """
 
 from __future__ import annotations
@@ -36,21 +36,6 @@ class SymPoly:
         object.__setattr__(self, "degree", degree)
         clean = {key: c for key, c in terms.items() if not c.is_zero()}
         object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    @classmethod
-    def from_exponents(cls, m: int, degree: int, terms: dict) -> "SymPoly":
-        """The polynomial sum c x^e given on full exponent vectors of length m;
-        raises unless every monomial orbit is complete with equal weights."""
-        orbits: dict = {}
-        for exp, coeff in terms.items():
-            if not coeff.is_zero():
-                key = tuple(sorted((e for e in exp if e), reverse=True))
-                orbits.setdefault(key, []).append(coeff)
-        for key, coeffs in orbits.items():
-            expected = factorial(m) // _multiplicity_factorials(key, m)
-            if len(coeffs) != expected or any(c != coeffs[0] for c in coeffs):
-                raise ValueError(f"not symmetric: orbit {key} incomplete or uneven")
-        return cls(m, degree, {key: coeffs[0] for key, coeffs in orbits.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("SymPoly is immutable")

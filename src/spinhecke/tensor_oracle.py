@@ -4,21 +4,26 @@ The algebra acts on n-fold tensors over a superspace with basis e_k indexed by
 k in {-m,...,-1,1,...,m} (e_k is odd exactly when k < 0).  T_j acts on the
 adjacent factors (j, j+1) through an eight-case exchange operator and c_k acts
 on factor k through a quarter-turn on the +/- pair with the usual sign crossing
-the first k-1 factors.  Traces against the diagonal weight operator produce
-symmetric polynomials whose Q-expansion recovers the character table.
+the first k-1 factors.  Every generator preserves the weight of a tuple (how
+many factors have each absolute value), and the action commutes with the
+quantum queer superalgebra, so a trace is a symmetric polynomial whose m_lambda
+coefficient is the trace on the block of dominant weight lambda; its
+Q-expansion recovers the character table.
 
 Shared with the symmetric-function route: the scalars, the combinatorics, the
 element type with build_T_w, SymPoly, and table_from_columns (the Q basis,
 back-substitution and scaling into a CharacterTable).  Independent of it: the
 columns, from the tensor action and trace_poly here against the normal-form
 product, the reduction modulo commutators and g-tilde there.  An element's
-normal-form terms are read but never multiplied or reduced, and trace_poly
-hands full exponent vectors to SymPoly.from_exponents, which checks every
-orbit; that is what makes the comparison a genuine cross-check.
+normal-form terms are read but never multiplied or reduced, and the weight
+blocks are enumerated here, not borrowed from symfunc; that is what makes the
+comparison a genuine cross-check.  The full-orbit pass (every tuple, every
+orbit checked complete and even) is kept in the tests as the reference for the
+dominant-weight shortcut.
 
 Operators are never materialized: everything is the action on sparse vectors
-(dicts mapping index tuples to scalars), and traces accumulate diagonal
-coefficients one weight block at a time.
+(dicts mapping index tuples to scalars), and a trace sums diagonal
+coefficients one dominant weight block at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .characters import CharacterTable, character_table, table_from_columns
-from .combinatorics import partition_str, reduced_word
+from .combinatorics import enumerate_partitions, partition_str, reduced_word
 from .hecke_clifford import AlgebraElement, build_T_w
 from .scalars import I, MINUS_ONE, ONE, Scalar, U, V, ZERO
 from .symfunc import SymPoly
@@ -53,18 +58,8 @@ class TensorSpace:
     def indices(self) -> tuple:
         return tuple(range(-self.m, 0)) + tuple(range(1, self.m + 1))
 
-    @property
-    def dimension(self) -> int:
-        return (2 * self.m) ** self.n
-
     def basis_tuples(self):
         return itertools.product(self.indices, repeat=self.n)
-
-    def weight(self, tup) -> tuple:
-        counts = [0] * self.m
-        for idx in tup:
-            counts[abs(idx) - 1] += 1
-        return tuple(counts)
 
 
 @lru_cache(maxsize=None)
@@ -91,21 +86,12 @@ def _exchange(k: int, l: int) -> tuple:
     return (((l, k), U * sgn), ((k, l), _V1))
 
 
-def _parse_generator(gen):
-    if isinstance(gen, str):
-        kind, idx = gen[0], gen[1:]
-        if kind not in ("T", "c") or not idx.isdigit():
-            raise ValueError(f"unrecognized generator {gen!r}")
-        return kind, int(idx)
+def apply(space: TensorSpace, gen, vec: dict) -> dict:
+    """One generator, ("T", j) or ("c", k), applied to a sparse vector
+    {tuple: Scalar}."""
     kind, idx = gen
     if kind not in ("T", "c"):
         raise ValueError(f"unrecognized generator kind {kind!r}")
-    return kind, int(idx)
-
-
-def apply(space: TensorSpace, gen, vec: dict) -> dict:
-    """One generator applied to a sparse vector {tuple: Scalar}."""
-    kind, idx = _parse_generator(gen)
     out: dict = {}
     if kind == "T":
         if not 1 <= idx <= space.n - 1:
@@ -161,40 +147,32 @@ def _diagonal(space: TensorSpace, h: AlgebraElement, tup) -> Scalar:
     return image.get(tup, ZERO)
 
 
-def weight_trace(h: AlgebraElement, mu, m: int) -> Scalar:
-    """Trace of the action of h on the weight-mu block."""
-    mu = tuple(mu)
-    if len(mu) != m:
-        raise ValueError(f"weight needs exactly {m} parts, got {len(mu)}")
-    if any(part < 0 for part in mu) or sum(mu) != h.n:
-        raise ValueError(f"weight {mu} does not sum to {h.n}")
-    space = TensorSpace(m=m, n=h.n)
-    values = []
-    for k, count in enumerate(mu, start=1):
-        values.extend([k] * count)
-    total = ZERO
-    for arrangement in set(itertools.permutations(values)):
-        for signs in itertools.product((1, -1), repeat=h.n):
-            tup = tuple(s * a for s, a in zip(signs, arrangement))
-            total = total + _diagonal(space, h, tup)
-    return total
+def _weight_block(counts: tuple):
+    """Every index tuple with counts[k - 1] factors of absolute value k, each
+    once: a signed first factor, then the block of what remains."""
+    if not any(counts):
+        yield ()
+    for k, count in enumerate(counts, start=1):
+        if count:
+            rest = counts[: k - 1] + (count - 1,) + counts[k:]
+            for tail in _weight_block(rest):
+                yield (k,) + tail
+                yield (-k,) + tail
 
 
 def trace_poly(h: AlgebraElement, m: int) -> SymPoly:
-    """All weight traces of h assembled into one symmetric polynomial; every
-    monomial orbit is checked to be complete with equal weights."""
+    """The trace of h as a symmetric polynomial in m variables: the m_lambda
+    coefficient is the trace on the block of weight lambda, lambda |- n with
+    at most m parts."""
     if m < 1:
         raise ValueError("need at least one variable")
     space = TensorSpace(m=m, n=h.n)
-    terms: dict = {}
-    for tup in space.basis_tuples():
-        d = _diagonal(space, h, tup)
-        if d.is_zero():
-            continue
-        exp = space.weight(tup)
-        cur = terms.get(exp)
-        terms[exp] = d if cur is None else cur + d
-    return SymPoly.from_exponents(m, h.n, terms)
+    terms = {
+        lam: sum((_diagonal(space, h, tup) for tup in _weight_block(lam)), ZERO)
+        for lam in enumerate_partitions(h.n)
+        if len(lam) <= m
+    }
+    return SymPoly(m, h.n, terms)
 
 
 def oracle_characters(n: int) -> CharacterTable:

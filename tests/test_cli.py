@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import spinhecke
 from spinhecke.cli import run
 
 
@@ -192,12 +195,25 @@ def test_usage_errors_exit_two():
 # -- plumbing -------------------------------------------------------------------
 
 
+def _child_env():
+    """The environment with the directory of the imported package first on
+    PYTHONPATH, so a child interpreter imports the same spinhecke."""
+    env = dict(os.environ)
+    path = [str(pathlib.Path(spinhecke.__file__).parent.parent)]
+    if env.get("PYTHONPATH"):
+        path.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    return env
+
+
 def test_import_keeps_the_recursion_limit():
     code = (
         "import sys; before = sys.getrecursionlimit(); import spinhecke.cli; "
         "print(before, sys.getrecursionlimit())"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
     assert result.returncode == 0, result.stderr
     before, after = result.stdout.split()
     assert before == after
@@ -208,6 +224,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "spinhecke", "generic-degrees", "--n", "2"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert result.stdout == '{"2": "2*v+2"}\n'

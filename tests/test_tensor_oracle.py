@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from _orbits import from_exponents
 from spinhecke.combinatorics import enumerate_partitions
-from spinhecke.hecke_clifford import build_T_w, from_word, one
+from spinhecke.hecke_clifford import build_T_w, from_word, one, parse_element
 from spinhecke.scalars import HALF, I, MINUS_ONE, ONE, TWO, U, V, ZERO
-from spinhecke.symfunc import SymPoly, delta, g_tilde
+from spinhecke.symfunc import delta, g_tilde
 from spinhecke.tensor_oracle import (
     OracleReport,
     TensorSpace,
@@ -15,7 +16,6 @@ from spinhecke.tensor_oracle import (
     cross_check,
     oracle_characters,
     trace_poly,
-    weight_trace,
 )
 from spinhecke.characters import character_table
 
@@ -23,6 +23,13 @@ V1 = V - ONE
 
 
 # -- sparse-vector helpers ----------------------------------------------------
+
+
+def weight(space, tup):
+    counts = [0] * space.m
+    for idx in tup:
+        counts[abs(idx) - 1] += 1
+    return tuple(counts)
 
 
 def vsub(a, b):
@@ -67,8 +74,6 @@ def random_sparse(space, rng, size=3):
 def test_space_shape():
     sp = TensorSpace(m=2, n=3)
     assert sp.indices == (-2, -1, 1, 2)
-    assert sp.dimension == 64
-    assert sp.weight((1, -2, 1)) == (2, 1)
     assert len(list(sp.basis_tuples())) == 64
 
 
@@ -84,37 +89,28 @@ def test_space_validation():
 
 def test_exchange_on_equal_positive_pair():
     sp = TensorSpace(m=1, n=2)
-    out = apply(sp, "T1", {(1, 1): ONE})
+    out = apply(sp, ("T", 1), {(1, 1): ONE})
     assert out == {(1, 1): V, (-1, -1): V1}
 
 
 def test_exchange_on_equal_negative_pair():
     sp = TensorSpace(m=1, n=2)
-    out = apply(sp, "T1", {(-1, -1): ONE})
+    out = apply(sp, ("T", 1), {(-1, -1): ONE})
     assert out == {(-1, -1): MINUS_ONE}
 
 
 def test_quarter_turn_on_single_factor():
     sp = TensorSpace(m=1, n=1)
-    assert apply(sp, "c1", {(1,): ONE}) == {(-1,): MINUS_ONE * I}
-    assert apply(sp, "c1", {(-1,): ONE}) == {(1,): I}
-
-
-def test_tuple_and_string_generators_agree():
-    sp = TensorSpace(m=2, n=2)
-    vec = {(1, -2): TWO, (2, 2): U}
-    assert apply(sp, "T1", vec) == apply(sp, ("T", 1), vec)
-    assert apply(sp, "c2", vec) == apply(sp, ("c", 2), vec)
+    assert apply(sp, ("c", 1), {(1,): ONE}) == {(-1,): MINUS_ONE * I}
+    assert apply(sp, ("c", 1), {(-1,): ONE}) == {(1,): I}
 
 
 def test_generator_index_errors():
     sp = TensorSpace(m=2, n=2)
     with pytest.raises(ValueError):
-        apply(sp, "T2", {(1, 1): ONE})
+        apply(sp, ("T", 2), {(1, 1): ONE})
     with pytest.raises(ValueError):
-        apply(sp, "c3", {(1, 1): ONE})
-    with pytest.raises(ValueError):
-        apply(sp, "x1", {(1, 1): ONE})
+        apply(sp, ("c", 3), {(1, 1): ONE})
     with pytest.raises(ValueError):
         apply(sp, ("q", 1), {(1, 1): ONE})
 
@@ -128,10 +124,10 @@ def test_apply_element_rank_mismatch():
 def test_generators_preserve_weight():
     sp = TensorSpace(m=3, n=3)
     for tup in sp.basis_tuples():
-        w = sp.weight(tup)
-        for gen in ("T1", "T2", "c1", "c2", "c3"):
+        w = weight(sp, tup)
+        for gen in (("T", 1), ("T", 2), ("c", 1), ("c", 2), ("c", 3)):
             for out_tup in apply(sp, gen, {tup: ONE}):
-                assert sp.weight(out_tup) == w
+                assert weight(sp, out_tup) == w
 
 
 # -- defining relations hold on the tensor side --------------------------------
@@ -205,37 +201,60 @@ def test_relations_annihilate_random_sparse_vectors_rank_four():
 # -- weight traces --------------------------------------------------------------
 
 
+def _full_trace(h, m):
+    """The reference: the diagonal of h on all (2m)^n tuples, keyed by weight
+    and checked orbit by orbit."""
+    space = TensorSpace(m=m, n=h.n)
+    terms = {}
+    for tup in space.basis_tuples():
+        d = apply_element(space, h, {tup: ONE}).get(tup, ZERO)
+        exp = weight(space, tup)
+        terms[exp] = terms.get(exp, ZERO) + d
+    return from_exponents(m, h.n, terms)
+
+
+# elements with Clifford letters, one with non-real coefficients; c1 c2 T_{w0}
+# is taken at n = 3 because its full-orbit reference at n = 4 takes over a minute
+_CLIFFORD_ELEMENTS = {
+    3: ["c1 c2 T1 T2 T1"],
+    4: ["u * c1 c3 T2 + i * c2 c4 T1 T3 + 2"],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dominant_weights_match_the_full_orbit_trace(n):
+    elements = [build_T_w(mu) for mu in enumerate_partitions(n)]
+    elements += [parse_element(n, text) for text in _CLIFFORD_ELEMENTS.get(n, [])]
+    for h in elements:
+        for m in range(1, n + 2):
+            assert trace_poly(h, m) == _full_trace(h, m), (h.render(), m)
+
+
 def test_weight_trace_identity_rank_one():
-    assert weight_trace(one(1), (1,), 1) == TWO
+    assert trace_poly(one(1), 1).terms == {(1,): TWO}
 
 
 def test_weight_trace_coxeter_generator():
-    got = weight_trace(from_word(2, ["T1"]), (1, 1), 2)
+    got = trace_poly(from_word(2, [("T", 1)]), 2).terms[(1, 1)]
     assert got == TWO * TWO * (V - ONE)
     assert got.render() == "4*v-4"
 
 
 def test_weight_trace_odd_element_vanishes():
-    h = from_word(2, ["c1"])
-    for mu in [(2, 0), (1, 1), (0, 2)]:
-        assert weight_trace(h, mu, 2) == ZERO
-
-
-def test_weight_trace_validation():
-    with pytest.raises(ValueError):
-        weight_trace(one(2), (1,), 2)  # wrong number of parts
-    with pytest.raises(ValueError):
-        weight_trace(one(2), (2, 1), 2)  # wrong total
-    with pytest.raises(ValueError):
-        weight_trace(one(2), (3, -1), 2)  # negative part
+    assert trace_poly(from_word(2, [("c", 1)]), 2).is_zero()
 
 
 def test_weight_trace_matches_trace_poly_coefficient():
+    # the trace on a block of any weight, dominant or not, is the coefficient
+    # of its sorted weight
     h = build_T_w((2, 1))
+    space = TensorSpace(m=3, n=3)
     poly = trace_poly(h, 3)
     for mu in [(1, 1, 1), (2, 1, 0), (3, 0, 0), (0, 2, 1)]:
+        block = [tup for tup in space.basis_tuples() if weight(space, tup) == mu]
+        got = sum((apply_element(space, h, {t: ONE}).get(t, ZERO) for t in block), ZERO)
         key = tuple(sorted((e for e in mu if e), reverse=True))
-        assert weight_trace(h, mu, 3) == poly.terms.get(key, ZERO)
+        assert got == poly.terms.get(key, ZERO)
 
 
 # -- trace polynomials -----------------------------------------------------------
@@ -284,16 +303,16 @@ def test_increasing_tuple_statistics(n):
         g = sum(1 for a, b in zip(tup, tup[1:]) if a == b and a <= -1)
         h = sum(1 for a, b in zip(tup, tup[1:]) if a < b)
         coeff = V**f * MINUS_ONE**g * V1**h
-        exp = sp.weight(tup)
+        exp = weight(sp, tup)
         cur = terms.get(exp)
         terms[exp] = coeff if cur is None else cur + coeff
-    assert SymPoly.from_exponents(n, n, terms) == trace_poly(build_T_w((n,)), n)
+    assert from_exponents(n, n, terms) == trace_poly(build_T_w((n,)), n)
 
 
 # -- the cross-validation gate ----------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_oracle_table_equals_direct_table(n):
     direct = character_table(n)
     oracle = oracle_characters(n)
