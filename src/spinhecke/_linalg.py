@@ -3,7 +3,7 @@ back-substitution on triangular systems."""
 
 from __future__ import annotations
 
-from .scalars import ZERO
+from .scalars import ZERO, _acc
 
 
 def _gauss_jordan(work: list, ncols: int) -> list:
@@ -77,10 +77,7 @@ def solve_triangular(basis: dict, target: dict) -> dict:
         if vec is None:
             raise ValueError(f"no basis vector for {key}")
         coeff = out[key] = rest[key] / vec[key]
+        neg = -coeff
         for k, c in vec.items():
-            val = rest.get(k, ZERO) - coeff * c
-            if val.is_zero():
-                rest.pop(k, None)
-            else:
-                rest[k] = val
+            _acc(rest, k, neg * c)
     return out

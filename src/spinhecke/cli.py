@@ -44,7 +44,7 @@ from .spin_hecke import (
     verify_iso,
     verify_trace_vanishing,
 )
-from .tensor_oracle import TensorSpace, apply, cross_check
+from .tensor_oracle import TensorSpace, apply, apply_element, cross_check
 from .traces import gimel, gimel_weight, reduce
 
 
@@ -219,22 +219,8 @@ def _suite_oracle(args):
         }
         for i in range(1, args.n):
             lhs = apply(space, ("T", i), apply(space, ("T", i), vec))
-            mid = apply(space, ("T", i), vec)
-            rhs = {}
-            for tup, coeff in mid.items():
-                rhs[tup] = coeff * V_MINUS_1
-            for tup, coeff in vec.items():
-                cur = rhs.get(tup)
-                rhs[tup] = coeff * V if cur is None else cur + coeff * V
-            diff = dict(lhs)
-            for tup, coeff in rhs.items():
-                cur = diff.get(tup)
-                val = -coeff if cur is None else cur - coeff
-                if val.is_zero():
-                    diff.pop(tup, None)
-                else:
-                    diff[tup] = val
-            if diff:
+            quadratic = T_gen(args.n, i).scale(V_MINUS_1) + one(args.n).scale(V)
+            if lhs != apply_element(space, quadratic, vec):
                 failure = f"quadratic relation leaked at T{i}"
                 break
         if failure:

@@ -133,12 +133,6 @@ def left_descents(a: Permutation) -> Iterator[int]:
             yield j
 
 
-def right_descents(a: Permutation) -> Iterator[int]:
-    for j in range(1, len(a)):
-        if a[j - 1] > a[j]:
-            yield j
-
-
 def left_mul_s(j: int, a: Permutation) -> Permutation:
     """s_j * a: swaps the values j and j+1 wherever they sit."""
     return tuple(j + 1 if x == j else (j if x == j + 1 else x) for x in a)

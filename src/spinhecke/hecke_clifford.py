@@ -17,7 +17,10 @@ keyed by the pair (one-line permutation, frozen index set).  Keeping the
 Clifford part on the left makes right multiplication by any T_j a plain Hecke
 step on sigma.  Products and the trace reduction in traces.py both work on
 these terms through the generator products below: _lmul_T and _lmul_c on the
-left, _rmul_T and _rmul_c on the right.
+left, _rmul_T and _rmul_c on the right.  The relations that move T_j across
+c_j and c_{j+1} are written once, in _lmul_T: _rmul_c pushes c_k left through
+T_sigma by left-multiplying T_{s_j sigma} c_k by T_j, one left descent j of
+sigma at a time.
 """
 
 from __future__ import annotations
@@ -27,27 +30,17 @@ from types import MappingProxyType
 from typing import Iterable, Optional
 
 from .combinatorics import (
+    left_descents,
     left_mul_s,
     perm_identity,
     perm_inverse,
     reduced_word,
-    right_descents,
     right_mul_s,
     w_gamma,
 )
-from .scalars import ONE, Scalar, ScalarParseError, V_MINUS_1, sc_int, sc_parse
+from .scalars import ONE, Scalar, ScalarParseError, V, V_MINUS_1, _acc, sc_int, sc_parse
 
 _MINUS_VM1 = -V_MINUS_1
-_V = Scalar.v_power(1)
-
-
-def _acc(acc: dict, key, value: Scalar) -> None:
-    cur = acc.get(key)
-    total = value if cur is None else cur + value
-    if total.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = total
 
 
 class AlgebraElement:
@@ -152,17 +145,11 @@ def one(n: int) -> AlgebraElement:
 
 
 def T_gen(n: int, i: int) -> AlgebraElement:
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"T index {i} out of range for n={n}")
-    return AlgebraElement(
-        n, {(right_mul_s(perm_identity(n), i), frozenset()): ONE}
-    )
+    return from_word(n, [("T", i)])
 
 
 def c_gen(n: int, k: int) -> AlgebraElement:
-    if not 1 <= k <= n:
-        raise IndexError(f"c index {k} out of range for n={n}")
-    return AlgebraElement(n, {(perm_identity(n), frozenset((k,))): ONE})
+    return from_word(n, [("c", k)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +160,7 @@ def _right_hecke(sigma, j):
     """T_sigma * T_j as [(perm, coeff), ...]."""
     if sigma[j - 1] < sigma[j]:
         return [(right_mul_s(sigma, j), ONE)]
-    return [(sigma, V_MINUS_1), (right_mul_s(sigma, j), _V)]
+    return [(sigma, V_MINUS_1), (right_mul_s(sigma, j), V)]
 
 
 def _left_hecke(j, sigma):
@@ -181,7 +168,7 @@ def _left_hecke(j, sigma):
     inv = perm_inverse(sigma)
     if inv[j - 1] < inv[j]:
         return [(left_mul_s(j, sigma), ONE)]
-    return [(sigma, V_MINUS_1), (left_mul_s(j, sigma), _V)]
+    return [(sigma, V_MINUS_1), (left_mul_s(j, sigma), V)]
 
 
 def _rmul_T(terms: dict, j: int) -> dict:
@@ -238,50 +225,33 @@ def clear_push_memo() -> None:
 
 
 def _push_c_left(sigma, k: int) -> dict:
-    """T_sigma * c_k as {(m, tau): coeff} meaning coeff * c_m * T_tau.
+    """T_sigma * c_k as normal-form terms {(tau, frozenset({m})): coeff}.
 
-    Every term of the expansion carries exactly one Clifford letter, so the
-    single index m is enough.  Memoized per (sigma, k).
+    For the first left descent j of sigma, T_sigma = T_j T_{s_j sigma}, so the
+    push is _lmul_T of the push through the shorter s_j sigma; _lmul_T keeps
+    every term at exactly one Clifford letter.  Memoized per (sigma, k).
     """
     key = (sigma, k)
     cached = _PUSH_MEMO.get(key)
-    if cached is not None:
-        return cached
-    j = next(right_descents(sigma), None)
-    if j is None:
-        result = {(k, sigma): ONE}
-    else:
-        tau = right_mul_s(sigma, j)
-        if k == j:
-            result = _push_rmul_T(_push_c_left(tau, j + 1), j)
-        elif k == j + 1:
-            result = dict(_push_rmul_T(_push_c_left(tau, j), j))
-            for mkey, s in _push_c_left(tau, j + 1).items():
-                _acc(result, mkey, s * V_MINUS_1)
-            for mkey, s in _push_c_left(tau, j).items():
-                _acc(result, mkey, s * _MINUS_VM1)
+    if cached is None:
+        j = next(left_descents(sigma), None)
+        if j is None:
+            cached = {(sigma, frozenset((k,))): ONE}
         else:
-            result = _push_rmul_T(_push_c_left(tau, k), j)
-    _PUSH_MEMO[key] = result
-    return result
-
-
-def _push_rmul_T(push: dict, j: int) -> dict:
-    acc: dict = {}
-    for (m, rho), coeff in push.items():
-        for tau, s in _right_hecke(rho, j):
-            _acc(acc, (m, tau), coeff * s)
-    return acc
+            cached = _lmul_T(_push_c_left(left_mul_s(j, sigma), k), j)
+        _PUSH_MEMO[key] = cached
+    return cached
 
 
 def _rmul_c(terms: dict, k: int) -> dict:
     acc: dict = {}
     for (sigma, cliff), coeff in terms.items():
-        for (m, tau), s in _push_c_left(sigma, k).items():
+        for (tau, letter), s in _push_c_left(sigma, k).items():
+            (m,) = letter
             val = coeff * s
             if sum(1 for e in cliff if e > m) % 2:
                 val = -val
-            _acc(acc, (tau, cliff ^ {m}), val)
+            _acc(acc, (tau, cliff ^ letter), val)
     return acc
 
 
@@ -419,13 +389,16 @@ def _parse_term(n: int, chunk: str, pos: int) -> AlgebraElement:
     if not chunk.strip():
         raise ElementParseError(f"empty term at position {pos}")
     match = _FACTOR_RE.search(chunk)
-    if match is None:
-        coeff_text, factor_text = chunk, ""
-    else:
-        coeff_text, factor_text = chunk[: match.start()], chunk[match.start():]
-    coeff_text = coeff_text.strip()
+    head = chunk if match is None else chunk[: match.start()]
+    factor_text = chunk[len(head):]
+    coeff_text = head.strip()
     if coeff_text.endswith("*"):
         coeff_text = coeff_text[:-1].strip()
+        star = pos + head.rindex("*")
+        if not coeff_text:
+            raise ElementParseError(f"missing coefficient before '*' at position {star}")
+        if not factor_text:
+            raise ElementParseError(f"missing factors after '*' at position {star}")
     elif coeff_text and factor_text:
         raise ElementParseError(
             f"expected '*' between coefficient and factors near position {pos}"

@@ -585,6 +585,8 @@ class _Parser:
                 self.pos += 1
                 neg = True
             k = self.integer()
+            if neg and base.is_zero():
+                self.error("division by zero")
             return base ** (-k if neg else k)
         return base
 
@@ -652,3 +654,12 @@ def half(x: Scalar) -> Scalar:
 
 def sc_int(k: int) -> Scalar:
     return Scalar.from_int(k)
+
+
+def _acc(acc: dict, key, value: Scalar) -> None:
+    cur = acc.get(key)
+    total = value if cur is None else cur + value
+    if total.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = total

@@ -20,9 +20,7 @@ from types import MappingProxyType
 
 from ._linalg import solve_triangular
 from .combinatorics import enumerate_partitions, is_strict, shifted_data
-from .scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_int
-
-_V = Scalar.v_power(1)
+from .scalars import MINUS_ONE, ONE, Scalar, TWO, V, V_MINUS_1, ZERO, sc_int
 
 
 class SymPoly:
@@ -178,7 +176,7 @@ def delta(s: int) -> Scalar:
     if s == 0:
         return ONE
     sign = ONE if s % 2 == 0 else MINUS_ONE
-    return TWO * (Scalar.v_power(s) - sign) / (_V + ONE)
+    return TWO * (Scalar.v_power(s) - sign) / (V + ONE)
 
 
 def _delta_product(rho) -> Scalar:

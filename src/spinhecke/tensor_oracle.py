@@ -36,10 +36,9 @@ from typing import Optional
 from .characters import CharacterTable, character_table, table_from_columns
 from .combinatorics import enumerate_partitions, partition_str, reduced_word
 from .hecke_clifford import AlgebraElement, build_T_w
-from .scalars import I, MINUS_ONE, ONE, Scalar, U, V, ZERO
+from .scalars import I, MINUS_ONE, ONE, Scalar, U, V, V_MINUS_1, ZERO, _acc
 from .symfunc import SymPoly
 
-_V1 = V - ONE
 _NEG_I = MINUS_ONE * I
 
 
@@ -68,22 +67,22 @@ def _exchange(k: int, l: int) -> tuple:
     of ((a, b), coefficient) meaning coefficient * e_a (x) e_b."""
     if k == l:
         if k >= 1:
-            return (((k, k), V), ((-k, -k), _V1))
+            return (((k, k), V), ((-k, -k), V_MINUS_1))
         return (((k, k), MINUS_ONE),)
     if k == -l:
         if k >= 1:
             return (((l, k), ONE),)
-        return (((l, k), V), ((k, l), _V1))
+        return (((l, k), V), ((k, l), V_MINUS_1))
     if abs(k) < abs(l):
         if l >= 1:
-            return (((l, k), U), ((-k, -l), _V1), ((k, l), _V1))
+            return (((l, k), U), ((-k, -l), V_MINUS_1), ((k, l), V_MINUS_1))
         sgn = ONE if k >= 1 else MINUS_ONE
         return (((l, k), U * sgn),)
     if k >= 1:
         sgn = ONE if l >= 1 else MINUS_ONE
-        return (((l, k), U), ((-k, -l), sgn * _V1))
+        return (((l, k), U), ((-k, -l), sgn * V_MINUS_1))
     sgn = ONE if l >= 1 else MINUS_ONE
-    return (((l, k), U * sgn), ((k, l), _V1))
+    return (((l, k), U * sgn), ((k, l), V_MINUS_1))
 
 
 def apply(space: TensorSpace, gen, vec: dict) -> dict:
@@ -99,13 +98,7 @@ def apply(space: TensorSpace, gen, vec: dict) -> dict:
         pos = idx - 1
         for tup, coeff in vec.items():
             for (a, b), s in _exchange(tup[pos], tup[pos + 1]):
-                key = tup[:pos] + (a, b) + tup[pos + 2 :]
-                cur = out.get(key)
-                val = coeff * s if cur is None else cur + coeff * s
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
+                _acc(out, tup[:pos] + (a, b) + tup[pos + 2 :], coeff * s)
         return out
     if not 1 <= idx <= space.n:
         raise ValueError(f"c index {idx} out of range for n={space.n}")
@@ -133,12 +126,7 @@ def apply_element(space: TensorSpace, h: AlgebraElement, vec: dict) -> dict:
         for k in sorted(cliff, reverse=True):
             cur = apply(space, ("c", k), cur)
         for tup, val in cur.items():
-            prev = total.get(tup)
-            add = coeff * val if prev is None else prev + coeff * val
-            if add.is_zero():
-                total.pop(tup, None)
-            else:
-                total[tup] = add
+            _acc(total, tup, coeff * val)
     return total
 
 

@@ -36,13 +36,12 @@ from .combinatorics import (
 )
 from .hecke_clifford import (
     AlgebraElement,
-    _acc,
     clear_push_memo,
     _lmul_c,
     _lmul_T,
     _rmul_c,
 )
-from .scalars import HALF, ONE, Scalar, V_MINUS_1, ZERO, half, sc_int
+from .scalars import HALF, ONE, Scalar, V_MINUS_1, ZERO, _acc, half, sc_int
 
 _GIMEL_BASE = V_MINUS_1 * HALF  # (v-1)/2
 

@@ -146,10 +146,12 @@ def test_degree_commands_golden_stdout(capsys, command):
 
 
 def test_bad_element_reports_position(capsys):
-    code, out, err = invoke(capsys, "class-poly", "--n", "2", "--element", "T1 + @")
-    assert code == 2
-    assert out == ""
-    assert "position" in err
+    # a dangling '*' and a negative power of zero included
+    for element in ["T1 + @", "(v-1)/2*", "*T1", "2*", "0^-1*T1", "(u^2-v)^-1*T1"]:
+        code, out, err = invoke(capsys, "class-poly", "--n", "2", "--element", element)
+        assert code == 2
+        assert out == ""
+        assert "position" in err, element
 
 
 def test_spin_flag_conflicts(capsys):

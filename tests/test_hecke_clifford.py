@@ -323,6 +323,9 @@ def test_parse_element_errors():
         "T9",
         "c9",
         "T1 q2",
+        "(v-1)/2*",
+        "*T1",
+        "2*",
     ]:
         with pytest.raises(ElementParseError):
             parse_element(3, bad)

@@ -1,5 +1,6 @@
-"""Package hygiene: every docstring example runs, and no module imports a name
-it never uses."""
+"""Package hygiene: every docstring example runs, no module or test file
+imports a name it never uses, and every function the package defines is
+named somewhere besides its own def."""
 
 import ast
 import doctest
@@ -10,6 +11,8 @@ import spinhecke
 
 PACKAGE = pathlib.Path(spinhecke.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+PERFBENCH = sorted((pathlib.Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
 def test_docstring_examples_pass():
@@ -43,6 +46,36 @@ def _unused_imports(path: pathlib.Path) -> list:
 
 def test_no_unused_imports():
     unused = {
-        path.name: names for path in SOURCES if (names := _unused_imports(path))
+        str(path.relative_to(path.parent.parent)): names
+        for path in SOURCES + TESTS
+        if (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _names(tree) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_every_defined_function_is_named_elsewhere():
+    # a def that nothing names is dead code; dunder methods are called by
+    # the interpreter
+    defined = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                defined.setdefault(node.name, path.name)
+    named = set()
+    for path in SOURCES + TESTS + PERFBENCH:
+        named |= _names(ast.parse(path.read_text()))
+    assert {name: where for name, where in defined.items() if name not in named} == {}

@@ -14,7 +14,6 @@ from spinhecke.scalars import (
     TWO,
     U,
     V,
-    V_MINUS_1,
     ZERO,
     GaussianRational,
     Scalar,
@@ -53,6 +52,8 @@ def test_division_by_zero():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         Scalar(V.num, ZERO.num)
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
 
 
 # pinned canonical strings: value -> rendered form
@@ -105,6 +106,8 @@ def test_parse_errors_carry_position():
         sc_parse("v^x")
     with pytest.raises(ScalarParseError):
         sc_parse("1/0")
+    with pytest.raises(ScalarParseError, match="position 4: division by zero"):
+        sc_parse("0^-1")
 
 
 def test_parse_whitespace_and_unary():

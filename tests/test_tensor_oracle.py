@@ -4,7 +4,7 @@ import random
 import pytest
 
 from _orbits import from_exponents
-from spinhecke.combinatorics import enumerate_partitions
+from spinhecke.combinatorics import enumerate_partitions, reduced_word
 from spinhecke.hecke_clifford import build_T_w, from_word, one, parse_element
 from spinhecke.scalars import HALF, I, MINUS_ONE, ONE, TWO, U, V, ZERO
 from spinhecke.symfunc import delta, g_tilde
@@ -196,6 +196,22 @@ def test_relations_annihilate_random_sparse_vectors_rank_four():
         vec = random_sparse(sp, rng)
         for residual in _relation_residuals(sp, vec):
             assert not residual
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_normal_form_acts_like_its_word(n):
+    # C_I T_sigma c_k is rewritten by the crossing relations into normal form;
+    # on tensor space it must still act as its letters do, one at a time
+    rng = random.Random(100 + n)
+    sp = TensorSpace(m=n, n=n)
+    tuples = list(sp.basis_tuples())
+    for sigma in itertools.permutations(range(1, n + 1)):
+        for k in range(1, n + 1):
+            prefix = [("c", i) for i in range(1, n + 1) if rng.random() < 0.5]
+            word = prefix + [("T", j) for j in reduced_word(sigma)] + [("c", k)]
+            h = from_word(n, word)
+            for tup in rng.sample(tuples, 8):
+                assert apply_element(sp, h, {tup: ONE}) == chain(sp, word, {tup: ONE})
 
 
 # -- weight traces --------------------------------------------------------------
