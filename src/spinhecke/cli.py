@@ -329,9 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_element(argv: list) -> list:
+    """`--element -T1` as `--element=-T1`: argparse would read a separate
+    value that starts with '-' as an option and report a missing value."""
+    rest, out = list(argv), []
+    while rest:
+        arg = rest.pop(0)
+        if arg == "--element" and rest and not rest[0].startswith("--"):
+            arg = f"--element={rest.pop(0)}"
+        out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_element(sys.argv[1:] if argv is None else argv))
     try:
         if args.n < 1:
             raise ValueError("--n must be at least 1")

@@ -7,6 +7,15 @@ scalar type.  Values are reduced fractions of sparse polynomials in u with
 Gaussian-rational coefficients, kept in a canonical form so that equality
 is plain structural equality and the rendered string of a value is unique.
 
+Coefficients
+------------
+A coefficient is a `GaussianRational` whose real and imaginary parts are
+plain Python ints whenever they are integral, which is almost always; a part
+is a `fractions.Fraction` only when a denominator is left, and a Fraction
+with denominator 1 is stored back as its int.  No part is ever a float:
+divisions build Fractions, and a float argument raises TypeError.  Since
+hash(k) == hash(Fraction(k)), hashes do not depend on this choice.
+
 Canonical form
 --------------
 * numerator and denominator are coprime (monic gcd divided out);
@@ -37,56 +46,109 @@ Rat = Union[int, Fraction]
 
 
 class GaussianRational:
-    """A complex number with Fraction real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
+
+    Each part is an `int` when it is integral and a `Fraction` (denominator
+    at least 2) otherwise, so equal numbers have equal parts and almost all
+    arithmetic stays in machine-fast integers.  A float part is refused.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = _part(re)
+        self.im = _part(im)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.re or self.im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return not self.im and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        # hash(k) == hash(Fraction(k)): the hash ignores which type a part has
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gr(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _gr(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        res = _new(GaussianRational)
+        res.re = -self.re
+        res.im = -self.im
+        return res
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         a, b, c, d = self.re, self.im, other.re, other.im
-        if b == 0 and d == 0:
-            return GaussianRational(a * c)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        if b or d:
+            return _gr(a * c - b * d, a * d + b * c)
+        return _gr(a * c, 0)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
+        """Exact quotient: integral parts come out as ints, never floats.
+
+        >>> GaussianRational(1) / GaussianRational(2)
+        GaussianRational(Fraction(1, 2), 0)
+        >>> GaussianRational(6, -3) / GaussianRational(3)
+        GaussianRational(2, -1)
+        >>> GaussianRational(1, 1) / GaussianRational(0, 2)
+        GaussianRational(Fraction(1, 2), Fraction(-1, 2))
+        """
         c, d = other.re, other.im
-        if d == 0:
-            if c == 0:
+        if not d:
+            if not c:
                 raise ZeroDivisionError("zero denominator")
-            return GaussianRational(self.re / c, self.im / c)
+            return _gr(_quotient(self.re, c), _quotient(self.im, c))
         norm = c * c + d * d
         a, b = self.re, self.im
-        return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
+        return _gr(_quotient(a * c + b * d, norm), _quotient(b * c - a * d, norm))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _part(x: Rat) -> Rat:
+    """x as a canonical part; only ints and Fractions are exact rationals."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"expected an int or a Fraction, not {type(x).__name__}")
+
+
+def _quotient(x: Rat, y: Rat) -> Rat:
+    """x / y exactly: an int when y divides x, else a Fraction (which
+    `_gr` turns back into an int when its denominator is 1)."""
+    if x.__class__ is int and y.__class__ is int:
+        q, r = divmod(x, y)
+        if not r:
+            return q
+    return Fraction(x, y)
+
+
+def _gr(re: Rat, im: Rat) -> GaussianRational:
+    """Slot-filling constructor for arithmetic results: ints pass through,
+    a Fraction with denominator 1 is stored as its int."""
+    if re.__class__ is not int and re.denominator == 1:
+        re = re.numerator
+    if im.__class__ is not int and im.denominator == 1:
+        im = im.numerator
+    res = _new(GaussianRational)
+    res.re = re
+    res.im = im
+    return res
 
 
 GR_ZERO = GaussianRational(0)
@@ -113,7 +175,15 @@ class UPoly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs.get(0) == GR_ONE
+        c = self.coeffs.get(0)
+        return c is not None and len(self.coeffs) == 1 and c.re == 1 and not c.im
+
+    def is_int(self, k: int) -> bool:
+        """self == k, without building the constant polynomial k."""
+        if not k:
+            return not self.coeffs
+        c = self.coeffs.get(0)
+        return c is not None and len(self.coeffs) == 1 and c.re == k and not c.im
 
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention here
@@ -229,18 +299,17 @@ UP_ZERO = UPoly({})
 UP_ONE = UPoly({0: GR_ONE})
 
 
-def _rational_content(p: UPoly) -> Fraction:
-    """Positive rational c with p/c having integer re/im parts of gcd 1."""
+def _rational_content(p: UPoly) -> tuple:
+    """Positive integers (g, m) with p*m/g having integer re/im parts of
+    gcd 1: g is the gcd of the numerators, m the lcm of the denominators."""
     num_g = 0
     den_l = 1
     for c in p.coeffs.values():
         for part in (c.re, c.im):
             if part:
-                num_g = _intgcd(num_g, abs(part.numerator))
+                num_g = _intgcd(num_g, part.numerator)
                 den_l = den_l * part.denominator // _intgcd(den_l, part.denominator)
-    if num_g == 0:
-        return Fraction(1)
-    return Fraction(num_g, den_l)
+    return (num_g or 1), den_l
 
 
 class Scalar:
@@ -277,9 +346,9 @@ class Scalar:
             inv = GR_ONE / lead
             den = den.scale(inv)
             num = num.scale(inv)
-        c = _rational_content(den)
-        if c != 1:
-            inv = GaussianRational(1 / c)
+        g, m = _rational_content(den)
+        if g != m:
+            inv = GaussianRational(Fraction(m, g))
             den = den.scale(inv)
             num = num.scale(inv)
         if den.is_one():
@@ -321,7 +390,7 @@ class Scalar:
         if isinstance(other, Scalar):
             return self.num == other.num and self.den == other.den
         if isinstance(other, int):
-            return self.den.is_one() and self.num == UPoly.const(GaussianRational(other))
+            return self.den.is_one() and self.num.is_int(other)
         return NotImplemented
 
     def __hash__(self):
@@ -368,8 +437,9 @@ class Scalar:
         while k:
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return acc
 
     def inverse(self) -> "Scalar":
@@ -428,10 +498,10 @@ class Scalar:
         """Canonical string; see the module docstring for the format."""
         if self.num.is_zero():
             return "0"
-        # the numerator (num / c) * c.numerator, written as one scaling
-        c = _rational_content(self.num)
-        top = self.num.scale(GaussianRational(c.denominator))
-        bot = self.den.scale(GaussianRational(c.denominator))
+        # the numerator (num * m / g) * g, written as one scaling
+        _, m = _rational_content(self.num)
+        top = self.num.scale(GaussianRational(m))
+        bot = self.den.scale(GaussianRational(m))
         if bot.is_one():
             return _render_poly(top)
         tops = _render_poly(top)

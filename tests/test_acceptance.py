@@ -133,7 +133,7 @@ def test_criterion_6_generic_degrees_polynomial_dimension_wedderburn():
                 2 ** (n - (len(lam) - data.delta) // 2) * factorial(n), hooks
             )
             assert at_one.re == expected
-            total += at_one.re * at_one.re / 2 ** delta_stat(lam)
+            total += Fraction(at_one.re * at_one.re, 2 ** delta_stat(lam))
         assert total == 2**n * factorial(n)
 
 

@@ -44,6 +44,17 @@ def test_class_poly(capsys):
     assert out == '{"1,1": "(v-1)/2"}\n'
 
 
+def test_element_with_leading_minus(capsys):
+    # a separate value that starts with '-' is the element, as with '='
+    for separate in (["--element", "-T1"], ["--element=-T1"]):
+        code, out, _ = invoke(capsys, "class-poly", "--n", "2", *separate)
+        assert code == 0
+        assert out == '{"1,1": "(-v+1)/2"}\n'
+        code, out, _ = invoke(capsys, "gimel", "--n", "2", *separate)
+        assert code == 0
+        assert out == "(-v+1)/2\n"
+
+
 def test_spin_class_poly(capsys):
     code, out, _ = invoke(capsys, "spin-class-poly", "--n", "2", "--word", "1,1")
     assert code == 0

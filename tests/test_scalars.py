@@ -1,5 +1,7 @@
 """Tests for exact Q(i)(u) arithmetic, canonical forms, parsing, membership."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -248,6 +250,118 @@ def test_denominator_normalization(a):
     # all coefficients are Gaussian integers
     assert all(
         c.re.denominator == 1 and c.im.denominator == 1 for c in den.coeffs.values()
+    )
+
+
+# ---------------------------------------------------------------------------
+# coefficient representation: int parts, a Fraction only for a denominator
+
+
+def _random_expression(rng: random.Random, depth: int) -> str:
+    """A random text in the scalar grammar, nested at most depth deep."""
+    roll = rng.randrange(10 if depth else 4)
+    if roll == 0:
+        return str(rng.randrange(0, 7))
+    if roll == 1:
+        return rng.choice("vui")
+    if roll == 2:
+        return f"{rng.randrange(1, 13)}/{rng.randrange(1, 9)}"
+    if roll == 3:
+        return rng.choice(["v-1", "v+1", "2*u-i", "u^3+v"])
+    a = _random_expression(rng, depth - 1)
+    b = _random_expression(rng, depth - 1)
+    if roll <= 5:
+        return f"({a}){rng.choice('+-')}({b})"
+    if roll <= 7:
+        return f"({a})*({b})"
+    if roll == 8:
+        return f"({a})/({b})"
+    return f"({a})^{rng.choice(['-2', '-1', '2', '3'])}"
+
+
+def _random_values(count: int, seed: int) -> list:
+    """count parsed random expressions; None where one divides by zero."""
+    rng = random.Random(seed)
+    values = []
+    for _ in range(count):
+        try:
+            values.append(sc_parse(_random_expression(rng, 4)))
+        except ScalarParseError:
+            values.append(None)
+    return values
+
+
+def _canonical_parts(x: Scalar) -> bool:
+    parts = [
+        part
+        for poly in (x.num, x.den)
+        for c in poly.coeffs.values()
+        for part in (c.re, c.im)
+    ]
+    return all(
+        type(part) is int or (type(part) is Fraction and part.denominator != 1)
+        for part in parts
+    )
+
+
+def test_parts_are_ints_or_proper_fractions():
+    values = [x for x in _random_values(120, 7) if x is not None]
+    assert all(_canonical_parts(x) for x in values)
+    for a, b in zip(values, values[1:]):
+        results = [a + b, a - b, a * b, a**2, a**3]
+        if not b.is_zero():
+            results += [a / b, b**-2]
+        for result in results:
+            assert _canonical_parts(result), (a, b, result)
+
+
+def test_division_of_ints_is_a_fraction():
+    q = GaussianRational(1) / GaussianRational(2)
+    assert type(q.re) is Fraction and q.re == Fraction(1, 2)
+    assert type(q.im) is int and q.im == 0
+    q = GaussianRational(6, 4) / GaussianRational(2)
+    assert (type(q.re), type(q.im)) == (int, int) and (q.re, q.im) == (3, 2)
+    assert type(HALF.num.coeffs[0].re) is Fraction
+
+
+def test_int_and_fraction_inputs_agree():
+    for k in (-3, 0, 1, 7):
+        a, b = GaussianRational(k), GaussianRational(Fraction(k))
+        assert type(b.re) is int
+        assert a == b == k == Fraction(k)
+        assert hash(a) == hash(b) == hash(k) == hash(Fraction(k))
+        assert Scalar.from_rational(Fraction(2 * k, 2)) == sc_int(k)
+        assert hash(Scalar.from_rational(Fraction(k))) == hash(sc_int(k))
+    a, b = GaussianRational(1, 2), GaussianRational(Fraction(2, 2), Fraction(4, 2))
+    assert a == b and hash(a) == hash(b) == hash((1, 2))
+    assert GaussianRational(Fraction(3, 2)) == Fraction(3, 2)
+    assert hash(GaussianRational(Fraction(3, 2))) == hash(Fraction(3, 2))
+
+
+def test_float_parts_are_refused():
+    with pytest.raises(TypeError):
+        GaussianRational(0.5)
+    with pytest.raises(TypeError):
+        GaussianRational(1, 0.5)
+    with pytest.raises(TypeError):
+        Scalar.from_rational(0.5)
+    with pytest.raises(TypeError):
+        V.specialize(0.5)
+    assert V.specialize(Fraction(1, 2)) == Fraction(1, 4)
+    assert V.specialize(GaussianRational(0, 1)) == -1
+
+
+def test_render_and_hash_digests_are_pinned():
+    # digests of the rendered strings and hash values of 500 random values,
+    # taken when every coefficient part was still a Fraction
+    values = _random_values(500, 2012)
+    rendered = "\n".join("!" if x is None else x.render() for x in values)
+    hashes = "\n".join("!" if x is None else str(hash(x)) for x in values)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == (
+        "7159cb27be733f5b7b1daa9ebef2f474d13e78b2eb3c625a03fcefe72fb9cc84"
+    )
+    assert hashlib.sha256(hashes.encode()).hexdigest() == (
+        "ae7c033c9b3fcfd011023e9f7a19ae9531478dd7db55201a50653b6aa3b1853c"
     )
 
 
