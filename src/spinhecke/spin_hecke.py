@@ -26,8 +26,8 @@ from .combinatorics import (
     w_gamma,
     word_str,
 )
-from .hecke_clifford import AlgebraElement, T_gen, c_gen, multiply, one
-from .scalars import ONE, Scalar, TWO, V_MINUS_1, ZERO, half, sc_int
+from .hecke_clifford import AlgebraElement, T_gen, _lmul_T, _lmul_c, c_gen, multiply, one
+from .scalars import ONE, Scalar, TWO, V_MINUS_1, ZERO, _acc, half, sc_int
 from .traces import ClassVector, gimel, reduce, zero_vector
 
 
@@ -62,11 +62,21 @@ def _checked_word(word, n: int) -> tuple:
 
 
 def R_element(word, n: int) -> AlgebraElement:
-    """Normal form of R_{i_1} ... R_{i_r}; the word need not be reduced."""
-    out = one(n)
-    for i in _checked_word(word, n):
-        out = multiply(out, _generator_image(i, n))
-    return out
+    """Normal form of R_{i_1} ... R_{i_r}; the word need not be reduced.
+
+    Built from the right end by left generator products: R_i h is
+    c_i T_i h - c_{i+1} T_i h + (v-1) c_{i+1} h.
+    """
+    terms = dict(one(n).terms)
+    for i in reversed(_checked_word(word, n)):
+        moved = _lmul_T(terms, i)
+        out = _lmul_c(moved, i)
+        for key, val in _lmul_c(moved, i + 1).items():
+            _acc(out, key, -val)
+        for key, val in _lmul_c(terms, i + 1).items():
+            _acc(out, key, V_MINUS_1 * val)
+        terms = out
+    return AlgebraElement(n, terms)
 
 
 # ---------------------------------------------------------------------------

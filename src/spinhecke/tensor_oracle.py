@@ -21,9 +21,15 @@ comparison a genuine cross-check.  The full-orbit pass (every tuple, every
 orbit checked complete and even) is kept in the tests as the reference for the
 dominant-weight shortcut.
 
-Operators are never materialized: everything is the action on sparse vectors
-(dicts mapping index tuples to scalars), and a trace sums diagonal
-coefficients one dominant weight block at a time.
+Operators are never materialized.  A Clifford-free staircase term T_{w_gamma}
+(every class column is one) is traced by a chain transfer: its gates are
+two-site exchanges, so the diagonal on a weight block is a walk along each
+block of gamma whose state is the weight still to place and the index carried
+between neighbouring gates, with no tuple of the block ever listed.  Every
+other term (Clifford letters, or a permutation that is no staircase) acts on
+sparse vectors (dicts mapping index tuples to scalars) and its diagonal is
+summed tuple by tuple, one dominant weight block at a time; the tests check
+the transfer against that per-tuple sum.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .characters import CharacterTable, character_table, table_from_columns
-from .combinatorics import enumerate_partitions, partition_str, reduced_word
+from .combinatorics import enumerate_partitions, partition_str, reduced_word, w_gamma_form
 from .hecke_clifford import AlgebraElement, build_T_w
 from .scalars import I, MINUS_ONE, ONE, Scalar, U, V, V_MINUS_1, ZERO, _acc
 from .symfunc import SymPoly
@@ -135,31 +141,90 @@ def _diagonal(space: TensorSpace, h: AlgebraElement, tup) -> Scalar:
     return image.get(tup, ZERO)
 
 
+def _picks(counts: tuple):
+    """Each signed index a weight with these counts can still place, with the
+    counts left after placing it."""
+    for k, count in enumerate(counts, start=1):
+        if count:
+            rest = counts[: k - 1] + (count - 1,) + counts[k:]
+            yield k, rest
+            yield -k, rest
+
+
 def _weight_block(counts: tuple):
     """Every index tuple with counts[k - 1] factors of absolute value k, each
     once: a signed first factor, then the block of what remains."""
     if not any(counts):
         yield ()
-    for k, count in enumerate(counts, start=1):
-        if count:
-            rest = counts[: k - 1] + (count - 1,) + counts[k:]
-            for tail in _weight_block(rest):
-                yield (k,) + tail
-                yield (-k,) + tail
+    for t, rest in _picks(counts):
+        for tail in _weight_block(rest):
+            yield (t,) + tail
+
+
+def _staircase_trace(gamma: tuple, lam: tuple) -> Scalar:
+    """Trace of T_{w_gamma} on the block of weight lam, by a transfer along
+    the chain of exchange gates.
+
+    On a block covering positions p..q the staircase T_p ... T_{q-1} applies
+    its gates from (q-1, q) down to (p, p+1), and each gate leaves its right
+    factor final.  So the diagonal coefficient at t is a walk from q down to
+    p: pick t_q, then at each j < q pick t_j, exchange (t_j, carried), keep
+    the outputs whose right factor gives back the index the previous step
+    must return, and carry the left one; the block closes when the carried
+    index is t_p again.  States are (counts left, carried, required) with
+    their summed coefficients; between blocks only the counts remain.
+    """
+    states = {lam: ONE}
+    for part in gamma:
+        walk: dict = {}
+        for counts, val in states.items():
+            for t, rest in _picks(counts):
+                _acc(walk, (rest, t, t), val)
+        for _ in range(part - 1):
+            step: dict = {}
+            for (counts, carried, required), val in walk.items():
+                for t, rest in _picks(counts):
+                    for (a, b), s in _exchange(t, carried):
+                        if b == required:
+                            _acc(step, (rest, a, t), val * s)
+            walk = step
+        states = {}
+        for (counts, carried, required), val in walk.items():
+            if carried == required:
+                _acc(states, counts, val)
+    return states.get((0,) * len(lam), ZERO)
 
 
 def trace_poly(h: AlgebraElement, m: int) -> SymPoly:
     """The trace of h as a symmetric polynomial in m variables: the m_lambda
     coefficient is the trace on the block of weight lambda, lambda |- n with
-    at most m parts."""
+    at most m parts.
+
+    A Clifford-free term T_{w_gamma} on a staircase is traced by the chain
+    transfer of _staircase_trace; every other term (one with Clifford letters,
+    or a permutation that is no staircase) goes tuple by tuple through the
+    diagonal of its action on the weight block.
+    """
     if m < 1:
         raise ValueError("need at least one variable")
     space = TensorSpace(m=m, n=h.n)
-    terms = {
-        lam: sum((_diagonal(space, h, tup) for tup in _weight_block(lam)), ZERO)
-        for lam in enumerate_partitions(h.n)
-        if len(lam) <= m
-    }
+    staircases = []
+    rest = {}
+    for (sigma, cliff), coeff in h.terms.items():
+        gamma = None if cliff else w_gamma_form(sigma)
+        if gamma is None:
+            rest[(sigma, cliff)] = coeff
+        else:
+            staircases.append((gamma, coeff))
+    other = AlgebraElement(h.n, rest)
+    terms = {}
+    for lam in enumerate_partitions(h.n):
+        if len(lam) > m:
+            continue
+        total = sum((c * _staircase_trace(g, lam) for g, c in staircases), ZERO)
+        if rest:
+            total = sum((_diagonal(space, other, t) for t in _weight_block(lam)), total)
+        terms[lam] = total
     return SymPoly(m, h.n, terms)
 
 

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import spinhecke
+from spinhecke import cli, tensor_oracle
 from spinhecke.cli import run
+from spinhecke.scalars import I
 
 
 def invoke(capsys, *argv):
@@ -105,6 +107,32 @@ def test_verify_suites_pass(capsys, suite):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("checks passed")
+
+
+def test_oracle_suite_catches_a_missing_sign_crossing(capsys, monkeypatch):
+    # c_k without its sign over the odd factors before k still squares to 1
+    # and leaves the T quadratic relation alone; the Clifford relations must
+    # catch it
+    exact = tensor_oracle.apply
+
+    def no_crossing(space, gen, vec):
+        kind, idx = gen
+        if kind != "c":
+            return exact(space, gen, vec)
+        pos = idx - 1
+        return {
+            tup[:pos] + (-tup[pos],) + tup[pos + 1 :]: coeff * (-I if tup[pos] > 0 else I)
+            for tup, coeff in vec.items()
+        }
+
+    monkeypatch.setattr(tensor_oracle, "apply", no_crossing)
+    monkeypatch.setattr(cli, "apply", no_crossing)
+    code, out, _ = invoke(capsys, "verify", "--n", "3", "--suite", "oracle")
+    assert code == 1
+    assert "ok - character table cross-check" in out
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line.startswith("FAIL - tensor relations on random vectors: ")
+    assert line.endswith(" leaked") and "quadratic" not in line
 
 
 def test_verify_output_is_deterministic(capsys):
@@ -230,6 +258,17 @@ def test_import_keeps_the_recursion_limit():
     assert result.returncode == 0, result.stderr
     before, after = result.stdout.split()
     assert before == after
+
+
+def test_oracle_suite_reaches_rank_six():
+    result = subprocess.run(
+        [sys.executable, "-m", "spinhecke", "verify", "--suite", "oracle", "--n", "6"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1] == "all 2 checks passed"
 
 
 def test_module_entry_point():

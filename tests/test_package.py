@@ -1,6 +1,7 @@
 """Package hygiene: every docstring example runs, no module or test file
-imports a name it never uses, and every function the package defines is
-named somewhere besides its own def."""
+imports a name it never uses, every function the package defines is named
+somewhere besides its own def, and the tensor oracle stays independent of the
+symmetric-function route."""
 
 import ast
 import doctest
@@ -79,3 +80,26 @@ def test_every_defined_function_is_named_elsewhere():
     for path in SOURCES + TESTS + PERFBENCH:
         named |= _names(ast.parse(path.read_text()))
     assert {name: where for name, where in defined.items() if name not in named} == {}
+
+
+def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
+    # the oracle's traces must not reuse g-tilde, the reduction or the
+    # Frobenius columns; it takes only the SymPoly container and the step
+    # from columns to a table
+    allowed = {
+        "symfunc": {"SymPoly"},
+        "traces": set(),
+        "characters": {"CharacterTable", "character_table", "table_from_columns"},
+    }
+    tree = ast.parse((PACKAGE / "tensor_oracle.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[-1] not in allowed, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            names = {alias.name for alias in node.names}
+            if module in allowed:
+                assert names <= allowed[module], (module, names - allowed[module])
+            else:
+                assert not names & set(allowed), names

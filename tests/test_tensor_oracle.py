@@ -273,6 +273,29 @@ def test_weight_trace_matches_trace_poly_coefficient():
         assert got == poly.terms.get(key, ZERO)
 
 
+def _dominant_block(lam):
+    """Every signed tuple of weight lam, listed without the oracle's help."""
+    values = [k for k, part in enumerate(lam, start=1) for _ in range(part)]
+    for arrangement in set(itertools.permutations(values)):
+        for signs in itertools.product((1, -1), repeat=len(values)):
+            yield tuple(s * a for s, a in zip(signs, arrangement))
+
+
+@pytest.mark.parametrize("gamma", enumerate_partitions(5) + [(2, 1, 2), (1, 3, 1)], ids=str)
+def test_chain_transfer_matches_the_per_tuple_trace(gamma):
+    # staircase traces never act on a tuple; check each m_lambda coefficient
+    # against the diagonal of the action summed over the dominant block
+    h = build_T_w(gamma)
+    space = TensorSpace(m=5, n=5)
+    poly = trace_poly(h, 5)
+    for lam in enumerate_partitions(5):
+        got = sum(
+            (apply_element(space, h, {t: ONE}).get(t, ZERO) for t in _dominant_block(lam)),
+            ZERO,
+        )
+        assert got == poly.terms.get(lam, ZERO), (gamma, lam)
+
+
 # -- trace polynomials -----------------------------------------------------------
 
 
@@ -328,7 +351,7 @@ def test_increasing_tuple_statistics(n):
 # -- the cross-validation gate ----------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_oracle_table_equals_direct_table(n):
     direct = character_table(n)
     oracle = oracle_characters(n)
