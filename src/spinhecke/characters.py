@@ -20,11 +20,10 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from ._linalg import solve_triangular
+from ._record import Record
 from .combinatorics import (
     delta_stat,
     enumerate_partitions,
@@ -37,14 +36,11 @@ from .symfunc import g_tilde, q_basis
 from .traces import gimel_weight, reduce, register_cache
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """Rows: strict partitions; columns: odd partitions; both reverse-lex."""
+class CharacterTable(Record):
+    """Rows: strict partitions; columns: odd partitions; both reverse-lex.
+    `entries` maps (lambda, nu) to a Scalar."""
 
-    n: int
-    rows: tuple
-    columns: tuple
-    entries: dict  # (lambda, nu) -> Scalar
+    __slots__ = ("n", "rows", "columns", "entries")
 
     def entry(self, lam, nu) -> Scalar:
         return self.entries[(tuple(lam), tuple(nu))]
@@ -225,7 +221,7 @@ def _cyclotomic(top: int) -> dict:
     return phi
 
 
-def _v_poly(coeffs: list, shift: int, const) -> UPoly:
+def _v_poly(coeffs: list, shift: int, const: int) -> UPoly:
     """const * v^shift * sum_k coeffs[k] v^k, with v = u^2."""
     return UPoly(
         {2 * (k + shift): GaussianRational(const * c) for k, c in enumerate(coeffs)}
@@ -236,8 +232,10 @@ def _expand(factored: tuple) -> Scalar:
     """The Scalar of a factored value, multiplied out with no gcd.
 
     The Phi_d are distinct monic irreducibles prime to v, so positive
-    exponents over negative ones is already a coprime pair whose denominator
-    is monic with integer coefficients: the canonical form of `Scalar`.
+    exponents over negative ones is already a coprime pair of primitive
+    integer polynomials, the denominator monic.  The rational constant p/q
+    puts p on the numerator and q on the denominator; gcd(p, q) = 1 is then
+    the content condition of the canonical form of `Scalar`.
     """
     const, a, exps = factored
     phi = _cyclotomic(max((d for d, e in exps.items() if e), default=1))
@@ -247,8 +245,8 @@ def _expand(factored: tuple) -> Scalar:
             top = _poly_mul(top, phi[d])
         for _ in range(-e):
             bottom = _poly_mul(bottom, phi[d])
-    num = _v_poly(top, max(a, 0), const)
-    den = _v_poly(bottom, max(-a, 0), 1)
+    num = _v_poly(top, max(a, 0), const.numerator)
+    den = _v_poly(bottom, max(-a, 0), const.denominator)
     return Scalar(num, den, _canonical=True)
 
 
@@ -289,12 +287,8 @@ def u_weight(lam) -> Scalar:
 # the trace decomposition
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    n: int
-    passed: bool
-    checked: int
-    counterexample: Optional[str]
+class DecompositionReport(Record):
+    __slots__ = ("n", "passed", "checked", "counterexample")
 
 
 def verify_gimel_decomposition(n: int) -> DecompositionReport:

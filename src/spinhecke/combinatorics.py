@@ -24,8 +24,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
+
+from ._record import Record
 
 Partition = tuple
 Composition = tuple
@@ -271,8 +272,7 @@ def w_gamma_form(a: Permutation) -> Optional[Composition]:
 # shifted diagrams
 
 
-@dataclass(frozen=True)
-class ShiftedData:
+class ShiftedData(Record):
     """Hooks and contents attached to a strict partition.
 
     contents: per-cell j-1 in row-local coordinates (row i holds 0..lam_i-1).
@@ -281,11 +281,7 @@ class ShiftedData:
     delta: parity of the number of parts.
     """
 
-    lam: tuple
-    contents: tuple
-    hooks: tuple
-    n_stat: int
-    delta: int
+    __slots__ = ("lam", "contents", "hooks", "n_stat", "delta")
 
     def all_hooks(self) -> list:
         return [h for row in self.hooks for h in row]

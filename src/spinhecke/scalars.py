@@ -9,25 +9,32 @@ is plain structural equality and the rendered string of a value is unique.
 
 Coefficients
 ------------
-A coefficient is a `GaussianRational` whose real and imaginary parts are
-plain Python ints whenever they are integral, which is almost always; a part
-is a `fractions.Fraction` only when a denominator is left, and a Fraction
-with denominator 1 is stored back as its int.  No part is ever a float:
-divisions build Fractions, and a float argument raises TypeError.  Since
-hash(k) == hash(Fraction(k)), hashes do not depend on this choice.
+A coefficient is a `GaussianRational`.  In a canonical `Scalar` both parts
+of every coefficient of the numerator and of the denominator are plain
+Python ints: a rational constant such as the 1/2 of (v-1)/2 lives in the
+denominator, which is then the constant 2.  No part is ever a float: a
+float argument raises TypeError.
 
 Canonical form
 --------------
-* numerator and denominator are coprime (monic gcd divided out);
-* the denominator has Gaussian-integer coefficients with rational content 1,
-  and its leading coefficient is unit-normalized (real part positive, or
-  zero real part and positive imaginary part) — for the common case of a
-  real denominator this means a positive integer leading coefficient.
+* numerator and denominator are coprime (monic gcd divided out) and have
+  Gaussian-integer coefficients;
+* the denominator is m*d, where d has integer content 1 and a positive
+  integer leading coefficient, and m >= 1 is the lcm of the denominators the
+  numerator would have over d: no integer above 1 divides the numerator's
+  content and m together.  A polynomial with integer coefficients has
+  denominator 1, one with half-integer coefficients the constant 2.
+
+A denominator that is a constant (1 or m) makes `+`, `*` and `/` by a
+constant one integer gcd; Euclid over Q(i)[u] runs only for a denominator of
+positive degree.  The hash is that of (num/c, den/c) for the integer content
+c of den, which is the pair of the form whose denominator is d.
 
 Rendering
 ---------
-Polynomials print in decreasing degree with even u-powers written as powers
-of v and odd ones left in u; a denominator of 1 is omitted; multi-term
+The stored numerator and denominator print as they are: polynomials in
+decreasing degree with even u-powers written as powers of v and odd ones
+left in u; a denominator of 1 is omitted; multi-term
 numerators or denominators of a genuine fraction are parenthesized:
 
 >>> sc_parse("(1-v^2)/(1-v)").render()
@@ -49,8 +56,10 @@ class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
     Each part is an `int` when it is integral and a `Fraction` (denominator
-    at least 2) otherwise, so equal numbers have equal parts and almost all
-    arithmetic stays in machine-fast integers.  A float part is refused.
+    at least 2) otherwise, so equal numbers have equal parts.  The
+    coefficients of a canonical `Scalar` have int parts only; a `Fraction`
+    part arises only inside Euclid and part division, and in the values a
+    caller hands to the `Scalar` constructor.  A float part is refused.
     """
 
     __slots__ = ("re", "im")
@@ -223,20 +232,25 @@ class UPoly:
         return self + (-other)
 
     def __mul__(self, other: "UPoly") -> "UPoly":
+        """Product with the real and imaginary parts of each output exponent
+        summed as plain numbers: one coefficient object per exponent."""
         if not self.coeffs or not other.coeffs:
             return UPoly({})
-        out: dict = {}
+        re: dict = {}
+        im: dict = {}
+        right = [(e, c.re, c.im) for e, c in other.coeffs.items()]
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+            a, b = c1.re, c1.im
+            for e2, c, d in right:
                 e = e1 + e2
-                p = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    out[e] = p
+                if e in re:
+                    re[e] += a * c - b * d
+                    im[e] += a * d + b * c
                 else:
-                    out[e] = s + p
-        res = UPoly.__new__(UPoly)
-        res.coeffs = {e: c for e, c in out.items() if c}
+                    re[e] = a * c - b * d
+                    im[e] = a * d + b * c
+        res = _new(UPoly)
+        res.coeffs = {e: _gr(r, im[e]) for e, r in re.items() if r or im[e]}
         return res
 
     def scale(self, c: GaussianRational) -> "UPoly":
@@ -312,6 +326,50 @@ def _rational_content(p: UPoly) -> tuple:
     return (num_g or 1), den_l
 
 
+def _const_den(den: UPoly) -> int:
+    """The integer k when the canonical denominator den is the constant k,
+    else 0."""
+    coeffs = den.coeffs
+    if len(coeffs) == 1:
+        c = coeffs.get(0)
+        if c is not None:
+            return c.re
+    return 0
+
+
+def _unit(coeffs: dict) -> int:
+    """1 or -1 when the polynomial {exponent: coefficient} is that constant,
+    else 0."""
+    if len(coeffs) == 1:
+        c = coeffs.get(0)
+        if c is not None and not c.im and (c.re == 1 or c.re == -1):
+            return c.re
+    return 0
+
+
+def _over(num: UPoly, k: int) -> "Scalar":
+    """The canonical Scalar num / k, for num with int parts and an int k != 0:
+    one integer gcd, with no polynomial Euclid."""
+    if not num.coeffs:
+        return ZERO
+    if k < 0:
+        num, k = -num, -k
+    if k != 1:
+        g = k
+        for c in num.coeffs.values():
+            g = _intgcd(g, c.re, c.im)
+            if g == 1:
+                break
+        if g != 1:
+            k //= g
+            res = _new(UPoly)
+            res.coeffs = {e: _gr(c.re // g, c.im // g) for e, c in num.coeffs.items()}
+            num = res
+    if k == 1:
+        return Scalar(num, UP_ONE, _canonical=True)
+    return Scalar(num, UPoly({0: GaussianRational(k)}), _canonical=True)
+
+
 class Scalar:
     """An element of Q(i)(u) in canonical reduced-fraction form."""
 
@@ -328,19 +386,15 @@ class Scalar:
             self.num = UP_ZERO
             self.den = UP_ONE
             return
-        if not den.is_one():
+        if den.degree() > 0:
             g = num.gcd(den)
             if not g.is_one():
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-        if den.is_one():
-            self.num = num
-            self.den = UP_ONE
-            return
         # reduced pairs differ by a constant factor; kill it by passing
-        # through the (unique) monic denominator, then clear rational
-        # denominators so den has Gaussian-integer coefficients of content 1
-        # with a positive integer leading coefficient.
+        # through the (unique) monic denominator, make that primitive with
+        # Gaussian-integer parts, then move the lcm of the numerator's part
+        # denominators into both
         lead = den.leading()
         if lead != GR_ONE:
             inv = GR_ONE / lead
@@ -351,18 +405,19 @@ class Scalar:
             inv = GaussianRational(Fraction(m, g))
             den = den.scale(inv)
             num = num.scale(inv)
-        if den.is_one():
-            self.num = num
-            self.den = UP_ONE
-            return
+        _, m = _rational_content(num)
+        if m != 1:
+            inv = GaussianRational(m)
+            den = den.scale(inv)
+            num = num.scale(inv)
         self.num = num
-        self.den = den
+        self.den = UP_ONE if den.is_one() else den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_int(k: int) -> "Scalar":
-        return Scalar(UPoly.const(GaussianRational(k)))
+        return Scalar(UPoly.const(GaussianRational(k)), UP_ONE, _canonical=True)
 
     @staticmethod
     def from_rational(q: Rat) -> "Scalar":
@@ -394,17 +449,34 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # the hash of the pair with den's integer content c divided out, so
+        # it equals the hash of the form whose denominator had content 1
+        c = 0
+        for part in self.den.coeffs.values():
+            c = _intgcd(c, part.re, part.im)
+        if c == 1:
+            return hash((self.num, self.den))
+        inv = GaussianRational(Fraction(1, c))
+        return hash((self.num.scale(inv), self.den.scale(inv)))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if self.num.is_zero():
+        if not self.num.coeffs:
             return other
-        if other.num.is_zero():
+        if not other.num.coeffs:
             return self
-        if self.den.is_one() and other.den.is_one():
-            return Scalar(self.num + other.num, UP_ONE, _canonical=True)
+        k1 = _const_den(self.den)
+        k2 = _const_den(other.den)
+        if k1 and k2:
+            if k1 == k2:
+                if k1 == 1:
+                    return Scalar(self.num + other.num, UP_ONE, _canonical=True)
+                return _over(self.num + other.num, k1)
+            k = k1 * k2 // _intgcd(k1, k2)
+            a = self.num if k == k1 else self.num.scale(_gr(k // k1, 0))
+            b = other.num if k == k2 else other.num.scale(_gr(k // k2, 0))
+            return _over(a + b, k)
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -416,10 +488,19 @@ class Scalar:
         return Scalar(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if self.num.is_zero() or other.num.is_zero():
+        if not self.num.coeffs or not other.num.coeffs:
             return ZERO
-        if self.den.is_one() and other.den.is_one():
-            return Scalar(self.num * other.num, UP_ONE, _canonical=True)
+        k1 = _const_den(self.den)
+        k2 = _const_den(other.den)
+        # a product by 1 or -1 is free
+        if k1 == 1 and (unit := _unit(self.num.coeffs)):
+            return other if unit == 1 else Scalar(-other.num, other.den, _canonical=True)
+        if k2 == 1 and (unit := _unit(other.num.coeffs)):
+            return self if unit == 1 else Scalar(-self.num, self.den, _canonical=True)
+        if k1 and k2:
+            if k1 == 1 and k2 == 1:
+                return Scalar(self.num * other.num, UP_ONE, _canonical=True)
+            return _over(self.num * other.num, k1 * k2)
         return Scalar(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -427,6 +508,17 @@ class Scalar:
             raise ZeroDivisionError("zero denominator")
         if self.num.is_zero():
             return ZERO
+        k1 = _const_den(self.den)
+        c = other.num.coeffs.get(0)
+        if k1 and c is not None and len(other.num.coeffs) == 1:
+            k2 = _const_den(other.den)
+            if k2:
+                # (num/k1) / (c/k2) = num*k2*conj(c) / (k1*|c|^2)
+                if c.im:
+                    top = self.num.scale(_gr(k2 * c.re, -k2 * c.im))
+                    return _over(top, k1 * (c.re * c.re + c.im * c.im))
+                top = self.num if k2 == 1 else self.num.scale(_gr(k2, 0))
+                return _over(top, k1 * c.re)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k: int) -> "Scalar":
@@ -467,17 +559,10 @@ class Scalar:
             if len(self.den.coeffs) != 1:
                 return False
             (k, lead), = self.den.coeffs.items()
-            if lead != GR_ONE:
+            m = lead.re
+            if m & (m - 1):  # not a power of two
                 return False
-            for e, c in self.num.coeffs.items():
-                if (e - k) % 2:
-                    return False
-                if c.im:
-                    return False
-                d = c.re.denominator
-                if d & (d - 1):  # not a power of two
-                    return False
-            return True
+            return all(not (e - k) % 2 and not c.im for e, c in self.num.coeffs.items())
         if ring == "Qv":
             for poly in (self.num, self.den):
                 for e, c in poly.coeffs.items():
@@ -498,15 +583,11 @@ class Scalar:
         """Canonical string; see the module docstring for the format."""
         if self.num.is_zero():
             return "0"
-        # the numerator (num * m / g) * g, written as one scaling
-        _, m = _rational_content(self.num)
-        top = self.num.scale(GaussianRational(m))
-        bot = self.den.scale(GaussianRational(m))
-        if bot.is_one():
-            return _render_poly(top)
-        tops = _render_poly(top)
-        bots = _render_poly(bot)
-        if len(top.coeffs) > 1:
+        if self.den.is_one():
+            return _render_poly(self.num)
+        tops = _render_poly(self.num)
+        bots = _render_poly(self.den)
+        if len(self.num.coeffs) > 1:
             tops = f"({tops})"
         if _needs_parens(bots):
             bots = f"({bots})"

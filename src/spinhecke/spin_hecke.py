@@ -11,11 +11,10 @@ assumed (see verify_iso).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
 
 from ._linalg import solve_exact
-from .characters import CharacterTable, character_value, character_values, schur_element
+from ._record import Record
+from .characters import CharacterTable, character_values, schur_element
 from .combinatorics import (
     all_reduced_words,
     delta_stat,
@@ -83,12 +82,8 @@ def R_element(word, n: int) -> AlgebraElement:
 # the embedding is an isomorphism: relations one way, generators back
 
 
-@dataclass(frozen=True)
-class IsoReport:
-    n: int
-    passed: bool
-    checked: int
-    failure: Optional[str]
+class IsoReport(Record):
+    __slots__ = ("n", "passed", "checked", "failure")
 
 
 def verify_iso(n: int) -> IsoReport:
@@ -159,13 +154,6 @@ def spin_character_table(n: int) -> CharacterTable:
     return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
 
 
-def spin_character_value(lam, h: AlgebraElement) -> Scalar:
-    """zeta-minus of an even embedded element."""
-    n = h.n
-    scale = TWO ** _gamma_exponent(lam, n) / sc_int(dim_clifford_module(n))
-    return scale * character_value(lam, h)
-
-
 def spin_class_polynomials(word, n: int) -> ClassVector:
     """Coordinates of the R-word in the R_{w_nu} class basis.
 
@@ -216,12 +204,8 @@ def spin_schur_elements(n: int) -> dict:
 # vanishing sweep used by the verification suite
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    n: int
-    passed: bool
-    words_checked: int
-    failure: Optional[str]
+class VanishingReport(Record):
+    __slots__ = ("n", "passed", "words_checked", "failure")
 
 
 def verify_trace_vanishing(n: int) -> VanishingReport:

@@ -35,10 +35,9 @@ the transfer against that per-tuple sum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
+from ._record import Record
 from .characters import CharacterTable, character_table, table_from_columns
 from .combinatorics import enumerate_partitions, partition_str, reduced_word, w_gamma_form
 from .hecke_clifford import AlgebraElement, build_T_w
@@ -48,16 +47,15 @@ from .symfunc import SymPoly
 _NEG_I = MINUS_ONE * I
 
 
-@dataclass(frozen=True)
-class TensorSpace:
+class TensorSpace(Record):
     """n-fold tensor power of the 2m-dimensional superspace."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int):
+        if m < 1 or n < 1:
             raise ValueError("tensor space needs m >= 1 and n >= 1")
+        super().__init__(m, n)
 
     @property
     def indices(self) -> tuple:
@@ -233,11 +231,8 @@ def oracle_characters(n: int) -> CharacterTable:
     return table_from_columns(n, lambda nu: trace_poly(build_T_w(nu), n))
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    n: int
-    passed: bool
-    mismatch: Optional[str]
+class OracleReport(Record):
+    __slots__ = ("n", "passed", "mismatch")
 
 
 def cross_check(n: int) -> OracleReport:

@@ -25,8 +25,8 @@ preserves the class vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import Record
 from .combinatorics import (
     enumerate_partitions,
     perm_inverse,
@@ -46,12 +46,10 @@ from .scalars import HALF, ONE, Scalar, V_MINUS_1, ZERO, _acc, half, sc_int
 _GIMEL_BASE = V_MINUS_1 * HALF  # (v-1)/2
 
 
-@dataclass(frozen=True)
-class ClassVector:
+class ClassVector(Record):
     """Coefficients of an element modulo commutators, one per odd partition."""
 
-    n: int
-    coeffs: dict
+    __slots__ = ("n", "coeffs")
 
     def __getitem__(self, nu) -> Scalar:
         return self.coeffs[tuple(nu)]
@@ -82,15 +80,6 @@ def odd_partitions(n: int) -> list:
 
 def zero_vector(n: int) -> ClassVector:
     return ClassVector(n, {nu: ZERO for nu in odd_partitions(n)})
-
-
-def unit_vector(n: int, nu) -> ClassVector:
-    nu = tuple(nu)
-    vec = {rho: ZERO for rho in odd_partitions(n)}
-    if nu not in vec:
-        raise KeyError(f"{nu} is not an odd partition of {n}")
-    vec[nu] = ONE
-    return ClassVector(n, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,33 @@ def test_degree_commands_golden_stdout(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _DEGREE_DIGESTS[command]
 
 
+# sha256 of stdout, captured while half-integer coefficient parts were still
+# Fractions: the reduction route at n = 7 and the spin route at n = 6, 7
+_W0_7 = "c1 c2 T1 T2 T1 T3 T2 T1 T4 T3 T2 T1 T5 T4 T3 T2 T1 T6 T5 T4 T3 T2 T1"
+_ROUTE_DIGESTS = {
+    ("class-poly", "--n", "7", "--element", _W0_7): (
+        "44d05b25892aae6eb89493ef063993ee5b21a03dd0b1b7ae25ea6e9c2a436880"
+    ),
+    ("schur-elements", "--n", "7", "--spin"): (
+        "94521b8f71341c73dde57d3372c019fdf1d59f9bbc7b03de565ad3c485fae378"
+    ),
+    ("spin-class-poly", "--n", "6", "--word", "1,2,3,4,5,1,2,3"): (
+        "baa545a1b4db960be425a262ff770cd0e6adccaebb2328c0d5215b3bbcebb204"
+    ),
+    ("gimel", "--n", "6", "--spin", "--word", "2,1,3,2,3,1,5,4,5,4"): (
+        "e62272966e051ce503b1cc22f9130617ea7da22f17add87eed020ad54fa95aba"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_ROUTE_DIGESTS), ids=lambda argv: argv[0])
+def test_reduction_and_spin_routes_golden_stdout(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.strip() not in ("0", "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _ROUTE_DIGESTS[argv]
+
+
 # -- error paths ---------------------------------------------------------------
 
 

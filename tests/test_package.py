@@ -1,14 +1,22 @@
 """Package hygiene: every docstring example runs, no module or test file
 imports a name it never uses, every function the package defines is named
 somewhere besides its own def, and the tensor oracle stays independent of the
-symmetric-function route."""
+symmetric-function route.  Importing the command line stays light, and the
+result records behave as frozen value types."""
 
 import ast
 import doctest
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import spinhecke
+from spinhecke.tensor_oracle import TensorSpace
+from spinhecke.traces import ClassVector
 
 PACKAGE = pathlib.Path(spinhecke.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -103,3 +111,33 @@ def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
                 assert names <= allowed[module], (module, names - allowed[module])
             else:
                 assert not names & set(allowed), names
+
+
+def test_cli_import_leaves_out_dataclasses():
+    env = dict(os.environ)
+    path = [str(PACKAGE.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    code = "import sys, spinhecke.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_records_are_frozen_values():
+    space = TensorSpace(m=2, n=3)
+    assert space == TensorSpace(2, 3) != TensorSpace(3, 2)
+    assert hash(space) == hash(TensorSpace(n=3, m=2))
+    assert (space.m, space.n) == (2, 3)
+    with pytest.raises(AttributeError):
+        space.m = 5
+    with pytest.raises(AttributeError):
+        space.extra = 1
+    with pytest.raises(TypeError):
+        ClassVector(2)
+    with pytest.raises(TypeError):
+        ClassVector(2, {}, n=2)
+    vec = ClassVector(n=2, coeffs={})
+    assert vec == ClassVector(2, {}) and vec != space
+    assert repr(vec) == "ClassVector(n=2, coeffs={})"

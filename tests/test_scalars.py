@@ -1,6 +1,7 @@
 """Tests for exact Q(i)(u) arithmetic, canonical forms, parsing, membership."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -160,6 +161,9 @@ MEMBERSHIP_TABLE = [
     ((V - ONE) / (V + ONE), "real", True),
     (U / (U + ONE), "real", True),
     (I * U, "real", False),
+    ((V - ONE) / sc_int(4) / V, "A", True),
+    (ONE / sc_int(3), "A", False),
+    (ONE / (TWO * V + TWO), "A", False),
 ]
 
 
@@ -253,8 +257,24 @@ def test_denominator_normalization(a):
     )
 
 
+@given(scalars(), scalars(), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_constant_denominator_path_matches_the_gcd_path(a, b, k):
+    # the same sum and product with num and den both times v+1: the
+    # constructor must run Euclid to cancel it
+    if a.den.degree() or b.den.degree():
+        return
+    a = a / sc_int(k)
+    w = (V + ONE).num
+    assert Scalar(a.num * b.num * w, a.den * b.den * w) == a * b
+    assert Scalar((a.num * b.den + b.num * a.den) * w, a.den * b.den * w) == a + b
+    if not b.is_zero() and not b.num.degree():
+        assert Scalar(a.num * b.den * w, a.den * b.num * w) == a / b
+
+
 # ---------------------------------------------------------------------------
-# coefficient representation: int parts, a Fraction only for a denominator
+# coefficient representation: int parts in num and den, the rational
+# constant in den
 
 
 def _random_expression(rng: random.Random, depth: int) -> str:
@@ -291,17 +311,21 @@ def _random_values(count: int, seed: int) -> list:
     return values
 
 
+def _content(poly) -> int:
+    return math.gcd(*(part for c in poly.coeffs.values() for part in (c.re, c.im)))
+
+
 def _canonical_parts(x: Scalar) -> bool:
+    """Every part of num and den is an int, and no integer > 1 divides both."""
     parts = [
         part
         for poly in (x.num, x.den)
         for c in poly.coeffs.values()
         for part in (c.re, c.im)
     ]
-    return all(
-        type(part) is int or (type(part) is Fraction and part.denominator != 1)
-        for part in parts
-    )
+    if not all(type(part) is int for part in parts):
+        return False
+    return x.is_zero() or math.gcd(_content(x.num), _content(x.den)) == 1
 
 
 def test_parts_are_ints_or_proper_fractions():
@@ -321,7 +345,7 @@ def test_division_of_ints_is_a_fraction():
     assert type(q.im) is int and q.im == 0
     q = GaussianRational(6, 4) / GaussianRational(2)
     assert (type(q.re), type(q.im)) == (int, int) and (q.re, q.im) == (3, 2)
-    assert type(HALF.num.coeffs[0].re) is Fraction
+    assert (HALF.num, HALF.den) == (sc_int(1).num, TWO.num)
 
 
 def test_int_and_fraction_inputs_agree():

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from spinhecke._linalg import column_rank, solve_exact
+from spinhecke.characters import character_value
 from spinhecke.combinatorics import enumerate_partitions, reduced_word, w_gamma
 from spinhecke.hecke_clifford import T_gen, c_gen, multiply, one
-from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO
+from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO, sc_int
 from spinhecke.spin_hecke import (
     R_element,
     canonical_class_word,
@@ -14,7 +15,6 @@ from spinhecke.spin_hecke import (
     dim_clifford_module,
     gimel_minus,
     spin_character_table,
-    spin_character_value,
     spin_class_polynomials,
     spin_schur_elements,
     verify_iso,
@@ -23,6 +23,16 @@ from spinhecke.spin_hecke import (
 from spinhecke.traces import zero_vector
 
 V1 = V - ONE
+
+
+def spin_character_value(lam, h):
+    """zeta-minus of an even embedded element: the ordinary value over the
+    Clifford-module dimension, doubled at odd rank with an even number of
+    rows."""
+    n = h.n
+    halving = n % 2 == 1 and len(lam) % 2 == 0
+    scale = (TWO if halving else ONE) / sc_int(dim_clifford_module(n))
+    return scale * character_value(lam, h)
 
 
 # -- the embedding ------------------------------------------------------------

@@ -28,9 +28,17 @@ from spinhecke.traces import (
     gimel_weight,
     odd_partitions,
     reduce,
-    unit_vector,
     zero_vector,
 )
+
+
+def unit_vector(n, nu) -> ClassVector:
+    nu = tuple(nu)
+    vec = {rho: ZERO for rho in odd_partitions(n)}
+    if nu not in vec:
+        raise KeyError(f"{nu} is not an odd partition of {n}")
+    vec[nu] = ONE
+    return ClassVector(n, vec)
 
 
 def basis_term(n, sigma, cliff, coeff=ONE):
