@@ -5,13 +5,13 @@ each odd partition nu the deformed product function expands as
 
     g-tilde_nu = sum over strict lambda of 2^(-(len+delta)/2) Q_lambda zeta^lambda(T_w_nu),
 
-and since Q_lambda = 2^len(lambda) m_lambda + dominance-lower terms, the zeta
-values of a column come out by back-substitution against one Q basis built
-once per table.  Values on arbitrary elements follow by pairing a column with
-class polynomials.  The Schur elements and generic degrees are hook-content
-products on the shifted diagram; every factor is a product of cyclotomic
-polynomials Phi_d(v), so they are computed as Phi_d exponents and multiplied
-out once, already in lowest terms.
+and `symfunc.g_tilde_in_Q` builds that expansion directly in the Q basis,
+one Pieri product per part, so a column is read off with no monomials and no
+back-substitution.  Values on arbitrary elements follow by pairing a class
+vector with the rows.  The Schur elements and generic degrees are
+hook-content products on the shifted diagram; every factor is a product of
+cyclotomic polynomials Phi_d(v), so they are computed as Phi_d exponents and
+multiplied out once, already in lowest terms.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .combinatorics import (
     shifted_data,
 )
 from .hecke_clifford import AlgebraElement, build_T_w
-from .scalars import GaussianRational, Scalar, TWO, UPoly, ZERO
-from .symfunc import g_tilde, q_basis
-from .traces import gimel_weight, reduce, register_cache
+from .scalars import Scalar, TWO, ZERO, _poly_mul, _v_poly
+from .symfunc import g_tilde_in_Q, q_basis
+from .traces import ClassVector, gimel_weight, reduce, register_cache
 
 
 class CharacterTable(Record):
@@ -90,40 +90,53 @@ class CharacterTable(Record):
 _TABLE_CACHE: dict = register_cache({})
 
 
-def table_from_columns(n: int, column) -> CharacterTable:
-    """The table whose column nu is read off column(nu) = sum over strict
-    lambda of a_lambda Q_lambda, as zeta^lambda = 2^((len+delta)/2) a_lambda;
-    every column is back-substituted against one Q basis of degree n."""
+def _assemble(n: int, column) -> CharacterTable:
+    """The table whose column nu is read off column(nu) = {lambda: a_lambda},
+    the coefficients of sum a_lambda Q_lambda, as
+    zeta^lambda = 2^((len+delta)/2) a_lambda."""
     rows = tuple(enumerate_partitions(n, "strict"))
     columns = tuple(enumerate_partitions(n, "odd"))
-    basis = q_basis(n, n)
     entries = {}
     for nu in columns:
-        try:
-            coeffs = solve_triangular(basis, column(nu).terms)
-        except ValueError as err:
-            raise ValueError("not in the span of Q-functions") from err
+        coeffs = column(nu)
         for lam in rows:
             power = (len(lam) + delta_stat(lam)) // 2
             entries[(lam, nu)] = coeffs.get(lam, ZERO) * TWO**power
     return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
 
 
+def table_from_columns(n: int, column) -> CharacterTable:
+    """The table whose column nu is read off the symmetric polynomial
+    column(nu) = sum over strict lambda of a_lambda Q_lambda; every column is
+    back-substituted against one Q basis of degree n."""
+    basis = q_basis(n, n)
+
+    def coefficients(nu):
+        try:
+            return solve_triangular(basis, column(nu).terms)
+        except ValueError as err:
+            raise ValueError("not in the span of Q-functions") from err
+
+    return _assemble(n, coefficients)
+
+
 def character_table(n: int) -> CharacterTable:
-    """The table zeta^lambda(T_w_nu), column nu from g-tilde_nu."""
+    """The table zeta^lambda(T_w_nu), column nu the Q-expansion of
+    g-tilde_nu built by the Pieri rule; the columns share one memo of their
+    common factors."""
     if n < 1:
         raise ValueError("rank must be at least 1")
     cached = _TABLE_CACHE.get(n)
     if cached is None:
-        cached = _TABLE_CACHE[n] = table_from_columns(n, lambda nu: g_tilde(nu, n))
+        memo: dict = {}
+        cached = _TABLE_CACHE[n] = _assemble(n, lambda nu: g_tilde_in_Q(nu, memo))
     return cached
 
 
-def character_values(h: AlgebraElement) -> dict:
-    """zeta^lambda(h) for every strict lambda: one class vector of h, paired
-    with each row of the table."""
-    table = character_table(h.n)
-    vec = reduce(h)
+def values_on_class_vector(vec: ClassVector) -> dict:
+    """zeta^lambda of every element whose class vector is vec, for every
+    strict lambda: vec paired with each row of the table."""
+    table = character_table(vec.n)
     out = {}
     for lam in table.rows:
         total = ZERO
@@ -134,9 +147,9 @@ def character_values(h: AlgebraElement) -> dict:
     return out
 
 
-def character_value(lam, h: AlgebraElement) -> Scalar:
-    """zeta^lambda(h) through class polynomials."""
-    return character_values(h)[tuple(lam)]
+def character_values(h: AlgebraElement) -> dict:
+    """zeta^lambda(h) for every strict lambda, from one class vector of h."""
+    return values_on_class_vector(reduce(h))
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +199,6 @@ def _quotient(x: tuple, y: tuple) -> tuple:
     return c1 / c2, a1 - a2, exps
 
 
-def _poly_mul(p: list, q: list) -> list:
-    """Product of integer polynomials given as ascending coefficient lists."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 def _poly_div_exact(p: list, q: list) -> list:
     """p / q for a monic q that divides p."""
     rest = list(p)
@@ -221,13 +224,6 @@ def _cyclotomic(top: int) -> dict:
     return phi
 
 
-def _v_poly(coeffs: list, shift: int, const: int) -> UPoly:
-    """const * v^shift * sum_k coeffs[k] v^k, with v = u^2."""
-    return UPoly(
-        {2 * (k + shift): GaussianRational(const * c) for k, c in enumerate(coeffs)}
-    )
-
-
 def _expand(factored: tuple) -> Scalar:
     """The Scalar of a factored value, multiplied out with no gcd.
 
@@ -248,11 +244,6 @@ def _expand(factored: tuple) -> Scalar:
     num = _v_poly(top, max(a, 0), const.numerator)
     den = _v_poly(bottom, max(-a, 0), const.denominator)
     return Scalar(num, den, _canonical=True)
-
-
-def poincare(n: int) -> Scalar:
-    """prod_{k<=n} (1-v^k)/(1-v)^n."""
-    return _expand((Fraction(1), 0, _ratio_exponents(range(1, n + 1), n)))
 
 
 def schur_element(lam) -> Scalar:

@@ -38,6 +38,8 @@ from .hecke_clifford import (
 from .scalars import MINUS_ONE, ONE, V, V_MINUS_1, ZERO
 from .spin_hecke import (
     R_element,
+    canonical_class_word,
+    class_word_vector,
     gimel_minus,
     spin_class_polynomials,
     spin_schur_elements,
@@ -281,6 +283,15 @@ def _suite_spin(args):
     checks.append(
         ("spin trace vanishing", vanishing.passed, vanishing.failure or "")
     )
+    # the closed-form cycle vectors are observed, not proved: recheck them by
+    # reduction up to p = 9 (p = 11 takes minutes and gigabytes)
+    bad = [
+        p
+        for p in range(1, min(args.n, 9) + 1, 2)
+        if class_word_vector((p,)) != reduce(R_element(canonical_class_word((p,)), p))
+    ]
+    detail = f"differs from the reduction at p={bad[0]}" if bad else ""
+    checks.append(("spin closed-form cycle vectors", not bad, detail))
     try:
         spin_schur_elements(args.n)
         checks.append(("spin Schur halving", True, ""))

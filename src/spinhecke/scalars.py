@@ -424,6 +424,16 @@ class Scalar:
         return Scalar(UPoly.const(GaussianRational(q)))
 
     @staticmethod
+    def from_v_ints(coeffs) -> "Scalar":
+        """sum_k coeffs[k] v^k for ints coeffs[k]: canonical as it stands.
+
+        >>> Scalar.from_v_ints([-1, 0, 2]).render()
+        '2*v^2-1'
+        """
+        num = _v_poly(coeffs, 0, 1)
+        return Scalar(num, UP_ONE, _canonical=True) if num.coeffs else ZERO
+
+    @staticmethod
     def v_power(k: int) -> "Scalar":
         """v**k as a Scalar, for any integer k (negative gives 1/v**|k|)."""
         if k >= 0:
@@ -805,6 +815,33 @@ def half(x: Scalar) -> Scalar:
 
 def sc_int(k: int) -> Scalar:
     return Scalar.from_int(k)
+
+
+def _v_poly(coeffs, shift: int, const: int) -> UPoly:
+    """const * v^shift * sum_k coeffs[k] v^k for ints coeffs[k], with v = u^2."""
+    return UPoly(
+        {2 * (k + shift): GaussianRational(const * c) for k, c in enumerate(coeffs)}
+    )
+
+
+def _poly_add(p: list, q: list) -> list:
+    """Sum of integer polynomials given as ascending coefficient lists."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, b in enumerate(q):
+        out[i] += b
+    return out
+
+
+def _poly_mul(p: list, q: list) -> list:
+    """Product of integer polynomials given as ascending coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
 
 
 def _acc(acc: dict, key, value: Scalar) -> None:

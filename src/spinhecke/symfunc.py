@@ -1,13 +1,21 @@
 """Symmetric polynomials: monomials, Schur Q-functions, and the deformed
 family underlying the character formula.
 
-All polynomials here are homogeneous of a declared degree in a fixed number m
-of variables, stored as monomial coefficients {partition: coefficient}: the
-key lambda stands for the orbit sum m_lambda, so keys have at most m parts and
-truncating to m variables drops longer keys.  No caller hands in full exponent
-vectors: the tensor oracle's traces, one per dominant weight, are already
-m_lambda coefficients.  Degree-n linear algebra only ever needs m = n
-variables; larger m exists for the truncation cross-checks.
+The polynomials of the monomial layer are homogeneous of a declared degree
+in a fixed number m of variables, stored as monomial coefficients
+{partition: coefficient}: the key lambda stands for the orbit sum m_lambda,
+so keys have at most m parts and truncating to m variables drops longer
+keys.  No caller hands in full exponent vectors: the tensor oracle's traces,
+one per dominant weight, are already m_lambda coefficients, and
+`expand_in_Q` turns them into Q-coefficients by back-substitution.  Degree-n
+linear algebra only ever needs m = n variables; larger m exists for the
+truncation cross-checks.
+
+The deformed family never touches monomials.  Each one-part function
+g-tilde_(r) is a combination of two-row Q-functions, and those are quadratic
+in the q_r, so g-tilde_mu = prod_i g-tilde_(mu_i) is built as a vector over
+strict partitions by Pieri steps Q_mu q_r, with integer polynomials in v as
+coefficients: s(n) entries per column, where the monomial form had p(n).
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from types import MappingProxyType
 
 from ._linalg import solve_triangular
 from .combinatorics import enumerate_partitions, is_strict, shifted_data
-from .scalars import MINUS_ONE, ONE, Scalar, TWO, V, V_MINUS_1, ZERO, sc_int
+from .scalars import MINUS_ONE, ONE, Scalar, TWO, ZERO, _poly_add, _poly_mul, sc_int
 
 
 class SymPoly:
@@ -166,47 +174,120 @@ def product(f: SymPoly, g: SymPoly) -> SymPoly:
 
 
 # ---------------------------------------------------------------------------
-# the deformed family
+# the deformed family in the Q basis
+#
+# A vector {strict lambda: a} stands for sum a Q_lambda, each a an integer
+# polynomial in v held as an ascending list of ints.
 
 
-def delta(s: int) -> Scalar:
-    """2(v^s - (-1)^s)/(v+1), with delta(0) = 1; always a polynomial."""
-    if s < 0:
-        raise ValueError("delta needs s >= 0")
-    if s == 0:
-        return ONE
-    sign = ONE if s % 2 == 0 else MINUS_ONE
-    return TWO * (Scalar.v_power(s) - sign) / (V + ONE)
+def _strips(mu: tuple, r: int) -> list:
+    """(lambda, e) with Q_mu q_r = sum 2^e Q_lambda (Macdonald III (8.15)).
 
+    lambda runs over the strict partitions with lambda_1 >= mu_1 >= lambda_2
+    >= mu_2 >= ... and r more boxes, i.e. lambda/mu is a horizontal strip, and
+    e = a(lambda/mu) + len(mu) - len(lambda), where a(lambda/mu) counts the
+    columns i of the unshifted diagrams that hold a box of the strip while
+    column i + 1 holds none.  Row i of the strip fills the columns
+    mu_i + 1 .. lambda_i, so a counts its runs: one per non-empty row, less
+    one wherever lambda_i = mu_(i-1) joins row i to a non-empty row above.
 
-def _delta_product(rho) -> Scalar:
-    out = ONE
-    for part in rho:
-        out = out * delta(part)
+    >>> _strips((2,), 2)
+    [((3, 1), 1), ((4,), 1)]
+    """
+    low = mu + (0,)
+    out = []
+
+    def grow(i, left, parts, runs):
+        if i == len(low):
+            if not left:
+                lam = parts if parts[-1] else parts[:-1]
+                out.append((lam, runs + len(mu) - len(lam)))
+            return
+        top = low[i] + left if i == 0 else min(low[i - 1], low[i] + left)
+        for part in range(low[i], top + 1):
+            if i and part == parts[-1]:
+                continue  # lambda_i = lambda_(i-1) = mu_(i-1): not strict
+            joined = i and part == low[i - 1] and parts[-1] > low[i - 1]
+            run = part > low[i] and not joined
+            grow(i + 1, left - part + low[i], parts + (part,), runs + run)
+
+    grow(0, r, (), 0)
     return out
 
 
-def g_tilde_one_part(r: int, m: int) -> SymPoly:
-    """The single-part deformed function as a monomial combination."""
-    if m < r:
-        raise ValueError(f"too few variables: need {r}, have {m}")
-    out = zero_poly(m, r)
-    for rho in enumerate_partitions(r):
-        coeff = _delta_product(rho) * V_MINUS_1 ** (len(rho) - 1)
-        out = out + monomial(rho, m).scale(coeff)
+def _times_q(vec: dict, r: int) -> dict:
+    """vec * q_r by the Pieri rule; q_0 = 1."""
+    if not r:
+        return vec
+    out: dict = {}
+    for mu, coeff in vec.items():
+        for lam, e in _strips(mu, r):
+            term = [c << e for c in coeff] if e else coeff
+            cur = out.get(lam)
+            out[lam] = term if cur is None else _poly_add(cur, term)
     return out
 
 
-def g_tilde(mu, m: int) -> SymPoly:
-    """Product over the parts of mu of the single-part functions."""
-    mu = tuple(mu)
-    n = sum(mu)
-    if m < n:
-        raise ValueError(f"too few variables: need {n}, have {m}")
-    out = one_poly(m)
-    for part in mu:
-        out = out * g_tilde_one_part(part, m)
-    return out
+def _one_part_pairs(r: int) -> list:
+    """(y, d_y) with g-tilde_(r) = sum_y d_y q_(r-y) q_y.
+
+    g-tilde_(r) = sum over a > b >= 0, a + b = r of
+    c_b Q_(a,b), c_b = (-1)^(r-1) (-v)^b [a-b]_(-v), where
+    [k]_x = 1 + x + ... + x^(k-1); substituting
+    Q_(a,b) = q_a q_b + 2 sum_{k=1..b} (-1)^k q_(a+k) q_(b-k) (Macdonald
+    III (8.2')) gives d_y = c_y + 2 sum_{b>y} (-1)^(b-y) c_b.
+    """
+    top = (r - 1) // 2
+    c = []
+    for b in range(top + 1):
+        poly = [0] * (r - b)
+        for j in range(r - 2 * b):
+            poly[b + j] = -1 if (r - 1 + b + j) % 2 else 1
+        c.append(poly)
+    pairs = []
+    for y in range(top + 1):
+        d = c[y]
+        for b in range(y + 1, top + 1):
+            factor = -2 if (b - y) % 2 else 2
+            d = _poly_add(d, [factor * x for x in c[b]])
+        pairs.append((y, d))
+    return pairs
+
+
+def _times_g_tilde_one_part(vec: dict, r: int) -> dict:
+    out: dict = {}
+    for y, d in _one_part_pairs(r):
+        for lam, coeff in _times_q(_times_q(vec, y), r - y).items():
+            term = _poly_mul(d, coeff)
+            cur = out.get(lam)
+            out[lam] = term if cur is None else _poly_add(cur, term)
+    return {lam: coeff for lam, coeff in out.items() if any(coeff)}
+
+
+def _g_tilde_vector(mu: tuple, memo: dict) -> dict:
+    vec = memo.get(mu)
+    if vec is None:
+        if mu:
+            vec = _times_g_tilde_one_part(_g_tilde_vector(mu[1:], memo), mu[0])
+        else:
+            vec = {(): [1]}
+        memo[mu] = vec
+    return vec
+
+
+def g_tilde_in_Q(mu, memo: dict = None) -> dict:
+    """The coefficients a_lambda of g-tilde_mu = sum a_lambda Q_lambda, the
+    product over the parts r of mu of the one-part functions g-tilde_(r),
+    multiplied out by the Pieri rule with no monomials; zeros are left out.
+
+    `memo`, when given, keeps the vector of every suffix of mu, so that the
+    columns of one table share their common factors.
+
+    >>> {lam: a.render() for lam, a in g_tilde_in_Q((3,)).items()}
+    {(3,): 'v^2-v+1', (2, 1): '-v'}
+    """
+    vec = _g_tilde_vector(tuple(mu), {} if memo is None else memo)
+    return {lam: Scalar.from_v_ints(coeff) for lam, coeff in vec.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +380,7 @@ def principal_specialization_Q(lam) -> Scalar:
 def principal_specialization_g_tilde(mu) -> Scalar:
     """The exact infinite-variable specialization of g-tilde at x = (1, v, ...),
     computed through the Q-expansion."""
-    mu = tuple(mu)
-    n = sum(mu)
-    coeffs = expand_in_Q(g_tilde(mu, n))
     total = ZERO
-    for lam, val in coeffs.items():
-        if not val.is_zero():
-            total = total + val * principal_specialization_Q(lam)
+    for lam, val in g_tilde_in_Q(mu).items():
+        total = total + val * principal_specialization_Q(lam)
     return total

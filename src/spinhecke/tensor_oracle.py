@@ -11,10 +11,12 @@ coefficient is the trace on the block of dominant weight lambda; its
 Q-expansion recovers the character table.
 
 Shared with the symmetric-function route: the scalars, the combinatorics, the
-element type with build_T_w, SymPoly, and table_from_columns (the Q basis,
-back-substitution and scaling into a CharacterTable).  Independent of it: the
-columns, from the tensor action and trace_poly here against the normal-form
-product, the reduction modulo commutators and g-tilde there.  An element's
+element type with build_T_w, and the CharacterTable container.  Only the
+oracle still expands monomials in Q-functions: table_from_columns
+back-substitutes its traces against the Q basis, while the g-tilde columns
+are Pieri products built in the Q basis.  Independent of it: the columns,
+from the tensor action and trace_poly here against the Pieri products of
+g-tilde there.  An element's
 normal-form terms are read but never multiplied or reduced, and the weight
 blocks are enumerated here, not borrowed from symfunc; that is what makes the
 comparison a genuine cross-check.  The full-orbit pass (every tuple, every

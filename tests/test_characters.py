@@ -5,13 +5,15 @@ from math import factorial
 
 import pytest
 
+from _monomial_g_tilde import g_tilde
 from spinhecke._linalg import column_rank
 from spinhecke.characters import (
     CharacterTable,
+    _expand,
+    _ratio_exponents,
     character_table,
-    character_value,
+    character_values,
     generic_degree,
-    poincare,
     schur_element,
     u_weight,
     verify_gimel_decomposition,
@@ -23,8 +25,18 @@ from spinhecke.combinatorics import (
 )
 from spinhecke.hecke_clifford import build_T_w, from_word, one
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, ZERO, sc_int
-from spinhecke.symfunc import expand_in_Q, g_tilde, monomial
+from spinhecke.symfunc import expand_in_Q, monomial
 from spinhecke.traces import gimel
+
+
+def character_value(lam, h):
+    """zeta^lambda(h) through class polynomials."""
+    return character_values(h)[tuple(lam)]
+
+
+def poincare(n):
+    """prod_{k<=n} (1-v^k)/(1-v)^n, multiplied out from its cyclotomic form."""
+    return _expand((Fraction(1), 0, _ratio_exponents(range(1, n + 1), n)))
 
 
 def _is_v_polynomial(s: Scalar) -> bool:
@@ -288,6 +300,13 @@ _TABLE_DIGESTS = {
     7: "b38527a6185d3080a9a5dfb6c7711b85cae61ab8aa7d1e2eceaf8f0eac502a7c",
     8: "7c74af34345a91779c46ba86eaed3e1fcbed43f78c14921fcc92c51c9c84c55f",
 }
+# n = 9, 10, 12 captured while columns were still back-substituted from
+# monomial products against the Q basis
+_TABLE_DIGESTS.update({
+    9: "aeaccf60f75f267887069fbab284451291ecfcd17e83ba18592d9bb2a4932c7d",
+    10: "a1a4d8e890da1c210b9787e8f50b25430a49428360e816531df21fec9998e7ca",
+    12: "8ce5ba58a5bbfbbf9cb80b729c7c52cac317169a20189bb6c531e441f31ac1bd",
+})
 
 
 @pytest.mark.parametrize("n", sorted(_TABLE_DIGESTS))

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import spinhecke
-from spinhecke import cli, tensor_oracle
+from spinhecke import cli, spin_hecke, tensor_oracle
 from spinhecke.cli import run
 from spinhecke.scalars import I
 
@@ -135,6 +135,21 @@ def test_oracle_suite_catches_a_missing_sign_crossing(capsys, monkeypatch):
     assert line.endswith(" leaked") and "quadratic" not in line
 
 
+def test_spin_suite_rechecks_the_closed_form(capsys, monkeypatch):
+    # a closed form off by a sign at p = 3 must fail the recheck against the
+    # reduction, naming p
+    exact = spin_hecke._cycle_vector
+
+    def wrong(p):
+        vec = exact(p)
+        return {nu: [-c for c in coeff] for nu, coeff in vec.items()} if p == 3 else vec
+
+    monkeypatch.setattr(spin_hecke, "_cycle_vector", wrong)
+    code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "spin")
+    assert code == 1
+    assert "FAIL - spin closed-form cycle vectors: differs from the reduction at p=3" in out
+
+
 def test_verify_output_is_deterministic(capsys):
     first = invoke(capsys, "verify", "--n", "2", "--suite", "core", "--seed", "5")
     second = invoke(capsys, "verify", "--n", "2", "--suite", "core", "--seed", "5")
@@ -206,6 +221,35 @@ def test_reduction_and_spin_routes_golden_stdout(capsys, argv):
     assert code == 0
     assert out.strip() not in ("0", "")
     assert hashlib.sha256(out.encode()).hexdigest() == _ROUTE_DIGESTS[argv]
+
+
+# sha256 of stdout, captured while every spin column was still the reduction
+# of its canonical class word's R-image
+_SPIN_DIGESTS = {
+    "schur-elements --n 8 --spin": (
+        "72e1757cdc5fb20a07a70a579dba5f680ba53cbf8fa720c29da367575b0af8ac"
+    ),
+    "schur-elements --n 9 --spin": (
+        "592a5f2a4c077415a762b4125bf74cb647c7a31273fb52f937d0db16e8ccbd58"
+    ),
+    "schur-elements --n 10 --spin": (
+        "20595a6f26b236fd1fd2f4a52165aed20edd2affbbf46fdcc4b0d8bb9779ca1f"
+    ),
+    "spin-class-poly --n 8 --word 2,1,3,2,3,1,5,4,5,4": (
+        "541b85ddcd786dd8d47ca002bdfe8ce214543a03294c590e676cbb48233da589"
+    ),
+    "gimel --n 8 --spin --word 1,2,7,6,1,2,7,6": (
+        "6cdc81ac1a69a1cacdc3ac0964f79baa5239815ce1cf123eb20960cc893e1e3c"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_SPIN_DIGESTS))
+def test_spin_route_golden_stdout_at_higher_rank(capsys, command):
+    code, out, _ = invoke(capsys, *command.split())
+    assert code == 0
+    assert out.strip() not in ("0", "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _SPIN_DIGESTS[command]
 
 
 # -- error paths ---------------------------------------------------------------

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from spinhecke._linalg import column_rank, solve_exact
-from spinhecke.characters import character_value
+from spinhecke.characters import character_values
 from spinhecke.combinatorics import enumerate_partitions, reduced_word, w_gamma
 from spinhecke.hecke_clifford import T_gen, c_gen, multiply, one
 from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO, sc_int
 from spinhecke.spin_hecke import (
     R_element,
     canonical_class_word,
+    class_word_vector,
     delta_minus,
     dim_clifford_module,
     gimel_minus,
@@ -20,7 +21,7 @@ from spinhecke.spin_hecke import (
     verify_iso,
     verify_trace_vanishing,
 )
-from spinhecke.traces import zero_vector
+from spinhecke.traces import reduce, zero_vector
 
 V1 = V - ONE
 
@@ -32,7 +33,7 @@ def spin_character_value(lam, h):
     n = h.n
     halving = n % 2 == 1 and len(lam) % 2 == 0
     scale = (TWO if halving else ONE) / sc_int(dim_clifford_module(n))
-    return scale * character_value(lam, h)
+    return scale * character_values(h)[tuple(lam)]
 
 
 # -- the embedding ------------------------------------------------------------
@@ -193,6 +194,25 @@ def test_class_polynomial_trace_property():
             a = [rng.randrange(1, n) for _ in range(rng.randrange(1, 4))]
             b = [rng.randrange(1, n) for _ in range(rng.randrange(1, 4))]
             assert spin_class_polynomials(a + b, n) == spin_class_polynomials(b + a, n)
+
+
+# -- closed-form class vectors ----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_closed_form_class_vectors_match_the_reduction(n):
+    # the p-cycle closed form and the product rule over the parts, against
+    # the reduction of R(canonical class word) for every odd nu
+    for nu in enumerate_partitions(n, "odd"):
+        expected = reduce(R_element(canonical_class_word(nu), n))
+        assert class_word_vector(nu) == expected, nu
+
+
+def test_closed_form_three_cycle():
+    # (-1)^k Cat_k 2^(p-l) (v-1)^(l-1) l!/prod m_i! at p = 3
+    vec = class_word_vector((3,))
+    assert vec[(3,)] == sc_int(4)
+    assert vec[(1, 1, 1)] == MINUS_ONE * V1**2
 
 
 # -- spin characters and Schur elements -------------------------------------------

@@ -7,21 +7,22 @@ from collections import Counter
 
 import pytest
 
+from _monomial_g_tilde import delta, g_tilde, g_tilde_one_part
 from _orbits import from_exponents
 from spinhecke._linalg import column_rank, solve_exact, solve_triangular
 from spinhecke.combinatorics import enumerate_partitions
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_int, sc_parse
 from spinhecke.symfunc import (
-    delta,
+    _strips,
     expand_in_Q,
-    g_tilde,
-    g_tilde_one_part,
+    g_tilde_in_Q,
     monomial,
     one_poly,
     principal_specialization_Q,
     principal_specialization_g_tilde,
     product,
     q_basis,
+    q_whole,
     schur_q,
     zero_poly,
 )
@@ -178,6 +179,52 @@ def test_generating_series_matches_closed_form(n):
     for r in range(1, n + 1):
         got = from_exponents(n, r, series[r])
         assert got == g_tilde_one_part(r, n).scale(V_MINUS_1), r
+
+
+# ---------------------------------------------------------------------------
+# the Pieri route against the monomial reference
+
+
+@pytest.mark.parametrize("total", range(1, 8))
+def test_pieri_strips_match_monomial_products(total):
+    # Q_mu q_r = sum 2^e Q_lambda, checked against the Q-expansion of the
+    # monomial product for every strict mu and r with |mu| + r = total
+    for size in range(total + 1):
+        for mu in enumerate_partitions(size, "strict"):
+            r = total - size
+            expected = expand_in_Q(schur_q(mu, total) * q_whole(r, total))
+            got = {lam: sc_int(2**e) for lam, e in _strips(mu, r)}
+            assert got == expected, (mu, r)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pieri_columns_match_monomial_g_tilde(n):
+    memo = {}
+    for nu in enumerate_partitions(n, "odd"):
+        assert g_tilde_in_Q(nu, memo) == expand_in_Q(g_tilde(nu, n)), nu
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pieri_columns_of_any_partition(n):
+    # the product rule holds for even parts too, as the specialization uses
+    for mu in enumerate_partitions(n):
+        assert g_tilde_in_Q(mu) == expand_in_Q(g_tilde(mu, n)), mu
+
+
+def test_one_part_vector_is_two_row():
+    # g-tilde_(r) = sum over a > b >= 0, a + b = r of
+    # (-1)^(r-1) (-v)^b [a-b]_(-v) Q_(a,b)
+    for r in range(1, 11):
+        expected = {}
+        for b in range((r + 1) // 2):
+            a = r - b
+            bracket = ZERO
+            for j in range(a - b):
+                bracket = bracket + (MINUS_ONE * V) ** j
+            expected[(a, b) if b else (a,)] = (
+                MINUS_ONE ** (r - 1) * (MINUS_ONE * V) ** b * bracket
+            )
+        assert g_tilde_in_Q((r,)) == expected, r
 
 
 # ---------------------------------------------------------------------------

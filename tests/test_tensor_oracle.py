@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from _monomial_g_tilde import delta, g_tilde
 from _orbits import from_exponents
 from spinhecke.combinatorics import enumerate_partitions, reduced_word
 from spinhecke.hecke_clifford import build_T_w, from_word, one, parse_element
 from spinhecke.scalars import HALF, I, MINUS_ONE, ONE, TWO, U, V, ZERO
-from spinhecke.symfunc import delta, g_tilde
 from spinhecke.tensor_oracle import (
     OracleReport,
     TensorSpace,
