@@ -10,20 +10,25 @@ division is exact, and each entry stays a minor of the cleared matrix.  The
 pivot may sit in any column not pivoted yet (`_choose_pivot`).  A unique
 solution comes out of one fraction-free back-substitution as polynomials
 y_j = D x_j, D the last pivot, and each unknown costs one division
-x_j = y_j / D at the end.
+x_j = y_j / D at the end.  The entries are polynomials over Z[i], so each
+step's division is exact over Z[i][u]: `_exact` pseudo-divides on int parts
+with scale 1.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .scalars import GaussianRational, Scalar, UP_ONE, UPoly, _acc, _const_den
+from .scalars import GaussianRational, Scalar, UP_ONE, UPoly, _acc, _const_den, _lead_factor
 
 
 def _exact(x: UPoly, d: UPoly) -> UPoly:
-    """x / d for a d that divides x; a remainder means a broken invariant."""
-    q, rest = x.divmod(d)
-    if not rest.is_zero():
+    """x / d for a d that divides x over Z[i][u], by pseudo-division once d
+    leads with a positive int; a remainder or a scale means a broken invariant."""
+    if (c := _lead_factor(d)) is not None:
+        x, d = x.scale(c), d.scale(c)
+    q, rest, s = x.divmod(d)
+    if rest.coeffs or s != 1:
         raise ArithmeticError("inexact division in fraction-free elimination")
     return q
 

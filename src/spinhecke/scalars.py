@@ -17,18 +17,21 @@ float argument raises TypeError.
 
 Canonical form
 --------------
-* numerator and denominator are coprime (monic gcd divided out) and have
-  Gaussian-integer coefficients;
+* numerator and denominator are coprime and have Gaussian-integer
+  coefficients;
 * the denominator is m*d, where d has integer content 1 and a positive
-  integer leading coefficient, and m >= 1 is the lcm of the denominators the
-  numerator would have over d: no integer above 1 divides the numerator's
-  content and m together.  A polynomial with integer coefficients has
-  denominator 1, one with half-integer coefficients the constant 2.
+  integer leading coefficient, and no integer above 1 divides the
+  numerator's content and m together.  A polynomial with integer
+  coefficients has denominator 1, one with half-integer coefficients the
+  constant 2.
 
-A denominator that is a constant (1 or m) makes `+`, `*` and `/` by a
-constant one integer gcd; Euclid over Q(i)[u] runs only for a denominator of
-positive degree.  The hash is that of (num/c, den/c) for the integer content
-c of den, which is the pair of the form whose denominator is d.
+One function, `_over`, makes this form on int parts, with no `Fraction`: it
+divides out a gcd taken by a primitive remainder sequence (`UPoly.gcd`),
+multiplies by the conjugate of the denominator's leading coefficient, and
+divides by the gcd of all int parts, which fixes the scale once that lead is
+a positive int.  A constant denominator takes the last step only: one
+integer gcd.  The hash is that of (num/c, den/c) for the integer content c
+of den, which is the pair of the form whose denominator is d.
 
 Rendering
 ---------
@@ -58,8 +61,8 @@ class GaussianRational:
     Each part is an `int` when it is integral and a `Fraction` (denominator
     at least 2) otherwise, so equal numbers have equal parts.  The
     coefficients of a canonical `Scalar` have int parts only; a `Fraction`
-    part arises only inside Euclid and part division, and in the values a
-    caller hands to the `Scalar` constructor.  A float part is refused.
+    part arises only in the values `Scalar.specialize` computes and in those
+    a caller builds.  A float part is refused.
     """
 
     __slots__ = ("re", "im")
@@ -113,13 +116,11 @@ class GaussianRational:
         GaussianRational(Fraction(1, 2), Fraction(-1, 2))
         """
         c, d = other.re, other.im
-        if not d:
-            if not c:
-                raise ZeroDivisionError("zero denominator")
-            return _gr(_quotient(self.re, c), _quotient(self.im, c))
         norm = c * c + d * d
+        if not norm:
+            raise ZeroDivisionError("zero denominator")
         a, b = self.re, self.im
-        return _gr(_quotient(a * c + b * d, norm), _quotient(b * c - a * d, norm))
+        return _gr(Fraction(a * c + b * d, norm), Fraction(b * c - a * d, norm))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -135,16 +136,6 @@ def _part(x: Rat) -> Rat:
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an int or a Fraction, not {type(x).__name__}")
-
-
-def _quotient(x: Rat, y: Rat) -> Rat:
-    """x / y exactly: an int when y divides x, else a Fraction (which
-    `_gr` turns back into an int when its denominator is 1)."""
-    if x.__class__ is int and y.__class__ is int:
-        q, r = divmod(x, y)
-        if not r:
-            return q
-    return Fraction(x, y)
 
 
 def _gr(re: Rat, im: Rat) -> GaussianRational:
@@ -172,14 +163,6 @@ class UPoly:
     def __init__(self, coeffs: dict):
         self.coeffs = {e: c for e, c in coeffs.items() if c}
 
-    @staticmethod
-    def const(c: GaussianRational) -> "UPoly":
-        return UPoly({0: c}) if c else UPoly({})
-
-    @staticmethod
-    def mono(e: int, c: GaussianRational = GR_ONE) -> "UPoly":
-        return UPoly({e: c})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -197,9 +180,6 @@ class UPoly:
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention here
         return max(self.coeffs) if self.coeffs else -1
-
-    def leading(self) -> GaussianRational:
-        return self.coeffs[max(self.coeffs)]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UPoly) and self.coeffs == other.coeffs
@@ -261,39 +241,55 @@ class UPoly:
         return res
 
     def divmod(self, other: "UPoly") -> tuple:
-        """Long division: self = q*other + r with deg r < deg other."""
-        if other.is_zero():
+        """Pseudo-division on int parts by an `other` that leads with a
+        positive int L: (q, r, s) with s*self = q*other + r, deg r < deg other
+        and s a power of L.  A step scales by L only when L does not divide
+        the leading parts, so s = 1 whenever other divides self over Z[i][u]."""
+        if not other.coeffs:
             raise ZeroDivisionError("zero denominator")
+        top = max(other.coeffs)
+        lead = other.coeffs[top]
+        big = lead.re
+        if lead.im or big <= 0:
+            raise ValueError("the divisor must lead with a positive int")
+        tail = [(e - top, c.re, c.im) for e, c in other.coeffs.items() if e != top]
+        re = {e: c.re for e, c in self.coeffs.items()}
+        im = {e: c.im for e, c in self.coeffs.items()}
         q: dict = {}
-        r = dict(self.coeffs)
-        dlead = max(other.coeffs)
-        dcoef = other.coeffs[dlead]
-        while r:
-            e = max(r)
-            if e < dlead:
-                break
-            f = r[e] / dcoef
-            q[e - dlead] = f
-            for oe, oc in other.coeffs.items():
-                te = e - dlead + oe
-                s = r.get(te, GR_ZERO) - f * oc
-                if s:
-                    r[te] = s
-                elif te in r:
-                    del r[te]
-        return UPoly(q), UPoly(r)
+        s = 1
+        for e in range(max(re, default=-1), top - 1, -1):
+            a = re.pop(e, 0)
+            b = im.pop(e, 0)
+            if not (a or b):
+                continue
+            if a % big or b % big:
+                for k in re:
+                    re[k] *= big
+                    im[k] *= big
+                for k, (x, y) in q.items():
+                    q[k] = (x * big, y * big)
+                s *= big
+            else:
+                a //= big
+                b //= big
+            q[e - top] = (a, b)
+            for off, c, d in tail:
+                k = e + off
+                re[k] = re.get(k, 0) - a * c + b * d
+                im[k] = im.get(k, 0) - a * d - b * c
+        quot = _new(UPoly)
+        quot.coeffs = {k: _gr(x, y) for k, (x, y) in q.items()}
+        rest = _new(UPoly)
+        rest.coeffs = {k: _gr(x, im[k]) for k, x in re.items() if x or im[k]}
+        return quot, rest, s
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        """Monic greatest common divisor (Euclid)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        lead = a.leading()
-        if lead == GR_ONE:
-            return a
-        return a.scale(GR_ONE / lead)
+        """A greatest common divisor over Q(i)[u], by a primitive remainder
+        sequence on int parts: primitive as `_primitive` makes it."""
+        a, b = _primitive(self), _primitive(other)
+        while b.coeffs:
+            a, b = b, _primitive(a.divmod(b)[1])
+        return a
 
     def evaluate(self, u0: GaussianRational) -> GaussianRational:
         acc = GR_ZERO
@@ -313,17 +309,41 @@ UP_ZERO = UPoly({})
 UP_ONE = UPoly({0: GR_ONE})
 
 
-def _rational_content(p: UPoly) -> tuple:
-    """Positive integers (g, m) with p*m/g having integer re/im parts of
-    gcd 1: g is the gcd of the numerators, m the lcm of the denominators."""
-    num_g = 0
-    den_l = 1
+def _lead_factor(p: UPoly):
+    """The GaussianRational c that makes c times the leading coefficient of p
+    a positive int (the conjugate of a non-real lead, -1 for a negative one),
+    or None when that lead is a positive int already."""
+    lead = p.coeffs[max(p.coeffs)]
+    if lead.im:
+        return _gr(lead.re, -lead.im)
+    return None if lead.re > 0 else _gr(-1, 0)
+
+
+def _content(g: int, p: UPoly) -> int:
+    """gcd of g and every int part of p."""
     for c in p.coeffs.values():
-        for part in (c.re, c.im):
-            if part:
-                num_g = _intgcd(num_g, part.numerator)
-                den_l = den_l * part.denominator // _intgcd(den_l, part.denominator)
-    return (num_g or 1), den_l
+        g = _intgcd(g, c.re, c.im)
+        if g == 1:
+            break
+    return g
+
+
+def _divide_parts(p: UPoly, g: int) -> UPoly:
+    """p with every part divided by the int g, which divides them all."""
+    res = _new(UPoly)
+    res.coeffs = {e: _gr(c.re // g, c.im // g) for e, c in p.coeffs.items()}
+    return res
+
+
+def _primitive(p: UPoly) -> UPoly:
+    """p times the constant that makes it lead with a positive int and the
+    gcd of its int parts 1; zero stays zero."""
+    if not p.coeffs:
+        return p
+    if (c := _lead_factor(p)) is not None:
+        p = p.scale(c)
+    g = _content(0, p)
+    return p if g == 1 else _divide_parts(p, g)
 
 
 def _const_den(den: UPoly) -> int:
@@ -347,27 +367,40 @@ def _unit(coeffs: dict) -> int:
     return 0
 
 
-def _over(num: UPoly, k: int) -> "Scalar":
-    """The canonical Scalar num / k, for num with int parts and an int k != 0:
-    one integer gcd, with no polynomial Euclid."""
+def _over(num: UPoly, den) -> "Scalar":
+    """The canonical Scalar num / den, for num with int parts and den a
+    non-zero int or a UPoly with int parts.
+
+    A den of positive degree first loses its gcd with num: both are
+    pseudo-divided by it, and the two scales cross-multiplied.  den is then
+    made to lead with a positive int, and last num and den are divided by
+    the gcd of all their int parts.  An int den takes the last step only:
+    one integer gcd.
+    """
     if not num.coeffs:
         return ZERO
-    if k < 0:
-        num, k = -num, -k
-    if k != 1:
-        g = k
-        for c in num.coeffs.values():
-            g = _intgcd(g, c.re, c.im)
-            if g == 1:
-                break
-        if g != 1:
-            k //= g
-            res = _new(UPoly)
-            res.coeffs = {e: _gr(c.re // g, c.im // g) for e, c in num.coeffs.items()}
-            num = res
-    if k == 1:
-        return Scalar(num, UP_ONE, _canonical=True)
-    return Scalar(num, UPoly({0: GaussianRational(k)}), _canonical=True)
+    if den.__class__ is not int:
+        if den.degree() > 0 and (g := num.gcd(den)).degree() > 0:
+            num, _, s = num.divmod(g)
+            den, _, t = den.divmod(g)
+            if s != t:
+                num, den = num.scale(_gr(t, 0)), den.scale(_gr(s, 0))
+        if (c := _lead_factor(den)) is not None:
+            num, den = num.scale(c), den.scale(c)
+        if not den.degree():
+            den = den.coeffs[0].re
+    if den.__class__ is int:
+        if den < 0:
+            num, den = -num, -den
+        g = den
+    else:
+        g = _content(0, den)
+    if g != 1 and (g := _content(g, num)) != 1:
+        num = _divide_parts(num, g)
+        den = den // g if den.__class__ is int else _divide_parts(den, g)
+    if den.__class__ is int:
+        den = UP_ONE if den == 1 else UPoly({0: GaussianRational(den)})
+    return Scalar(num, den, _canonical=True)
 
 
 class Scalar:
@@ -376,52 +409,28 @@ class Scalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: UPoly, den: UPoly = UP_ONE, *, _canonical: bool = False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = UP_ZERO
-            self.den = UP_ONE
-            return
-        if den.degree() > 0:
-            g = num.gcd(den)
-            if not g.is_one():
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        # reduced pairs differ by a constant factor; kill it by passing
-        # through the (unique) monic denominator, make that primitive with
-        # Gaussian-integer parts, then move the lcm of the numerator's part
-        # denominators into both
-        lead = den.leading()
-        if lead != GR_ONE:
-            inv = GR_ONE / lead
-            den = den.scale(inv)
-            num = num.scale(inv)
-        g, m = _rational_content(den)
-        if g != m:
-            inv = GaussianRational(Fraction(m, g))
-            den = den.scale(inv)
-            num = num.scale(inv)
-        _, m = _rational_content(num)
-        if m != 1:
-            inv = GaussianRational(m)
-            den = den.scale(inv)
-            num = num.scale(inv)
+        if not _canonical:
+            if not den.coeffs:
+                raise ZeroDivisionError("zero denominator")
+            parts = [x for p in (num, den) for c in p.coeffs.values() for x in (c.re, c.im)]
+            if any(x.__class__ is not int for x in parts):
+                raise TypeError("Scalar parts must be ints; rationals enter by from_rational")
+            value = _over(num, den)
+            num, den = value.num, value.den
         self.num = num
-        self.den = UP_ONE if den.is_one() else den
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_int(k: int) -> "Scalar":
-        return Scalar(UPoly.const(GaussianRational(k)), UP_ONE, _canonical=True)
+        return Scalar(UPoly({0: GaussianRational(k)}), UP_ONE, _canonical=True)
 
     @staticmethod
     def from_rational(q: Rat) -> "Scalar":
-        return Scalar(UPoly.const(GaussianRational(q)))
+        """The int or Fraction q as its numerator over its denominator."""
+        q = _part(q)
+        return _over(UPoly({0: GaussianRational(q.numerator)}), q.denominator)
 
     @staticmethod
     def from_v_ints(coeffs) -> "Scalar":
@@ -437,8 +446,8 @@ class Scalar:
     def v_power(k: int) -> "Scalar":
         """v**k as a Scalar, for any integer k (negative gives 1/v**|k|)."""
         if k >= 0:
-            return Scalar(UPoly.mono(2 * k), UP_ONE, _canonical=True)
-        return Scalar(UP_ONE, UPoly.mono(-2 * k), _canonical=True)
+            return Scalar(UPoly({2 * k: GR_ONE}), UP_ONE, _canonical=True)
+        return Scalar(UP_ONE, UPoly({-2 * k: GR_ONE}), _canonical=True)
 
     # -- predicates --------------------------------------------------------
 
@@ -461,9 +470,7 @@ class Scalar:
     def __hash__(self):
         # the hash of the pair with den's integer content c divided out, so
         # it equals the hash of the form whose denominator had content 1
-        c = 0
-        for part in self.den.coeffs.values():
-            c = _intgcd(c, part.re, part.im)
+        c = _content(0, self.den)
         if c == 1:
             return hash((self.num, self.den))
         inv = GaussianRational(Fraction(1, c))
@@ -488,8 +495,8 @@ class Scalar:
             b = other.num if k == k2 else other.num.scale(_gr(k // k2, 0))
             return _over(a + b, k)
         if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+            return _over(self.num + other.num, self.den)
+        return _over(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -511,25 +518,12 @@ class Scalar:
             if k1 == 1 and k2 == 1:
                 return Scalar(self.num * other.num, UP_ONE, _canonical=True)
             return _over(self.num * other.num, k1 * k2)
-        return Scalar(self.num * other.num, self.den * other.den)
+        return _over(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.num.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if self.num.is_zero():
-            return ZERO
-        k1 = _const_den(self.den)
-        c = other.num.coeffs.get(0)
-        if k1 and c is not None and len(other.num.coeffs) == 1:
-            k2 = _const_den(other.den)
-            if k2:
-                # (num/k1) / (c/k2) = num*k2*conj(c) / (k1*|c|^2)
-                if c.im:
-                    top = self.num.scale(_gr(k2 * c.re, -k2 * c.im))
-                    return _over(top, k1 * (c.re * c.re + c.im * c.im))
-                top = self.num if k2 == 1 else self.num.scale(_gr(k2, 0))
-                return _over(top, k1 * c.re)
-        return Scalar(self.num * other.den, self.den * other.num)
+        return _over(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -803,8 +797,8 @@ ONE = Scalar(UP_ONE, UP_ONE, _canonical=True)
 TWO = Scalar.from_int(2)
 MINUS_ONE = Scalar.from_int(-1)
 V = Scalar.v_power(1)
-U = Scalar(UPoly.mono(1), UP_ONE, _canonical=True)
-I = Scalar(UPoly.const(GaussianRational(0, 1)), UP_ONE, _canonical=True)
+U = Scalar(UPoly({1: GR_ONE}), UP_ONE, _canonical=True)
+I = Scalar(UPoly({0: GaussianRational(0, 1)}), UP_ONE, _canonical=True)
 HALF = Scalar.from_rational(Fraction(1, 2))
 V_MINUS_1 = V - ONE
 

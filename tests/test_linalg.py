@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from spinhecke._linalg import _bareiss, _polynomial_row, column_rank, solve_exact
+from spinhecke._linalg import _bareiss, _exact, _polynomial_row, column_rank, solve_exact
 from spinhecke.scalars import I, MINUS_ONE, ONE, Scalar, TWO, U, V, ZERO, sc_int, sc_parse
 
 
@@ -197,3 +197,16 @@ def test_constant_denominators():
     rows = [[half, third], [sc_parse("1/4"), ONE]]
     rhs = [ONE, sc_parse("1/6")]
     assert solve_exact(rows, rhs) == reference_solve(rows, rhs)
+
+
+def test_exact_division_refuses_an_inexact_quotient():
+    u_plus_1 = (U + ONE).num
+    # a remainder: v+1 = (u+1)(u-1) + 2
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        _exact((V + ONE).num, u_plus_1)
+    # exact over Q(i) but not over Z[i]: (u+1)/(2u+2) = 1/2
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        _exact(u_plus_1, (TWO * (U + ONE)).num)
+    # a divisor with a non-real lead is conjugated first
+    d = ((ONE + I) * U + sc_int(3)).num
+    assert _exact((U - I).num * d, d) == (U - I).num

@@ -90,6 +90,22 @@ def test_every_defined_function_is_named_elsewhere():
     assert {name: where for name, where in defined.items() if name not in named} == {}
 
 
+def test_perfbench_tracer_installs():
+    # the tracer wraps UPoly.gcd and UPoly.divmod by name and reads the memo
+    # tables of traces and hecke_clifford, all from outside the package
+    code = "import tracer; tracer.install(tracer.Tracer()); tracer.memo_sizes()"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=PERFBENCH[0].parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
     # the oracle's traces must not reuse g-tilde, the reduction or the
     # Frobenius columns; it takes only the SymPoly container and the step

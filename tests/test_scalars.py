@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _euclid_reference import euclid_canonical
 from spinhecke.scalars import (
     HALF,
     I,
@@ -21,6 +22,7 @@ from spinhecke.scalars import (
     GaussianRational,
     Scalar,
     ScalarParseError,
+    UPoly,
     half,
     sc_int,
     sc_parse,
@@ -261,7 +263,7 @@ def test_denominator_normalization(a):
 @settings(max_examples=100, deadline=None)
 def test_constant_denominator_path_matches_the_gcd_path(a, b, k):
     # the same sum and product with num and den both times v+1: the
-    # constructor must run Euclid to cancel it
+    # constructor must cancel it by the polynomial gcd
     if a.den.degree() or b.den.degree():
         return
     a = a / sc_int(k)
@@ -270,6 +272,91 @@ def test_constant_denominator_path_matches_the_gcd_path(a, b, k):
     assert Scalar((a.num * b.den + b.num * a.den) * w, a.den * b.den * w) == a + b
     if not b.is_zero() and not b.num.degree():
         assert Scalar(a.num * b.den * w, a.den * b.num * w) == a / b
+
+
+def _gaussian_poly(*coeffs) -> UPoly:
+    """sum_k coeffs[k] u^k for (re, im) pairs coeffs[k]."""
+    return UPoly({k: GaussianRational(*c) for k, c in enumerate(coeffs)})
+
+
+# (1+i)u+3 leads with a non-real coefficient; 5u+(2+i) = (2+i)((2-i)u+1) has
+# Gaussian content 2+i, so dividing by the primitive gcd of a pair that
+# shares (2-i)u+1 is exact over Q(i) only
+COMMON_FACTORS = [
+    _gaussian_poly((1, 0)),
+    _gaussian_poly((3, 0), (1, 1)),
+    _gaussian_poly((2, 1), (5, 0)),
+    _gaussian_poly((1, 0), (2, -1)),
+    _gaussian_poly((0, 2), (0, 0), (4, 0)),
+    _gaussian_poly((-1, 0), (0, 0), (1, 0)),
+]
+
+
+@st.composite
+def gaussian_polys(draw, nonzero: bool = False):
+    """Polynomials in u of degree <= 3 with small Gaussian-integer parts."""
+    part = st.integers(-5, 5)
+    coeffs = draw(
+        st.dictionaries(st.integers(0, 3), st.tuples(part, part), min_size=int(nonzero), max_size=4)
+    )
+    poly = UPoly({e: GaussianRational(*c) for e, c in coeffs.items()})
+    return poly if poly.coeffs or not nonzero else _gaussian_poly((1, 1))
+
+
+@st.composite
+def gaussian_pairs(draw):
+    """(num, den) sharing a factor drawn from COMMON_FACTORS or at random,
+    each times one more factor from COMMON_FACTORS, which may be an
+    associate of the other's."""
+    shared = draw(st.one_of(st.sampled_from(COMMON_FACTORS), gaussian_polys(nonzero=True)))
+    num = draw(st.one_of(st.just(UPoly({})), gaussian_polys())) * shared
+    den = draw(gaussian_polys(nonzero=True)) * shared
+    extra = st.sampled_from(COMMON_FACTORS)
+    return num * draw(extra), den * draw(extra)
+
+
+@given(gaussian_pairs())
+@settings(max_examples=300, deadline=None)
+def test_primitive_gcd_form_matches_the_euclid_reference(pair):
+    num, den = pair
+    value = Scalar(num, den)
+    assert (value.num, value.den) == euclid_canonical(num, den)
+
+
+def test_euclid_reference_cases():
+    # ((2-i)u+1) / (5u+2+i) = 1/(2+i) = (2-i)/5, though the primitive gcd
+    # 5u+2+i does not divide the numerator over Z[i]
+    num = _gaussian_poly((1, 0), (2, -1))
+    den = _gaussian_poly((2, 1), (5, 0))
+    value = Scalar(num, den)
+    assert value.render() == "(2-i)/5"
+    assert (value.num, value.den) == euclid_canonical(num, den)
+    assert Scalar(UPoly({}), den) == ZERO
+
+
+def test_canonical_forms_build_no_fraction(monkeypatch):
+    from spinhecke.spin_hecke import spin_schur_elements
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr("spinhecke.scalars.Fraction", refuse)
+    assert len(spin_schur_elements(7)) == 5
+    value = sc_parse("(2*u-i)/((1+i)*u+3) + 1/(5*u+2+i)")
+    assert value.render() == "((10-10*i)*v+(3-7*i)*u+(2-6*i))/(10*v+(19-13*i)*u+(9-3*i))"
+
+
+def test_constructor_refuses_parts_that_are_not_ints():
+    half_part = UPoly({0: GaussianRational(Fraction(1, 2))})
+    with pytest.raises(TypeError, match="parts must be ints"):
+        Scalar(half_part)
+    with pytest.raises(TypeError, match="parts must be ints"):
+        Scalar(V.num, half_part)
+    float_part = GaussianRational(1)
+    float_part.im = 0.5  # past GaussianRational's own check
+    with pytest.raises(TypeError, match="parts must be ints"):
+        Scalar(UPoly({1: float_part}))
+    assert Scalar.from_rational(Fraction(-6, 4)) == sc_parse("-3/2")
 
 
 # ---------------------------------------------------------------------------
