@@ -37,6 +37,7 @@ from .hecke_clifford import (
 )
 from .scalars import MINUS_ONE, ONE, V, V_MINUS_1, ZERO
 from .spin_hecke import (
+    R_class_vector,
     R_element,
     canonical_class_word,
     class_word_vector,
@@ -288,7 +289,7 @@ def _suite_spin(args):
     bad = [
         p
         for p in range(1, min(args.n, 9) + 1, 2)
-        if class_word_vector((p,)) != reduce(R_element(canonical_class_word((p,)), p))
+        if class_word_vector((p,)) != R_class_vector(canonical_class_word((p,)), p)
     ]
     detail = f"differs from the reduction at p={bad[0]}" if bad else ""
     checks.append(("spin closed-form cycle vectors", not bad, detail))

@@ -21,6 +21,13 @@ left, _rmul_T and _rmul_c on the right.  The relations that move T_j across
 c_j and c_{j+1} are written once, in _lmul_T: _rmul_c pushes c_k left through
 T_sigma by left-multiplying T_{s_j sigma} c_k by T_j, one left descent j of
 sigma at a time.
+
+Every structure constant of these products lies in Z[v], so the generator
+products work on raw terms whose coefficients are integer polynomials in v,
+held as ascending int tuples (the `_poly_*` helpers of scalars); the memo of
+Clifford pushes holds them too.  A Scalar coefficient is applied only at the
+public boundary: one product per output term of from_word and multiply,
+whose action is linear over the terms of b that share a coefficient.
 """
 
 from __future__ import annotations
@@ -33,14 +40,21 @@ from .combinatorics import (
     left_descents,
     left_mul_s,
     perm_identity,
-    perm_inverse,
     reduced_word,
     right_mul_s,
     w_gamma,
 )
-from .scalars import ONE, Scalar, ScalarParseError, V, V_MINUS_1, _acc, sc_int, sc_parse
-
-_MINUS_VM1 = -V_MINUS_1
+from .scalars import (
+    ONE,
+    Scalar,
+    ScalarParseError,
+    _acc,
+    _poly_acc,
+    _poly_mul,
+    _poly_scale,
+    sc_int,
+    sc_parse,
+)
 
 
 class AlgebraElement:
@@ -153,66 +167,58 @@ def c_gen(n: int, k: int) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# generator multiplication on raw term dicts
+# generator multiplication on raw term dicts {(sigma, cliff): int tuple}
 
-
-def _right_hecke(sigma, j):
-    """T_sigma * T_j as [(perm, coeff), ...]."""
-    if sigma[j - 1] < sigma[j]:
-        return [(right_mul_s(sigma, j), ONE)]
-    return [(sigma, V_MINUS_1), (right_mul_s(sigma, j), V)]
-
-
-def _left_hecke(j, sigma):
-    """T_j * T_sigma as [(perm, coeff), ...]."""
-    inv = perm_inverse(sigma)
-    if inv[j - 1] < inv[j]:
-        return [(left_mul_s(j, sigma), ONE)]
-    return [(sigma, V_MINUS_1), (left_mul_s(j, sigma), V)]
+_ONE = (1,)
+_VM1 = (-1, 1)  # v - 1
 
 
 def _rmul_T(terms: dict, j: int) -> dict:
     acc: dict = {}
-    for (sigma, cliff), coeff in terms.items():
-        for tau, s in _right_hecke(sigma, j):
-            _acc(acc, (tau, cliff), coeff * s)
+    for (sigma, cliff), p in terms.items():
+        tau = right_mul_s(sigma, j)
+        if sigma[j - 1] < sigma[j]:
+            _poly_acc(acc, (tau, cliff), p)
+        else:
+            _poly_acc(acc, (sigma, cliff), _poly_mul(_VM1, p))
+            _poly_acc(acc, (tau, cliff), (0, *p))  # v p
     return acc
 
 
 def _lmul_c(terms: dict, k: int) -> dict:
+    # C_I -> c_k C_I is a bijection on the keys, so nothing merges
     acc: dict = {}
-    for (sigma, cliff), coeff in terms.items():
+    for (sigma, cliff), p in terms.items():
         if sum(1 for e in cliff if e < k) % 2:
-            coeff = -coeff
-        _acc(acc, (sigma, cliff ^ {k}), coeff)
+            p = _poly_scale(p, -1)
+        acc[(sigma, cliff ^ {k})] = p
     return acc
 
 
 def _lmul_T(terms: dict, j: int) -> dict:
-    # passing T_j through C_I before the Hecke step on sigma; the four cases
-    # follow from T_j c_j = c_{j+1} T_j and its mirror
+    # passing T_j through C_I before the Hecke step T_j T_sigma; the four
+    # cases follow from T_j c_j = c_{j+1} T_j and its mirror
     acc: dict = {}
     pair = frozenset((j, j + 1))
-    for (sigma, cliff), coeff in terms.items():
+    for (sigma, cliff), p in terms.items():
         inter = cliff & pair
-        if not inter:
-            for tau, s in _left_hecke(j, sigma):
-                _acc(acc, (tau, cliff), coeff * s)
-        elif inter == frozenset((j,)):
-            swapped = cliff ^ pair
-            for tau, s in _left_hecke(j, sigma):
-                _acc(acc, (tau, swapped), coeff * s)
-        elif inter == frozenset((j + 1,)):
-            swapped = cliff ^ pair
-            for tau, s in _left_hecke(j, sigma):
-                _acc(acc, (tau, swapped), coeff * s)
-            _acc(acc, (sigma, cliff), coeff * V_MINUS_1)
-            _acc(acc, (sigma, swapped), coeff * _MINUS_VM1)
+        if len(inter) == 2:
+            vm1 = _poly_mul(_VM1, p)
+            _poly_acc(acc, (sigma, cliff - pair), vm1)
+            _poly_acc(acc, (sigma, cliff), vm1)
+            p = _poly_scale(p, -1)
+        elif inter:
+            if j + 1 in inter:
+                vm1 = _poly_mul(_VM1, p)
+                _poly_acc(acc, (sigma, cliff), vm1)
+                _poly_acc(acc, (sigma, cliff ^ pair), _poly_scale(vm1, -1))
+            cliff = cliff ^ pair
+        tau = left_mul_s(j, sigma)
+        if sigma.index(j) < sigma.index(j + 1):
+            _poly_acc(acc, (tau, cliff), p)
         else:
-            for tau, s in _left_hecke(j, sigma):
-                _acc(acc, (tau, cliff), -(coeff * s))
-            _acc(acc, (sigma, cliff - pair), coeff * V_MINUS_1)
-            _acc(acc, (sigma, cliff), coeff * V_MINUS_1)
+            _poly_acc(acc, (sigma, cliff), _poly_mul(_VM1, p))
+            _poly_acc(acc, (tau, cliff), (0, *p))  # v p
     return acc
 
 
@@ -225,7 +231,7 @@ def clear_push_memo() -> None:
 
 
 def _push_c_left(sigma, k: int) -> dict:
-    """T_sigma * c_k as normal-form terms {(tau, frozenset({m})): coeff}.
+    """T_sigma * c_k as normal-form terms {(tau, frozenset({m})): ints}.
 
     For the first left descent j of sigma, T_sigma = T_j T_{s_j sigma}, so the
     push is _lmul_T of the push through the shorter s_j sigma; _lmul_T keeps
@@ -236,7 +242,7 @@ def _push_c_left(sigma, k: int) -> dict:
     if cached is None:
         j = next(left_descents(sigma), None)
         if j is None:
-            cached = {(sigma, frozenset((k,))): ONE}
+            cached = {(sigma, frozenset((k,))): _ONE}
         else:
             cached = _lmul_T(_push_c_left(left_mul_s(j, sigma), k), j)
         _PUSH_MEMO[key] = cached
@@ -245,13 +251,31 @@ def _push_c_left(sigma, k: int) -> dict:
 
 def _rmul_c(terms: dict, k: int) -> dict:
     acc: dict = {}
-    for (sigma, cliff), coeff in terms.items():
+    for (sigma, cliff), p in terms.items():
         for (tau, letter), s in _push_c_left(sigma, k).items():
             (m,) = letter
-            val = coeff * s
+            val = _poly_mul(p, s)
             if sum(1 for e in cliff if e > m) % 2:
-                val = -val
-            _acc(acc, (tau, cliff ^ letter), val)
+                val = _poly_scale(val, -1)
+            _poly_acc(acc, (tau, cliff ^ letter), val)
+    return acc
+
+
+def _by_coeff(terms) -> dict:
+    """Scalar terms grouped as {c: raw terms of coefficient 1}."""
+    groups: dict = {}
+    for key, c in terms.items():
+        groups.setdefault(c, {})[key] = _ONE
+    return groups
+
+
+def _scalar_terms(groups: dict) -> dict:
+    """Scalar terms from {c: raw terms}: the sum over c of c times each int
+    polynomial in v, one product per (c, key)."""
+    acc: dict = {}
+    for c, terms in groups.items():
+        for key, p in terms.items():
+            _acc(acc, key, c * Scalar.from_v_ints(p))
     return acc
 
 
@@ -282,9 +306,9 @@ def from_word(n: int, word: Iterable, coeff: Scalar = ONE) -> AlgebraElement:
     """
     if isinstance(coeff, int):
         coeff = sc_int(coeff)
-    terms = {(perm_identity(n), frozenset()): coeff}
     if coeff.is_zero():
         return zero(n)
+    terms = {(perm_identity(n), frozenset()): _ONE}
     for tok in word:
         kind, idx = _gen_token(tok)
         if kind == "T":
@@ -295,7 +319,7 @@ def from_word(n: int, word: Iterable, coeff: Scalar = ONE) -> AlgebraElement:
             if not 1 <= idx <= n:
                 raise IndexError(f"c index {idx} out of range for n={n}")
             terms = _rmul_c(terms, idx)
-    return AlgebraElement(n, terms)
+    return AlgebraElement(n, _scalar_terms({coeff: terms}))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -303,20 +327,24 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
     Each left term C_I T_sigma acts on b by left generator multiplications:
     the letters of a reduced word of sigma innermost first, then the Clifford
-    indices of I from the largest down.
+    indices of I from the largest down.  The action is linear over b's
+    terms: those of one coefficient are acted on together with coefficient 1,
+    and each result is scaled by the product of the two coefficients.
     """
     a._check_rank(b)
-    acc: dict = {}
-    base = dict(b.terms)
+    by_coeff = _by_coeff(b.terms)
+    groups: dict = {}
     for (sigma, cliff), coeff in a.terms.items():
-        cur = base
-        for j in reversed(reduced_word(sigma)):
-            cur = _lmul_T(cur, j)
-        for k in sorted(cliff, reverse=True):
-            cur = _lmul_c(cur, k)
-        for key, val in cur.items():
-            _acc(acc, key, coeff * val)
-    return AlgebraElement(a.n, acc)
+        word = reduced_word(sigma)
+        for b_coeff, cur in by_coeff.items():
+            for j in reversed(word):
+                cur = _lmul_T(cur, j)
+            for k in sorted(cliff, reverse=True):
+                cur = _lmul_c(cur, k)
+            into = groups.setdefault(coeff * b_coeff, {})
+            for key, p in cur.items():
+                _poly_acc(into, key, p)
+    return AlgebraElement(a.n, _scalar_terms(groups))
 
 
 def build_T_w(mu, n: Optional[int] = None) -> AlgebraElement:

@@ -433,14 +433,19 @@ class Scalar:
         return _over(UPoly({0: GaussianRational(q.numerator)}), q.denominator)
 
     @staticmethod
-    def from_v_ints(coeffs) -> "Scalar":
-        """sum_k coeffs[k] v^k for ints coeffs[k]: canonical as it stands.
+    def from_v_ints(coeffs, den: int = 1) -> "Scalar":
+        """sum_k coeffs[k] v^k / den for ints coeffs[k] and a positive int
+        den: canonical as it stands when den is 1, one integer gcd otherwise.
 
         >>> Scalar.from_v_ints([-1, 0, 2]).render()
         '2*v^2-1'
+        >>> Scalar.from_v_ints((-2, 2), 4).render()
+        '(v-1)/2'
         """
         num = _v_poly(coeffs, 0, 1)
-        return Scalar(num, UP_ONE, _canonical=True) if num.coeffs else ZERO
+        if not num.coeffs:
+            return ZERO
+        return Scalar(num, UP_ONE, _canonical=True) if den == 1 else _over(num, den)
 
     @staticmethod
     def v_power(k: int) -> "Scalar":
@@ -813,29 +818,56 @@ def sc_int(k: int) -> Scalar:
 
 def _v_poly(coeffs, shift: int, const: int) -> UPoly:
     """const * v^shift * sum_k coeffs[k] v^k for ints coeffs[k], with v = u^2."""
-    return UPoly(
-        {2 * (k + shift): GaussianRational(const * c) for k, c in enumerate(coeffs)}
-    )
+    res = _new(UPoly)
+    res.coeffs = {2 * (k + shift): _gr(const * c, 0) for k, c in enumerate(coeffs) if c}
+    return res
 
 
-def _poly_add(p: list, q: list) -> list:
-    """Sum of integer polynomials given as ascending coefficient lists."""
+def _poly_add(p, q) -> tuple:
+    """Sum of integer polynomials given as ascending coefficient sequences;
+    trailing zeros are dropped, so the zero polynomial is ()."""
     if len(p) < len(q):
         p, q = q, p
-    out = list(p)
-    for i, b in enumerate(q):
-        out[i] += b
-    return out
+    out = [a + b for a, b in zip(p, q)]
+    if len(p) > len(q):
+        return (*out, *p[len(q):])
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def _poly_mul(p: list, q: list) -> list:
-    """Product of integer polynomials given as ascending coefficient lists."""
+def _poly_mul(p, q) -> tuple:
+    """Product of integer polynomials given as ascending coefficient sequences."""
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) == 1:
+        a = p[0]
+        return tuple(q) if a == 1 else tuple(a * b for b in q)
+    if len(p) == 2:
+        a, b = p
+        return (a * q[0], *[a * x + b * y for x, y in zip(q[1:], q)], b * q[-1])
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return tuple(out)
+
+
+def _poly_scale(p, k: int) -> tuple:
+    """k * p for an int k and an integer polynomial p."""
+    return tuple(k * a for a in p)
+
+
+def _poly_acc(acc: dict, key, p: tuple) -> None:
+    """acc[key] += p on integer polynomials; a key summing to 0 is dropped."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = p
+    elif total := _poly_add(cur, p):
+        acc[key] = total
+    else:
+        del acc[key]
 
 
 def _acc(acc: dict, key, value: Scalar) -> None:

@@ -39,24 +39,37 @@ from .combinatorics import (
     enumerate_partitions,
     min_length_class_representatives,
     partition_str,
+    perm_identity,
     reduced_word,
     w_gamma,
     word_str,
 )
-from .hecke_clifford import AlgebraElement, T_gen, _lmul_T, _lmul_c, c_gen, multiply, one
+from .hecke_clifford import (
+    _ONE,
+    _VM1,
+    AlgebraElement,
+    T_gen,
+    _lmul_T,
+    _lmul_c,
+    _scalar_terms,
+    c_gen,
+    multiply,
+    one,
+)
 from .scalars import (
     ONE,
     Scalar,
     TWO,
     V_MINUS_1,
     ZERO,
-    _acc,
+    _poly_acc,
     _poly_add,
     _poly_mul,
+    _poly_scale,
     half,
     sc_int,
 )
-from .traces import ClassVector, gimel, reduce, zero_vector
+from .traces import ClassVector, _class_vector, _gimel_of, zero_vector
 
 
 def dim_clifford_module(n: int) -> int:
@@ -89,22 +102,32 @@ def _checked_word(word, n: int) -> tuple:
     return word
 
 
-def R_element(word, n: int) -> AlgebraElement:
-    """Normal form of R_{i_1} ... R_{i_r}; the word need not be reduced.
+def _R_terms(word, n: int) -> dict:
+    """Raw normal-form terms of R_{i_1} ... R_{i_r}, int coefficients in v.
 
     Built from the right end by left generator products: R_i h is
     c_i T_i h - c_{i+1} T_i h + (v-1) c_{i+1} h.
     """
-    terms = dict(one(n).terms)
+    terms = {(perm_identity(n), frozenset()): _ONE}
     for i in reversed(_checked_word(word, n)):
         moved = _lmul_T(terms, i)
         out = _lmul_c(moved, i)
-        for key, val in _lmul_c(moved, i + 1).items():
-            _acc(out, key, -val)
-        for key, val in _lmul_c(terms, i + 1).items():
-            _acc(out, key, V_MINUS_1 * val)
+        for key, p in _lmul_c(moved, i + 1).items():
+            _poly_acc(out, key, _poly_scale(p, -1))
+        for key, p in _lmul_c(terms, i + 1).items():
+            _poly_acc(out, key, _poly_mul(_VM1, p))
         terms = out
-    return AlgebraElement(n, terms)
+    return terms
+
+
+def R_element(word, n: int) -> AlgebraElement:
+    """Normal form of R_{i_1} ... R_{i_r}; the word need not be reduced."""
+    return AlgebraElement(n, _scalar_terms({ONE: _R_terms(word, n)}))
+
+
+def R_class_vector(word, n: int) -> ClassVector:
+    """reduce(R_element(word, n)), reduced on the int terms of the word."""
+    return _class_vector(n, {ONE: _R_terms(word, n)})
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +181,7 @@ def verify_iso(n: int) -> IsoReport:
 
 def gimel_minus(word, n: int) -> Scalar:
     """The induced trace of the R-word: gimel of its embedded normal form."""
-    return gimel(R_element(word, n))
+    return _gimel_of(R_class_vector(word, n))
 
 
 def canonical_class_word(nu) -> tuple:
@@ -233,7 +256,7 @@ def spin_class_polynomials(word, n: int) -> ClassVector:
         return zero_vector(n)
     columns = enumerate_partitions(n, "odd")
     basis = [class_word_vector(nu) for nu in columns]
-    target = reduce(R_element(word, n))
+    target = R_class_vector(word, n)
     rows = [[vec[mu] for vec in basis] for mu in columns]
     solution = solve_exact(rows, [target[mu] for mu in columns])
     return ClassVector(n=n, coeffs=dict(zip(columns, solution)))

@@ -152,14 +152,6 @@ def one_poly(m: int) -> SymPoly:
     return SymPoly(m, 0, {(): ONE})
 
 
-def monomial(mu, m: int) -> SymPoly:
-    """m_mu in m variables: the orbit sum of x^mu."""
-    key = tuple(sorted((p for p in mu if p), reverse=True))
-    if len(key) > m:
-        raise ValueError(f"too few variables: need {len(key)}, have {m}")
-    return SymPoly(m, sum(key), {key: ONE})
-
-
 def product(f: SymPoly, g: SymPoly) -> SymPoly:
     f._check(g)
     acc: dict = {}

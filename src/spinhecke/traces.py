@@ -20,11 +20,22 @@ those commutators are commutators here too.
 Conjugation invariance is free for ordinary commutators: for invertible u,
 x - u^{-1} x u = [u, u^{-1} x], so every rotation and conjugation below
 preserves the class vector.
+
+The reduction runs on the raw terms of hecke_clifford, whose coefficients
+are integer polynomials in v (ascending int tuples).  Its one division is
+the 1/2 of the even-block halving (6); by linearity it is taken after the
+halved terms are reduced, as one more power of 2 in a common denominator.
+So the memo maps a term to (e, {nu: ints}), each value read over 2^e with e
+as small as it can be, and a Scalar is built only at the public boundary:
+one product per (coefficient, nu), where the terms of h that share a
+coefficient are reduced together (the integer terms of an R-word form one
+group, of coefficient 1, in spin_hecke.R_class_vector).
 """
 
 from __future__ import annotations
 
 import json
+from math import gcd as _intgcd
 
 from ._record import Record
 from .combinatorics import (
@@ -35,13 +46,15 @@ from .combinatorics import (
     w_gamma_form,
 )
 from .hecke_clifford import (
+    _ONE,
     AlgebraElement,
+    _by_coeff,
     clear_push_memo,
     _lmul_c,
     _lmul_T,
     _rmul_c,
 )
-from .scalars import HALF, ONE, Scalar, V_MINUS_1, ZERO, _acc, half, sc_int
+from .scalars import HALF, Scalar, V_MINUS_1, ZERO, _acc, _poly_acc, _poly_mul, _poly_scale
 
 _GIMEL_BASE = V_MINUS_1 * HALF  # (v-1)/2
 
@@ -141,19 +154,35 @@ def _blocks(gamma):
         offset += part
 
 
-def _combine(acc: dict, vec: dict, coeff: Scalar) -> None:
-    for nu, val in vec.items():
-        _acc(acc, nu, coeff * val)
+def _lowest(e: int, vec: dict) -> tuple:
+    """(e, vec) read as each value over 2^e, with e made minimal."""
+    if not e or not vec:
+        return (e if vec else 0), vec
+    g = _intgcd(*(a for val in vec.values() for a in val))
+    t = min(e, (g & -g).bit_length() - 1)
+    if t:
+        vec = {nu: tuple(a >> t for a in val) for nu, val in vec.items()}
+    return e - t, vec
 
 
-def _reduce_terms(terms: dict, fuel: _Fuel) -> dict:
+def _reduce_terms(terms: dict, fuel: _Fuel) -> tuple:
+    """The class vector of raw terms with int coefficients, as
+    (e, {nu: ints}): each value an integer polynomial in v over 2^e."""
+    e = 0
     acc: dict = {}
-    for (sigma, cliff), coeff in terms.items():
-        _combine(acc, _reduce_term(sigma, cliff, fuel), coeff)
-    return acc
+    for (sigma, cliff), p in terms.items():
+        f, vec = _reduce_term(sigma, cliff, fuel)
+        if f > e:
+            acc = {nu: _poly_scale(val, 1 << (f - e)) for nu, val in acc.items()}
+            e = f
+        elif f < e:
+            p = _poly_scale(p, 1 << (e - f))
+        for nu, val in vec.items():
+            _poly_acc(acc, nu, _poly_mul(p, val))
+    return _lowest(e, acc)
 
 
-def _reduce_term(sigma, cliff, fuel: _Fuel) -> dict:
+def _reduce_term(sigma, cliff, fuel: _Fuel) -> tuple:
     key = (sigma, cliff)
     cached = _MEMO.get(key)
     if cached is not None:
@@ -169,13 +198,13 @@ def _reduce_term(sigma, cliff, fuel: _Fuel) -> dict:
     return result
 
 
-def _reduce_term_inner(sigma, cliff, fuel: _Fuel) -> dict:
+def _reduce_term_inner(sigma, cliff, fuel: _Fuel) -> tuple:
     fuel.burn()
     n = len(sigma)
 
     # (1) odd terms carry no trace
     if len(cliff) % 2:
-        return {}
+        return 0, {}
 
     # (2) rotate a trailing T_j away until sigma^{-1} is a staircase
     inv = perm_inverse(sigma)
@@ -185,7 +214,7 @@ def _reduce_term_inner(sigma, cliff, fuel: _Fuel) -> dict:
             # minimality of i puts the value j after position i in sigma^{-1},
             # so sigma s_j is shorter and C_I T_sigma = (C_I T_{sigma s_j}) T_j
             # rotates to T_j (C_I T_{sigma s_j}) modulo commutators
-            moved = _lmul_T({(right_mul_s(sigma, j), cliff): ONE}, j)
+            moved = _lmul_T({(right_mul_s(sigma, j), cliff): _ONE}, j)
             return _reduce_terms(moved, fuel)
 
     gamma = w_gamma_form(inv)
@@ -196,12 +225,12 @@ def _reduce_term_inner(sigma, cliff, fuel: _Fuel) -> dict:
     block_list = list(_blocks(gamma))
     for block in block_list:
         if sum(1 for e in cliff if e in block) % 2:
-            return {}
+            return 0, {}
 
     # (4) strip Clifford letters pairwise by conjugating with c_{min+1}
     if cliff:
         k = min(cliff) + 1
-        conj = _rmul_c(_lmul_c({(sigma, cliff): ONE}, k), k)
+        conj = _rmul_c(_lmul_c({(sigma, cliff): _ONE}, k), k)
         return _reduce_terms(conj, fuel)
 
     # (5) sort the staircase blocks
@@ -210,40 +239,52 @@ def _reduce_term_inner(sigma, cliff, fuel: _Fuel) -> dict:
         return _reduce_term(perm_inverse(w_gamma(mu)[0]), cliff, fuel)
 
     if all(part % 2 for part in mu):
-        return {mu: ONE}
+        return 0, {mu: _ONE}
 
-    # (6) halve away the first even block via its Clifford volume element
+    # (6) halve away the first even block via its Clifford volume element:
+    # twice T_w_mu is congruent to the terms below, so by linearity they are
+    # reduced with int coefficients and the half is one more power of 2
     a = next(idx for idx, part in enumerate(mu) if part % 2 == 0)
     block = block_list[a]
     size = len(block)
-    sign = sc_int(-1 if (size * (size - 1) // 2) % 2 else 1)
-    cur = {(sigma, frozenset()): sign}
+    cur = {(sigma, frozenset()): (-1 if (size * (size - 1) // 2) % 2 else 1,)}
     for k in reversed(block):
         cur = _lmul_c(cur, k)
     for k in block:
         cur = _rmul_c(cur, k)
-    _acc(cur, (sigma, frozenset()), ONE)
+    _poly_acc(cur, (sigma, frozenset()), _ONE)
     if (sigma, frozenset()) in cur:
         raise ReductionError(f"even-block halving left T_w_mu alive for mu={mu}")
-    halved = {term: half(val) for term, val in cur.items()}
-    return _reduce_terms(halved, fuel)
+    e, vec = _reduce_terms(cur, fuel)
+    return _lowest(e + 1, vec)
 
 
 # ---------------------------------------------------------------------------
 # public API
 
 
-def reduce(h: AlgebraElement) -> ClassVector:
-    """Class polynomials: the coefficients of h on the T_{w_nu} basis
-    modulo commutators (odd terms contribute nothing)."""
+def _class_vector(n: int, groups: dict) -> ClassVector:
+    """The class vector of the sum over c of c times the raw terms
+    groups[c], with one Scalar product per (c, nu)."""
     fuel = _Fuel(_DEFAULT_FUEL)
-    raw = _reduce_terms(dict(h.terms), fuel)
-    vec = {nu: ZERO for nu in odd_partitions(h.n)}
+    raw: dict = {}
+    for c, terms in groups.items():
+        e, vec = _reduce_terms(terms, fuel)
+        for nu, p in vec.items():
+            _acc(raw, nu, c * Scalar.from_v_ints(p, 1 << e))
+    vec = {nu: ZERO for nu in odd_partitions(n)}
     for nu, val in raw.items():
         if nu not in vec:
             raise ReductionError(f"reduction produced non-odd partition {nu}")
         vec[nu] = val
-    return ClassVector(h.n, vec)
+    return ClassVector(n, vec)
+
+
+def reduce(h: AlgebraElement) -> ClassVector:
+    """Class polynomials: the coefficients of h on the T_{w_nu} basis
+    modulo commutators (odd terms contribute nothing).  The terms of one
+    coefficient are reduced together."""
+    return _class_vector(h.n, _by_coeff(h.terms))
 
 
 def f_nu(h: AlgebraElement, nu) -> Scalar:
@@ -257,9 +298,12 @@ def gimel_weight(n: int, nu) -> Scalar:
 
 def gimel(h: AlgebraElement) -> Scalar:
     """The symmetrizing trace: sum of f_nu(h) * ((v-1)/2)^(n - len(nu))."""
-    vec = reduce(h)
+    return _gimel_of(reduce(h))
+
+
+def _gimel_of(vec: ClassVector) -> Scalar:
     total = ZERO
     for nu, val in vec.coeffs.items():
         if not val.is_zero():
-            total = total + val * gimel_weight(h.n, nu)
+            total = total + val * gimel_weight(vec.n, nu)
     return total

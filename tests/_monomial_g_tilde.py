@@ -1,5 +1,6 @@
 """The deformed family on monomials: the reference that the Pieri-rule
-columns of `symfunc.g_tilde_in_Q` are checked against.
+columns of `symfunc.g_tilde_in_Q` are checked against, and the monomial
+m_mu that the tests build symmetric polynomials from.
 
 g-tilde_(r) = sum over partitions rho of r of
 Delta_rho (v-1)^(len(rho)-1) m_rho, with Delta_rho = prod_i delta(rho_i), and
@@ -8,7 +9,15 @@ g-tilde_mu is the product of its parts' one-part functions.
 
 from spinhecke.combinatorics import enumerate_partitions
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, V_MINUS_1
-from spinhecke.symfunc import SymPoly, monomial, one_poly, zero_poly
+from spinhecke.symfunc import SymPoly, one_poly, zero_poly
+
+
+def monomial(mu, m: int) -> SymPoly:
+    """m_mu in m variables: the orbit sum of x^mu."""
+    key = tuple(sorted((p for p in mu if p), reverse=True))
+    if len(key) > m:
+        raise ValueError(f"too few variables: need {len(key)}, have {m}")
+    return SymPoly(m, sum(key), {key: ONE})
 
 
 def delta(s: int) -> Scalar:

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from _monomial_g_tilde import g_tilde
+from _monomial_g_tilde import g_tilde, monomial
 from spinhecke._linalg import column_rank
 from spinhecke.characters import (
     CharacterTable,
@@ -25,7 +25,7 @@ from spinhecke.combinatorics import (
 )
 from spinhecke.hecke_clifford import build_T_w, from_word, one
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, ZERO, sc_int
-from spinhecke.symfunc import expand_in_Q, monomial
+from spinhecke.symfunc import expand_in_Q
 from spinhecke.traces import gimel
 
 

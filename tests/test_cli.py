@@ -252,6 +252,32 @@ def test_spin_route_golden_stdout_at_higher_rank(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _SPIN_DIGESTS[command]
 
 
+# sha256 of stdout, captured while the reduction still carried a Scalar on
+# every coefficient: Gaussian, odd-u and rational-function coefficients meet
+# the products and the reduction (the first element's i and 1/(v+1) terms
+# are odd, so only its first term has a trace; every term of the second is
+# even)
+_MIXED = (
+    "(v-1)/2 * c1 c2 T1 T2 + i*u * T3 c4 - 1/(v+1) * T2 T1 c3",
+    "(v-1)/2 * c1 c2 T1 T2 + i*u * c1 c4 T3 T4 T2 - 1/(v+1) * T2 T1 c3 c5 T4 T3"
+    " + (u^3-2*i)/(2*v-1) * c1 c2 c3 c4 T1 T3 T2 T4 T1 + u * T1 T2 T3 T4",
+)
+_MIXED_DIGESTS = {
+    ("class-poly", 0): "88e287a6cb68c66ead5fa1d435a09ec842a362deb32585a937644b85ad0fcde2",
+    ("gimel", 0): "6a502ce25aa69a8e43fe88f2bac7e041437b0326f5113d8a8d63dcb767329cde",
+    ("class-poly", 1): "fb184818608e3d727de183edea76767645fb5685809726b7b15d383daeb300ab",
+    ("gimel", 1): "63747bea8f003a9dbf081f82ebd1b3bce2d096c5293d777278ba569c1fb6aa3a",
+}
+
+
+@pytest.mark.parametrize("command, which", list(_MIXED_DIGESTS))
+def test_mixed_coefficient_element_golden_stdout(capsys, command, which):
+    code, out, _ = invoke(capsys, command, "--n", "5", "--element", _MIXED[which])
+    assert code == 0
+    assert out.strip() not in ("0", "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _MIXED_DIGESTS[(command, which)]
+
+
 # -- error paths ---------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ result records behave as frozen value types."""
 import ast
 import doctest
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -90,13 +91,11 @@ def test_every_defined_function_is_named_elsewhere():
     assert {name: where for name, where in defined.items() if name not in named} == {}
 
 
-def test_perfbench_tracer_installs():
-    # the tracer wraps UPoly.gcd and UPoly.divmod by name and reads the memo
-    # tables of traces and hecke_clifford, all from outside the package
-    code = "import tracer; tracer.install(tracer.Tracer()); tracer.memo_sizes()"
+def _perfbench(*argv) -> str:
+    """stdout of `python argv...` run in perfbench/ on this package."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *argv],
         cwd=PERFBENCH[0].parent,
         env=env,
         capture_output=True,
@@ -104,6 +103,32 @@ def test_perfbench_tracer_installs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_perfbench_tracer_installs():
+    # the tracer wraps UPoly.gcd and UPoly.divmod by name and reads the memo
+    # tables of traces and hecke_clifford, all from outside the package
+    _perfbench("-c", "import tracer; tracer.install(tracer.Tracer()); tracer.memo_sizes()")
+
+
+def test_traced_classpoly_ops_match_their_goldens():
+    # one trace-property pair and one gimel-minus word of the classpoly pool,
+    # run by the benchmark's worker with every public function wrapped
+    code = (
+        "import json, run; pool = run.classpoly_pool(); "
+        "print(json.dumps([next(op for op in pool if op['kind'] == kind) "
+        "for kind in ('pair', 'word')]))"
+    )
+    ops = json.loads(_perfbench("-c", code))
+    job = {"trace": True, "op_base": 0, "ops": ops}
+    report = json.loads(_perfbench("worker.py", json.dumps(job)).splitlines()[-1])
+    goldens = json.loads((PERFBENCH[0].parent / "goldens.json").read_text())
+    results = report["ops"]
+    assert [r.get("error") for r in results] == [None, None]
+    assert [r["digest"] for r in results] == [goldens[op["key"]] for op in ops]
+    assert results[0]["check"] is True
+    assert report["trace"]["names"]["traces.reduce"]["calls"] >= 2  # the pair, traced
 
 
 def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from _monomial_g_tilde import delta, g_tilde, g_tilde_one_part
+from _monomial_g_tilde import delta, g_tilde, g_tilde_one_part, monomial
 from _orbits import from_exponents
 from spinhecke._linalg import column_rank, solve_exact, solve_triangular
 from spinhecke.combinatorics import enumerate_partitions
@@ -16,7 +16,6 @@ from spinhecke.symfunc import (
     _strips,
     expand_in_Q,
     g_tilde_in_Q,
-    monomial,
     one_poly,
     principal_specialization_Q,
     principal_specialization_g_tilde,
