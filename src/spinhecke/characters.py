@@ -212,16 +212,19 @@ def _poly_div_exact(p: list, q: list) -> list:
     return out
 
 
+# Phi_d(v) for d = 1, 2, ..., as ascending int lists, grown on demand
+_PHI: dict = register_cache({})
+
+
 def _cyclotomic(top: int) -> dict:
-    """Phi_d(v) for d <= top, each by exact division of v^d - 1 by the Phi_e
-    with e | d, e < d."""
-    phi = {}
-    for d in range(1, top + 1):
+    """The table of Phi_d(v), holding at least d <= top: each new Phi_d by
+    exact division of v^d - 1 by the Phi_e with e | d, e < d."""
+    for d in range(len(_PHI) + 1, top + 1):
         poly = [-1] + [0] * (d - 1) + [1]
         for e in _divisors(d)[:-1]:
-            poly = _poly_div_exact(poly, phi[e])
-        phi[d] = poly
-    return phi
+            poly = _poly_div_exact(poly, _PHI[e])
+        _PHI[d] = poly
+    return _PHI
 
 
 def _expand(factored: tuple) -> Scalar:

@@ -230,12 +230,11 @@ def _act(space, word, vec: dict) -> dict:
     return vec
 
 
-def _tensor_relation_failure(space, relations, vec: dict) -> str:
-    """The first defining relation the tensor action breaks on vec, or ""."""
-    n = space.n
-    for i in range(1, n):
+def _tensor_relation_failure(space, quadratics, relations, vec: dict) -> str:
+    """The first defining relation the tensor action breaks on vec, or "";
+    quadratics[i - 1] is (v-1) T_i + v, which T_i^2 must equal."""
+    for i, quadratic in enumerate(quadratics, 1):
         lhs = apply(space, ("T", i), apply(space, ("T", i), vec))
-        quadratic = T_gen(n, i).scale(V_MINUS_1) + one(n).scale(V)
         if lhs != apply_element(space, quadratic, vec):
             return f"quadratic relation leaked at T{i}"
     for name, lhs, rhs, sign in relations:
@@ -258,6 +257,9 @@ def _suite_oracle(args):
     rng = random.Random(args.seed)
     size = len(space.indices)
     relations = _tensor_word_relations(args.n)
+    quadratics = [
+        T_gen(args.n, i).scale(V_MINUS_1) + one(args.n).scale(V) for i in range(1, args.n)
+    ]
     failure = ""
     for _ in range(10):
         # the draws of rng.sample(list(space.basis_tuples()), 3), unlisted
@@ -266,7 +268,7 @@ def _suite_oracle(args):
             tuple(space.indices[j // size**p % size] for p in reversed(range(args.n))): ONE
             for j in picks
         }
-        failure = _tensor_relation_failure(space, relations, vec)
+        failure = _tensor_relation_failure(space, quadratics, relations, vec)
         if failure:
             break
     checks.append(("tensor relations on random vectors", not failure, failure))

@@ -24,10 +24,14 @@ sigma at a time.
 
 Every structure constant of these products lies in Z[v], so the generator
 products work on raw terms whose coefficients are integer polynomials in v,
-held as ascending int tuples (the `_poly_*` helpers of scalars); the memo of
-Clifford pushes holds them too.  A Scalar coefficient is applied only at the
+held as ascending int tuples (the `_poly_*` helpers of scalars).  A raw term
+is keyed by (one-line permutation, bitmask), bit k set for c_k, so a
+Clifford sign is the parity of a masked bit count and a letter flip is an
+xor; the memo of Clifford pushes holds raw terms too.  The public key stays
+(permutation, frozenset).  A Scalar coefficient is applied only at the
 public boundary: one product per output term of from_word and multiply,
-whose action is linear over the terms of b that share a coefficient.
+whose action is linear over the terms of b that share a coefficient, and
+every coefficient in Z[v] rides in the group of 1 as its int tuple.
 """
 
 from __future__ import annotations
@@ -167,31 +171,40 @@ def c_gen(n: int, k: int) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# generator multiplication on raw term dicts {(sigma, cliff): int tuple}
+# generator multiplication on raw term dicts {(sigma, mask): int tuple}, where
+# bit k of mask is set when c_k is in I
 
 _ONE = (1,)
 _VM1 = (-1, 1)  # v - 1
 
 
+def _bits(mask: int) -> list:
+    """The indices of the set bits of mask, ascending."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
 def _rmul_T(terms: dict, j: int) -> dict:
     acc: dict = {}
-    for (sigma, cliff), p in terms.items():
+    for (sigma, mask), p in terms.items():
         tau = right_mul_s(sigma, j)
         if sigma[j - 1] < sigma[j]:
-            _poly_acc(acc, (tau, cliff), p)
+            _poly_acc(acc, (tau, mask), p)
         else:
-            _poly_acc(acc, (sigma, cliff), _poly_mul(_VM1, p))
-            _poly_acc(acc, (tau, cliff), (0, *p))  # v p
+            _poly_acc(acc, (sigma, mask), _poly_mul(_VM1, p))
+            _poly_acc(acc, (tau, mask), (0, *p))  # v p
     return acc
 
 
 def _lmul_c(terms: dict, k: int) -> dict:
-    # C_I -> c_k C_I is a bijection on the keys, so nothing merges
+    # C_I -> c_k C_I is a bijection on the keys, so nothing merges; the sign
+    # is the parity of the letters below k
+    bit = 1 << k
+    below = bit - 1
     acc: dict = {}
-    for (sigma, cliff), p in terms.items():
-        if sum(1 for e in cliff if e < k) % 2:
+    for (sigma, mask), p in terms.items():
+        if (mask & below).bit_count() & 1:
             p = _poly_scale(p, -1)
-        acc[(sigma, cliff ^ {k})] = p
+        acc[(sigma, mask ^ bit)] = p
     return acc
 
 
@@ -199,26 +212,32 @@ def _lmul_T(terms: dict, j: int) -> dict:
     # passing T_j through C_I before the Hecke step T_j T_sigma; the four
     # cases follow from T_j c_j = c_{j+1} T_j and its mirror
     acc: dict = {}
-    pair = frozenset((j, j + 1))
-    for (sigma, cliff), p in terms.items():
-        inter = cliff & pair
-        if len(inter) == 2:
+    high = 1 << (j + 1)
+    pair = (1 << j) | high
+    for (sigma, mask), p in terms.items():
+        inter = mask & pair
+        if inter == pair:
             vm1 = _poly_mul(_VM1, p)
-            _poly_acc(acc, (sigma, cliff - pair), vm1)
-            _poly_acc(acc, (sigma, cliff), vm1)
+            _poly_acc(acc, (sigma, mask ^ pair), vm1)
+            _poly_acc(acc, (sigma, mask), vm1)
             p = _poly_scale(p, -1)
         elif inter:
-            if j + 1 in inter:
+            if inter == high:
                 vm1 = _poly_mul(_VM1, p)
-                _poly_acc(acc, (sigma, cliff), vm1)
-                _poly_acc(acc, (sigma, cliff ^ pair), _poly_scale(vm1, -1))
-            cliff = cliff ^ pair
-        tau = left_mul_s(j, sigma)
-        if sigma.index(j) < sigma.index(j + 1):
-            _poly_acc(acc, (tau, cliff), p)
+                _poly_acc(acc, (sigma, mask), vm1)
+                _poly_acc(acc, (sigma, mask ^ pair), _poly_scale(vm1, -1))
+            mask ^= pair
+        a = sigma.index(j)
+        b = sigma.index(j + 1)
+        line = list(sigma)
+        line[a] = j + 1
+        line[b] = j
+        tau = tuple(line)  # s_j sigma
+        if a < b:
+            _poly_acc(acc, (tau, mask), p)
         else:
-            _poly_acc(acc, (sigma, cliff), _poly_mul(_VM1, p))
-            _poly_acc(acc, (tau, cliff), (0, *p))  # v p
+            _poly_acc(acc, (sigma, mask), _poly_mul(_VM1, p))
+            _poly_acc(acc, (tau, mask), (0, *p))  # v p
     return acc
 
 
@@ -231,7 +250,7 @@ def clear_push_memo() -> None:
 
 
 def _push_c_left(sigma, k: int) -> dict:
-    """T_sigma * c_k as normal-form terms {(tau, frozenset({m})): ints}.
+    """T_sigma * c_k as normal-form terms {(tau, 1 << m): ints}.
 
     For the first left descent j of sigma, T_sigma = T_j T_{s_j sigma}, so the
     push is _lmul_T of the push through the shorter s_j sigma; _lmul_T keeps
@@ -242,7 +261,7 @@ def _push_c_left(sigma, k: int) -> dict:
     if cached is None:
         j = next(left_descents(sigma), None)
         if j is None:
-            cached = {(sigma, frozenset((k,))): _ONE}
+            cached = {(sigma, 1 << k): _ONE}
         else:
             cached = _lmul_T(_push_c_left(left_mul_s(j, sigma), k), j)
         _PUSH_MEMO[key] = cached
@@ -250,32 +269,40 @@ def _push_c_left(sigma, k: int) -> dict:
 
 
 def _rmul_c(terms: dict, k: int) -> dict:
+    # C_I c_m: the sign is the parity of the letters of I above m
     acc: dict = {}
-    for (sigma, cliff), p in terms.items():
+    for (sigma, mask), p in terms.items():
         for (tau, letter), s in _push_c_left(sigma, k).items():
-            (m,) = letter
             val = _poly_mul(p, s)
-            if sum(1 for e in cliff if e > m) % 2:
+            if (mask & -(letter << 1)).bit_count() & 1:
                 val = _poly_scale(val, -1)
-            _poly_acc(acc, (tau, cliff ^ letter), val)
+            _poly_acc(acc, (tau, mask ^ letter), val)
     return acc
 
 
 def _by_coeff(terms) -> dict:
-    """Scalar terms grouped as {c: raw terms of coefficient 1}."""
+    """Scalar terms as raw groups {c: {(sigma, mask): ints}}, read as the sum
+    over c of c times its group.  A coefficient in Z[v] joins the group of 1
+    as its int tuple; any other c heads a group of its own, at 1."""
     groups: dict = {}
-    for key, c in terms.items():
-        groups.setdefault(c, {})[key] = _ONE
+    for (sigma, cliff), c in terms.items():
+        key = (sigma, sum(1 << k for k in cliff))
+        ints = c.v_ints()
+        if ints is None:
+            groups.setdefault(c, {})[key] = _ONE
+        elif ints:
+            groups.setdefault(ONE, {})[key] = ints
     return groups
 
 
 def _scalar_terms(groups: dict) -> dict:
-    """Scalar terms from {c: raw terms}: the sum over c of c times each int
-    polynomial in v, one product per (c, key)."""
+    """Public terms {(sigma, frozenset): Scalar} from raw groups {c: raw
+    terms}: the sum over c of c times each int polynomial in v, one product
+    per (c, key)."""
     acc: dict = {}
     for c, terms in groups.items():
-        for key, p in terms.items():
-            _acc(acc, key, c * Scalar.from_v_ints(p))
+        for (sigma, mask), p in terms.items():
+            _acc(acc, (sigma, frozenset(_bits(mask))), c * Scalar.from_v_ints(p))
     return acc
 
 
@@ -308,7 +335,7 @@ def from_word(n: int, word: Iterable, coeff: Scalar = ONE) -> AlgebraElement:
         coeff = sc_int(coeff)
     if coeff.is_zero():
         return zero(n)
-    terms = {(perm_identity(n), frozenset()): _ONE}
+    terms = {(perm_identity(n), 0): _ONE}
     for tok in word:
         kind, idx = _gen_token(tok)
         if kind == "T":
@@ -327,23 +354,28 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
     Each left term C_I T_sigma acts on b by left generator multiplications:
     the letters of a reduced word of sigma innermost first, then the Clifford
-    indices of I from the largest down.  The action is linear over b's
-    terms: those of one coefficient are acted on together with coefficient 1,
-    and each result is scaled by the product of the two coefficients.
+    indices of I from the largest down.  The action is linear, so it runs on
+    the raw groups of _by_coeff: a product of two elements with coefficients
+    in Z[v] is one group of int terms, and builds one Scalar per output term.
     """
     a._check_rank(b)
-    by_coeff = _by_coeff(b.terms)
+    b_groups = _by_coeff(b.terms)
     groups: dict = {}
-    for (sigma, cliff), coeff in a.terms.items():
-        word = reduced_word(sigma)
-        for b_coeff, cur in by_coeff.items():
-            for j in reversed(word):
-                cur = _lmul_T(cur, j)
-            for k in sorted(cliff, reverse=True):
-                cur = _lmul_c(cur, k)
-            into = groups.setdefault(coeff * b_coeff, {})
-            for key, p in cur.items():
-                _poly_acc(into, key, p)
+    for a_coeff, a_terms in _by_coeff(a.terms).items():
+        actions = [
+            (reduced_word(sigma)[::-1], _bits(mask)[::-1], p)
+            for (sigma, mask), p in a_terms.items()
+        ]
+        for b_coeff, b_terms in b_groups.items():
+            into = groups.setdefault(a_coeff * b_coeff, {})
+            for word, letters, p in actions:
+                cur = b_terms
+                for j in word:
+                    cur = _lmul_T(cur, j)
+                for k in letters:
+                    cur = _lmul_c(cur, k)
+                for key, q in cur.items():
+                    _poly_acc(into, key, _poly_mul(p, q))
     return AlgebraElement(a.n, _scalar_terms(groups))
 
 

@@ -447,6 +447,26 @@ class Scalar:
             return ZERO
         return Scalar(num, UP_ONE, _canonical=True) if den == 1 else _over(num, den)
 
+    def v_ints(self):
+        """The inverse of from_v_ints on Z[v]: the ascending int tuple of a
+        value with denominator 1, even u-exponents and real int parts
+        (() for zero), and None for any other value.
+
+        >>> sc_parse("2*v^2-1").v_ints()
+        (-1, 0, 2)
+        >>> sc_parse("(v-1)/2").v_ints() is None
+        True
+        """
+        if not self.den.is_one():
+            return None
+        coeffs = self.num.coeffs
+        out = [0] * (max(coeffs, default=-2) // 2 + 1)
+        for e, c in coeffs.items():
+            if e & 1 or c.im or c.re.__class__ is not int:
+                return None
+            out[e >> 1] = c.re
+        return tuple(out)
+
     @staticmethod
     def v_power(k: int) -> "Scalar":
         """v**k as a Scalar, for any integer k (negative gives 1/v**|k|)."""
@@ -856,7 +876,7 @@ def _poly_mul(p, q) -> tuple:
 
 def _poly_scale(p, k: int) -> tuple:
     """k * p for an int k and an integer polynomial p."""
-    return tuple(k * a for a in p)
+    return tuple([k * a for a in p])
 
 
 def _poly_acc(acc: dict, key, p: tuple) -> None:

@@ -50,7 +50,6 @@ from .hecke_clifford import (
     AlgebraElement,
     T_gen,
     _lmul_T,
-    _lmul_c,
     _scalar_terms,
     c_gen,
     multiply,
@@ -106,16 +105,25 @@ def _R_terms(word, n: int) -> dict:
     """Raw normal-form terms of R_{i_1} ... R_{i_r}, int coefficients in v.
 
     Built from the right end by left generator products: R_i h is
-    c_i T_i h - c_{i+1} T_i h + (v-1) c_{i+1} h.
+    c_i T_i h - c_{i+1} T_i h + (v-1) c_{i+1} h, taken in one pass over
+    T_i h and one over h (c_k flips bit k, signed by the letters below k).
     """
-    terms = {(perm_identity(n), frozenset()): _ONE}
+    terms = {(perm_identity(n), 0): _ONE}
     for i in reversed(_checked_word(word, n)):
-        moved = _lmul_T(terms, i)
-        out = _lmul_c(moved, i)
-        for key, p in _lmul_c(moved, i + 1).items():
-            _poly_acc(out, key, _poly_scale(p, -1))
-        for key, p in _lmul_c(terms, i + 1).items():
-            _poly_acc(out, key, _poly_mul(_VM1, p))
+        low, high = 1 << i, 1 << (i + 1)
+        out: dict = {}
+        for (sigma, mask), p in _lmul_T(terms, i).items():
+            neg = _poly_scale(p, -1)
+            odd = (mask & (low - 1)).bit_count() & 1
+            _poly_acc(out, (sigma, mask ^ low), neg if odd else p)
+            if mask & low:
+                odd ^= 1
+            _poly_acc(out, (sigma, mask ^ high), p if odd else neg)
+        for (sigma, mask), p in terms.items():
+            q = _poly_mul(_VM1, p)
+            if (mask & (high - 1)).bit_count() & 1:
+                q = _poly_scale(q, -1)
+            _poly_acc(out, (sigma, mask ^ high), q)
         terms = out
     return terms
 

@@ -21,15 +21,17 @@ Conjugation invariance is free for ordinary commutators: for invertible u,
 x - u^{-1} x u = [u, u^{-1} x], so every rotation and conjugation below
 preserves the class vector.
 
-The reduction runs on the raw terms of hecke_clifford, whose coefficients
-are integer polynomials in v (ascending int tuples).  Its one division is
+The reduction runs on the raw terms of hecke_clifford, keyed by (one-line
+permutation, bitmask of the Clifford indices) and with integer polynomials
+in v (ascending int tuples) as coefficients.  Its one division is
 the 1/2 of the even-block halving (6); by linearity it is taken after the
 halved terms are reduced, as one more power of 2 in a common denominator.
 So the memo maps a term to (e, {nu: ints}), each value read over 2^e with e
 as small as it can be, and a Scalar is built only at the public boundary:
 one product per (coefficient, nu), where the terms of h that share a
-coefficient are reduced together (the integer terms of an R-word form one
-group, of coefficient 1, in spin_hecke.R_class_vector).
+coefficient are reduced together.  Every coefficient in Z[v] joins the
+group of 1 as its int tuple (hecke_clifford._by_coeff), so an element over
+Z[v], such as an R-word in spin_hecke.R_class_vector, is one group.
 """
 
 from __future__ import annotations
@@ -170,8 +172,8 @@ def _reduce_terms(terms: dict, fuel: _Fuel) -> tuple:
     (e, {nu: ints}): each value an integer polynomial in v over 2^e."""
     e = 0
     acc: dict = {}
-    for (sigma, cliff), p in terms.items():
-        f, vec = _reduce_term(sigma, cliff, fuel)
+    for (sigma, mask), p in terms.items():
+        f, vec = _reduce_term(sigma, mask, fuel)
         if f > e:
             acc = {nu: _poly_scale(val, 1 << (f - e)) for nu, val in acc.items()}
             e = f
@@ -182,8 +184,8 @@ def _reduce_terms(terms: dict, fuel: _Fuel) -> tuple:
     return _lowest(e, acc)
 
 
-def _reduce_term(sigma, cliff, fuel: _Fuel) -> tuple:
-    key = (sigma, cliff)
+def _reduce_term(sigma, mask: int, fuel: _Fuel) -> tuple:
+    key = (sigma, mask)
     cached = _MEMO.get(key)
     if cached is not None:
         return cached
@@ -191,19 +193,19 @@ def _reduce_term(sigma, cliff, fuel: _Fuel) -> tuple:
         raise ReductionError(f"reduction cycle at term {key}")
     fuel.active.add(key)
     try:
-        result = _reduce_term_inner(sigma, cliff, fuel)
+        result = _reduce_term_inner(sigma, mask, fuel)
     finally:
         fuel.active.discard(key)
     _MEMO[key] = result
     return result
 
 
-def _reduce_term_inner(sigma, cliff, fuel: _Fuel) -> tuple:
+def _reduce_term_inner(sigma, mask: int, fuel: _Fuel) -> tuple:
     fuel.burn()
     n = len(sigma)
 
     # (1) odd terms carry no trace
-    if len(cliff) % 2:
+    if mask.bit_count() & 1:
         return 0, {}
 
     # (2) rotate a trailing T_j away until sigma^{-1} is a staircase
@@ -214,7 +216,7 @@ def _reduce_term_inner(sigma, cliff, fuel: _Fuel) -> tuple:
             # minimality of i puts the value j after position i in sigma^{-1},
             # so sigma s_j is shorter and C_I T_sigma = (C_I T_{sigma s_j}) T_j
             # rotates to T_j (C_I T_{sigma s_j}) modulo commutators
-            moved = _lmul_T({(right_mul_s(sigma, j), cliff): _ONE}, j)
+            moved = _lmul_T({(right_mul_s(sigma, j), mask): _ONE}, j)
             return _reduce_terms(moved, fuel)
 
     gamma = w_gamma_form(inv)
@@ -224,19 +226,19 @@ def _reduce_term_inner(sigma, cliff, fuel: _Fuel) -> tuple:
     # (3) a block holding an odd number of Clifford letters kills the term
     block_list = list(_blocks(gamma))
     for block in block_list:
-        if sum(1 for e in cliff if e in block) % 2:
+        if (mask & ((1 << block.stop) - (1 << block.start))).bit_count() & 1:
             return 0, {}
 
     # (4) strip Clifford letters pairwise by conjugating with c_{min+1}
-    if cliff:
-        k = min(cliff) + 1
-        conj = _rmul_c(_lmul_c({(sigma, cliff): _ONE}, k), k)
+    if mask:
+        k = (mask & -mask).bit_length()  # min(I) + 1
+        conj = _rmul_c(_lmul_c({(sigma, mask): _ONE}, k), k)
         return _reduce_terms(conj, fuel)
 
     # (5) sort the staircase blocks
     mu = tuple(sorted(gamma, reverse=True))
     if mu != gamma:
-        return _reduce_term(perm_inverse(w_gamma(mu)[0]), cliff, fuel)
+        return _reduce_term(perm_inverse(w_gamma(mu)[0]), 0, fuel)
 
     if all(part % 2 for part in mu):
         return 0, {mu: _ONE}
@@ -247,13 +249,13 @@ def _reduce_term_inner(sigma, cliff, fuel: _Fuel) -> tuple:
     a = next(idx for idx, part in enumerate(mu) if part % 2 == 0)
     block = block_list[a]
     size = len(block)
-    cur = {(sigma, frozenset()): (-1 if (size * (size - 1) // 2) % 2 else 1,)}
+    cur = {(sigma, 0): (-1 if (size * (size - 1) // 2) % 2 else 1,)}
     for k in reversed(block):
         cur = _lmul_c(cur, k)
     for k in block:
         cur = _rmul_c(cur, k)
-    _poly_acc(cur, (sigma, frozenset()), _ONE)
-    if (sigma, frozenset()) in cur:
+    _poly_acc(cur, (sigma, 0), _ONE)
+    if (sigma, 0) in cur:
         raise ReductionError(f"even-block halving left T_w_mu alive for mu={mu}")
     e, vec = _reduce_terms(cur, fuel)
     return _lowest(e + 1, vec)

@@ -24,9 +24,10 @@ from spinhecke.combinatorics import (
     shifted_data,
 )
 from spinhecke.hecke_clifford import build_T_w, from_word, one
-from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, ZERO, sc_int
+from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, ZERO, _poly_mul, sc_int
+from spinhecke import characters
 from spinhecke.symfunc import expand_in_Q
-from spinhecke.traces import gimel
+from spinhecke.traces import clear_caches, gimel
 
 
 def character_value(lam, h):
@@ -194,6 +195,26 @@ def _hook_content_product(lam):
     for c in data.all_contents():
         den = den * (ONE + Scalar.v_power(c))
     return num / den
+
+
+def test_cyclotomic_table_grows_on_demand_and_is_cleared():
+    clear_caches()
+    assert not characters._PHI
+    small = schur_element((3, 1))
+    size = len(characters._PHI)
+    assert size
+    generic_degree((9, 4))  # hooks up to 13, contents up to 8
+    top = len(characters._PHI)
+    assert top >= 13 > size and set(characters._PHI) == set(range(1, top + 1))
+    assert schur_element((3, 1)) == small
+    for k in range(1, top + 1):
+        prod = (1,)
+        for d in range(1, k + 1):
+            if k % d == 0:
+                prod = _poly_mul(prod, characters._PHI[d])
+        assert prod == (-1,) + (0,) * (k - 1) + (1,)  # v^k - 1
+    clear_caches()
+    assert not characters._PHI
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -1,5 +1,8 @@
 """The int-tuple generator products and the (e, {nu: ints}) reduction memo
-against the Scalar-coefficient reference in `_scalar_kernels`."""
+against the Scalar-coefficient reference in `_scalar_kernels`.
+
+The kernels key a raw term by (sigma, bitmask) and the reference by
+(sigma, frozenset); the comparison converts keys at this boundary."""
 
 import itertools
 import random
@@ -26,7 +29,16 @@ _KERNELS = [
 
 
 def _as_scalars(raw: dict) -> dict:
-    return {key: Scalar.from_v_ints(p) for key, p in raw.items()}
+    """Raw {(sigma, mask): ints} as reference terms {(sigma, frozenset): Scalar}."""
+    return {
+        (sigma, frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)):
+        Scalar.from_v_ints(p)
+        for (sigma, mask), p in raw.items()
+    }
+
+
+def _mask(cliff) -> int:
+    return sum(1 << k for k in cliff)
 
 
 def _basis_keys(n):
@@ -43,7 +55,7 @@ def test_int_kernels_match_the_scalar_reference(n, name, fast, slow, kind):
     for key in _basis_keys(n):
         for g in gens:
             for p in ((1,), _P):
-                got = fast({key: p}, g)
+                got = fast({(key[0], _mask(key[1])): p}, g)
                 assert all(got.values()), (key, g)  # no zero coefficient kept
                 want = slow({key: Scalar.from_v_ints(p)}, g)
                 assert _as_scalars(got) == want, (name, key, g, p)
@@ -51,11 +63,63 @@ def test_int_kernels_match_the_scalar_reference(n, name, fast, slow, kind):
 
 def test_push_memo_holds_int_tuples():
     clear_caches()
-    hecke_clifford._rmul_c({((3, 1, 4, 2), frozenset((2,))): (1,)}, 3)
+    hecke_clifford._rmul_c({((3, 1, 4, 2), _mask((2,))): (1,)}, 3)
     assert hecke_clifford._PUSH_MEMO
     for terms in hecke_clifford._PUSH_MEMO.values():
         for coeff in terms.values():
             assert isinstance(coeff, tuple) and all(isinstance(a, int) for a in coeff)
+
+
+def test_raw_keys_are_permutation_and_bitmask():
+    clear_caches()
+    for key in _basis_keys(4):
+        reduce(AlgebraElement(4, {key: ONE}))
+    assert traces._MEMO and hecke_clifford._PUSH_MEMO
+    keys = list(traces._MEMO)
+    keys += [key for terms in hecke_clifford._PUSH_MEMO.values() for key in terms]
+    for sigma, mask in keys:
+        assert type(sigma) is tuple and type(mask) is int
+    # a push through T_sigma leaves exactly one Clifford letter
+    for terms in hecke_clifford._PUSH_MEMO.values():
+        assert all(mask.bit_count() == 1 for _, mask in terms)
+
+
+@pytest.mark.parametrize("text", ["0", "1", "-3", "v", "2*v^2-1", "v^5-7*v^2+4"])
+def test_v_ints_round_trips_on_integer_polynomials_in_v(text):
+    value = sc_parse(text)
+    ints = value.v_ints()
+    assert isinstance(ints, tuple) and all(type(a) is int for a in ints)
+    assert not ints or ints[-1]  # trimmed
+    assert Scalar.from_v_ints(ints) == value
+    assert Scalar.from_v_ints(ints).v_ints() == ints
+
+
+@pytest.mark.parametrize(
+    "value", [HALF * V_MINUS_1, I * U, U, sc_parse("1/(v+1)")], ids=["half", "iu", "u", "inverse"]
+)
+def test_v_ints_refuses_values_outside_integer_polynomials_in_v(value):
+    assert value.v_ints() is None
+
+
+def test_by_coeff_makes_one_group_for_every_integer_polynomial_coefficient():
+    sigma = (2, 1, 3)
+    terms = {
+        (sigma, frozenset()): ONE,
+        (sigma, frozenset((1, 3))): V_MINUS_1,
+        ((1, 2, 3), frozenset((2,))): sc_int(-3),
+        ((1, 3, 2), frozenset((1,))): HALF,
+        ((3, 2, 1), frozenset()): HALF,
+        ((1, 2, 3), frozenset()): I * U,
+    }
+    groups = hecke_clifford._by_coeff(terms)
+    assert set(groups) == {ONE, HALF, I * U}
+    assert groups[ONE] == {
+        (sigma, 0): (1,),
+        (sigma, 0b1010): (-1, 1),
+        ((1, 2, 3), 0b100): (-3,),
+    }
+    assert groups[HALF] == {((1, 3, 2), 0b10): (1,), ((3, 2, 1), 0): (1,)}
+    assert hecke_clifford._scalar_terms(groups) == terms
 
 
 # ---------------------------------------------------------------------------

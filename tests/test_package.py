@@ -131,6 +131,27 @@ def test_traced_classpoly_ops_match_their_goldens():
     assert report["trace"]["names"]["traces.reduce"]["calls"] >= 2  # the pair, traced
 
 
+def test_classpoly_workload_matches_its_goldens():
+    # every op of a classpoly pass (the 45-op pool and class-poly --n 6),
+    # run untraced by the benchmark's worker, prints its golden bytes
+    code = (
+        "import json, run; steps = run.workload_steps('classpoly', 0); "
+        "print(json.dumps([op for step in steps "
+        "for op in (step['ops'] if step['kind'] == 'batch' else [step])]))"
+    )
+    ops = json.loads(_perfbench("-c", code))
+    assert len(ops) == 46 and ops[-1]["kind"] == "cli"
+    job = {"trace": False, "op_base": 0, "ops": ops}
+    report = json.loads(_perfbench("worker.py", json.dumps(job)).splitlines()[-1])
+    goldens = json.loads((PERFBENCH[0].parent / "goldens.json").read_text())
+    results = report["ops"]
+    assert [r.get("error") for r in results] == [None] * len(ops)
+    assert {op["key"]: r["digest"] for op, r in zip(ops, results)} == {
+        op["key"]: goldens[op["key"]] for op in ops
+    }
+    assert all(r["check"] is not False for r in results)
+
+
 def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
     # the oracle's traces must not reuse g-tilde, the reduction or the
     # Frobenius columns; it takes only the SymPoly container and the step
