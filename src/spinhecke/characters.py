@@ -30,7 +30,7 @@ from .combinatorics import (
     partition_str,
     shifted_data,
 )
-from .hecke_clifford import AlgebraElement, build_T_w
+from .hecke_clifford import build_T_w
 from .scalars import Scalar, TWO, ZERO, _poly_mul, _v_poly
 from .symfunc import g_tilde_in_Q, q_basis
 from .traces import ClassVector, gimel_weight, reduce, register_cache
@@ -147,11 +147,6 @@ def values_on_class_vector(vec: ClassVector) -> dict:
     return out
 
 
-def character_values(h: AlgebraElement) -> dict:
-    """zeta^lambda(h) for every strict lambda, from one class vector of h."""
-    return values_on_class_vector(reduce(h))
-
-
 # ---------------------------------------------------------------------------
 # Schur elements and degrees, in cyclotomic form
 #
@@ -227,6 +222,19 @@ def _cyclotomic(top: int) -> dict:
     return _PHI
 
 
+def _phi_products(exps) -> tuple:
+    """(prod_d Phi_d^e_d over e_d > 0, prod_d Phi_d^-e_d over e_d < 0) for
+    the exponents {d: e_d}, as ascending int tuples in v."""
+    phi = _cyclotomic(max((d for d, e in exps.items() if e), default=1))
+    top, bottom = (1,), (1,)
+    for d, e in exps.items():
+        for _ in range(e):
+            top = _poly_mul(top, phi[d])
+        for _ in range(-e):
+            bottom = _poly_mul(bottom, phi[d])
+    return top, bottom
+
+
 def _expand(factored: tuple) -> Scalar:
     """The Scalar of a factored value, multiplied out with no gcd.
 
@@ -237,13 +245,7 @@ def _expand(factored: tuple) -> Scalar:
     the content condition of the canonical form of `Scalar`.
     """
     const, a, exps = factored
-    phi = _cyclotomic(max((d for d, e in exps.items() if e), default=1))
-    top, bottom = [1], [1]
-    for d, e in exps.items():
-        for _ in range(e):
-            top = _poly_mul(top, phi[d])
-        for _ in range(-e):
-            bottom = _poly_mul(bottom, phi[d])
+    top, bottom = _phi_products(exps)
     num = _v_poly(top, max(a, 0), const.numerator)
     den = _v_poly(bottom, max(-a, 0), const.denominator)
     return Scalar(num, den, _canonical=True)

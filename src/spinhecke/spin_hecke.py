@@ -19,20 +19,29 @@ parts' vectors, partitions concatenated (even elements of disjoint parabolic
 blocks commute, so a commutator times an even element of the other block is
 a commutator).  Both identities are observed, not proved: the first was
 checked against the reduction for p = 1, 3, ..., 11 (p = 11 took 138 s and
-3 GB), the product rule for every odd nu with n <= 8, and the spin Schur
-elements built on them pass the halving check at every n <= 13.  `verify
---suite spin` rechecks the p-cycles up to p = min(n, 9) at run time, and the
-reduction of R-images is left for arbitrary words and for those checks.
+3 GB), the product rule for every odd nu with n <= 8, and the spin table
+built on them passes the certificate of `spin_schur_elements` at every
+n <= 18.  `verify --suite spin` rechecks the p-cycles up to p = min(n, 9) at
+run time, and the reduction of R-images is left for arbitrary words and for
+those checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import comb, factorial
+from fractions import Fraction
+from math import comb, factorial, lcm
 
-from ._linalg import solve_exact
+from ._linalg import column_rank, solve_triangular
 from ._record import Record
-from .characters import CharacterTable, schur_element, values_on_class_vector
+from .characters import (
+    CharacterTable,
+    _expand,
+    _phi_products,
+    _quotient,
+    _schur_factors,
+    values_on_class_vector,
+)
 from .combinatorics import (
     all_reduced_words,
     delta_stat,
@@ -61,6 +70,7 @@ from .scalars import (
     TWO,
     V_MINUS_1,
     ZERO,
+    _const_den,
     _poly_acc,
     _poly_add,
     _poly_mul,
@@ -254,47 +264,75 @@ def spin_class_polynomials(word, n: int) -> ClassVector:
     """Coordinates of the R-word in the R_{w_nu} class basis.
 
     Odd-length words lie in the kernel of every trace function and return the
-    zero vector outright.  An even-length word is resolved by one exact solve
-    B x = reduce(R(word)), where column nu of B is the closed-form class
-    vector of the canonical class word of nu; only the word itself is
-    reduced, and no character table is built.
+    zero vector outright.  An even-length word is resolved by back-substitution
+    against the basis B whose column nu is the closed-form class vector of the
+    canonical class word of nu: that column is supported on the refinements
+    of nu, which are lexicographically at most nu, and its entry at nu itself
+    is 2^(n - len(nu)), so B is triangular.  Only the word itself is reduced,
+    and no character table is built.
     """
     word = _checked_word(word, n)
     if len(word) % 2 == 1:
         return zero_vector(n)
     columns = enumerate_partitions(n, "odd")
-    basis = [class_word_vector(nu) for nu in columns]
-    target = R_class_vector(word, n)
-    rows = [[vec[mu] for vec in basis] for mu in columns]
-    solution = solve_exact(rows, [target[mu] for mu in columns])
-    return ClassVector(n=n, coeffs=dict(zip(columns, solution)))
+    basis = {nu: class_word_vector(nu).coeffs for nu in columns}
+    solution = solve_triangular(basis, R_class_vector(word, n).coeffs)
+    return ClassVector(n=n, coeffs={nu: solution.get(nu, ZERO) for nu in columns})
 
 
 def spin_schur_elements(n: int) -> dict:
-    """c-minus for every strict partition, via the trace decomposition.
+    """c-minus for every strict partition: the ordinary Schur element halved
+    (2^-k at rank 2k or 2k + 1, once more at odd rank when delta-minus is 1),
+    certified against the trace decomposition.
 
-    The weights u-minus are pinned down by gimel-minus taking value 1 on the
-    empty word and 0 on every other canonical class word; the resulting
-    elements are cross-checked against the halved ordinary Schur elements
-    (2^-k at even rank; one extra halving at odd rank when delta-minus is 1).
+    The weights w_lambda = 1 / (2^delta-minus c-minus) must solve T^t w = e
+    for the spin table T, e the indicator of the empty word: gimel-minus is 1
+    there and 0 on every other canonical class word.  The closed-form weights
+    are checked instead of solved for, on integer polynomials in v once every
+    denominator is cleared: the constants by their lcm, the cyclotomic ones
+    by one common multiple D = v^A prod_d Phi_d^(E_d).  Then T is shown
+    nonsingular by its full rank at a point modulo a prime (`column_rank`),
+    so the weights are the only solution.  Raises RuntimeError naming the
+    first failing class word, or saying that T is singular or not over
+    Z[v][1/2].
     """
     table = spin_character_table(n)
-    rows = [[table.entry(lam, nu) for lam in table.rows] for nu in table.columns]
-    rhs = [ONE if nu == (1,) * n else ZERO for nu in table.columns]
-    weights = solve_exact(rows, rhs)
-    out = {}
-    k = n // 2
-    for lam, w in zip(table.rows, weights):
-        c_minus = ONE / (TWO ** delta_minus(lam, n) * w)
-        expected = schur_element(lam) / TWO ** (k + (n % 2) * delta_minus(lam, n))
-        if c_minus != expected:
+    weights, common = {}, Counter()
+    for lam in table.rows:
+        power = n // 2 + (n % 2 - 1) * delta_minus(lam, n)
+        weights[lam] = _quotient((Fraction(2) ** power, 0, Counter()), _schur_factors(lam))
+        common |= -weights[lam][2]
+    shift = max(0, *(-a for _, a, _ in weights.values()))
+    scale = lcm(*(r.denominator for r, _, _ in weights.values()))
+    cleared = {
+        lam: (0,) * (a + shift)
+        + _poly_scale(_phi_products(common + exps)[0], r.numerator * scale // r.denominator)
+        for lam, (r, a, exps) in weights.items()
+    }
+    dens = {key: _const_den(x.den) for key, x in table.entries.items()}
+    entry_scale = lcm(*dens.values())
+    target = _poly_scale((0,) * shift + _phi_products(common)[0], scale * entry_scale)
+    for nu in table.columns:
+        total = ()
+        for lam in table.rows:
+            num = Scalar(table.entry(lam, nu).num, _canonical=True).v_ints()
+            if num is None or not entry_scale:
+                raise RuntimeError("the spin character table is not over Z[v][1/2]")
+            if num:
+                num = _poly_scale(num, entry_scale // dens[(lam, nu)])
+                total = _poly_add(total, _poly_mul(num, cleared[lam]))
+        if total != (target if nu == (1,) * n else ()):
             raise RuntimeError(
-                f"spin Schur element for {partition_str(lam)} is "
-                f"{c_minus.render()}, expected {expected.render()} from the "
-                "halving relation"
+                "the closed-form spin Schur weights fail the trace decomposition "
+                f"on the class word of {partition_str(nu)}"
             )
-        out[lam] = c_minus
-    return out
+    rows = [[table.entry(lam, nu) for lam in table.rows] for nu in table.columns]
+    if column_rank(rows) < len(table.rows):
+        raise RuntimeError("the spin character table is singular")
+    return {
+        lam: _expand(_quotient((Fraction(1, 2 ** delta_minus(lam, n)), 0, Counter()), w))
+        for lam, w in weights.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from spinhecke.characters import (
     _expand,
     _ratio_exponents,
     character_table,
-    character_values,
     generic_degree,
     schur_element,
     u_weight,
+    values_on_class_vector,
     verify_gimel_decomposition,
 )
 from spinhecke.combinatorics import (
@@ -27,12 +27,13 @@ from spinhecke.hecke_clifford import build_T_w, from_word, one
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, ZERO, _poly_mul, sc_int
 from spinhecke import characters
 from spinhecke.symfunc import expand_in_Q
-from spinhecke.traces import clear_caches, gimel
+from spinhecke.traces import clear_caches, gimel, reduce
 
 
 def character_value(lam, h):
-    """zeta^lambda(h) through class polynomials."""
-    return character_values(h)[tuple(lam)]
+    """zeta^lambda(h) through class polynomials: one class vector of h paired
+    with the rows of the table."""
+    return values_on_class_vector(reduce(h))[tuple(lam)]
 
 
 def poincare(n):

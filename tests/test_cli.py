@@ -10,7 +10,8 @@ import pytest
 import spinhecke
 from spinhecke import cli, spin_hecke, tensor_oracle
 from spinhecke.cli import run
-from spinhecke.scalars import I
+from spinhecke.characters import CharacterTable
+from spinhecke.scalars import I, ONE
 
 
 def invoke(capsys, *argv):
@@ -150,6 +151,21 @@ def test_spin_suite_rechecks_the_closed_form(capsys, monkeypatch):
     assert "FAIL - spin closed-form cycle vectors: differs from the reduction at p=3" in out
 
 
+def test_spin_suite_reports_a_failed_certificate(capsys, monkeypatch):
+    # one altered entry of the spin table must fail the certificate of the
+    # spin Schur elements, and the suite must report it
+    table = spin_hecke.spin_character_table(4)
+    entries = dict(table.entries)
+    entries[((4,), (3, 1))] = entries[((4,), (3, 1))] + ONE
+    altered = CharacterTable(n=4, rows=table.rows, columns=table.columns, entries=entries)
+    monkeypatch.setattr(spin_hecke, "spin_character_table", lambda n: altered)
+    code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "spin")
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line.startswith("FAIL - spin Schur halving: ")
+    assert line.endswith("on the class word of 3,1")
+
+
 def test_verify_output_is_deterministic(capsys):
     first = invoke(capsys, "verify", "--n", "2", "--suite", "core", "--seed", "5")
     second = invoke(capsys, "verify", "--n", "2", "--suite", "core", "--seed", "5")
@@ -234,6 +250,13 @@ _SPIN_DIGESTS = {
     ),
     "schur-elements --n 10 --spin": (
         "20595a6f26b236fd1fd2f4a52165aed20edd2affbbf46fdcc4b0d8bb9779ca1f"
+    ),
+    # captured while the weights were still solved for by Bareiss elimination
+    "schur-elements --n 12 --spin": (
+        "c482406381ce5b4ae4bbf1437d68235dcd4f6ffff76268bdad1d696ecb94d233"
+    ),
+    "schur-elements --n 14 --spin": (
+        "f9f6ade603ba3f6d123b1351dd2f4976ae65c2b337fae0605fc54763c8ecff92"
     ),
     "spin-class-poly --n 8 --word 2,1,3,2,3,1,5,4,5,4": (
         "541b85ddcd786dd8d47ca002bdfe8ce214543a03294c590e676cbb48233da589"

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from spinhecke._linalg import _bareiss, _exact, _polynomial_row, column_rank, solve_exact
+from _bareiss_reference import _bareiss, _exact, _polynomial_row, solve_exact
+from spinhecke._linalg import _I_MOD_P, _P, _POINTS, column_rank
 from spinhecke.scalars import I, MINUS_ONE, ONE, Scalar, TWO, U, V, ZERO, sc_int, sc_parse
 
 
@@ -210,3 +211,28 @@ def test_exact_division_refuses_an_inexact_quotient():
     # a divisor with a non-real lead is conjugated first
     d = ((ONE + I) * U + sc_int(3)).num
     assert _exact((U - I).num * d, d) == (U - I).num
+
+
+# -- ranks at a point modulo P ---------------------------------------------
+
+
+def test_i_is_a_square_root_of_minus_one_modulo_p():
+    assert _P % 4 == 1 and pow(3, _P - 1, _P) == 1
+    assert _I_MOD_P * _I_MOD_P % _P == _P - 1
+
+
+def test_gaussian_ranks():
+    # det [[i, 1], [1, i]] = -2, det [[i, 1], [1, -i]] = 0
+    assert column_rank([[I, ONE], [ONE, I]]) == 2
+    assert column_rank([[I, ONE], [ONE, -I]]) == 1
+    assert column_rank([[U, I * U], [I, MINUS_ONE]]) == 1
+
+
+def test_rank_skips_a_point_where_a_denominator_vanishes():
+    pole = ONE / (U - sc_int(_POINTS[0]))
+    assert column_rank([[pole, ONE], [ONE, ONE]]) == 2
+    assert column_rank([[pole, pole], [ONE, ONE]]) == 1
+    for u0 in _POINTS[1:]:
+        pole = pole / (U - sc_int(u0))
+    with pytest.raises(ZeroDivisionError, match="vanishes at every point"):
+        column_rank([[pole]])

@@ -152,6 +152,25 @@ def test_classpoly_workload_matches_its_goldens():
     assert all(r["check"] is not False for r in results)
 
 
+@pytest.mark.parametrize("workload", ["characters", "degrees"])
+def test_cli_workload_matches_its_goldens(workload):
+    # every op of a pass is a CLI command (char-table, schur-elements --spin,
+    # generic-degrees, schur-elements), run by the benchmark's worker
+    # through cli.run; each prints its golden bytes
+    code = f"import json, run; print(json.dumps(run.workload_steps({workload!r}, 0)))"
+    ops = json.loads(_perfbench("-c", code))
+    assert ops and all(op["kind"] == "cli" for op in ops)
+    job = {"trace": False, "op_base": 0, "ops": ops}
+    report = json.loads(_perfbench("worker.py", json.dumps(job)).splitlines()[-1])
+    goldens = json.loads((PERFBENCH[0].parent / "goldens.json").read_text())
+    results = report["ops"]
+    assert [r.get("error") for r in results] == [None] * len(ops)
+    assert {op["key"]: r["digest"] for op, r in zip(ops, results)} == {
+        op["key"]: goldens[op["key"]] for op in ops
+    }
+    assert all(r["check"] for r in results)
+
+
 def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
     # the oracle's traces must not reuse g-tilde, the reduction or the
     # Frobenius columns; it takes only the SymPoly container and the step

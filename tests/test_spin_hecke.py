@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from spinhecke._linalg import column_rank, solve_exact
-from spinhecke.characters import character_values
+from _bareiss_reference import solve_exact
+from spinhecke import spin_hecke
+from spinhecke._linalg import column_rank
+from spinhecke.characters import CharacterTable, values_on_class_vector
 from spinhecke.combinatorics import enumerate_partitions, reduced_word, w_gamma
 from spinhecke.hecke_clifford import T_gen, c_gen, multiply, one
 from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO, sc_int
@@ -33,7 +35,7 @@ def spin_character_value(lam, h):
     n = h.n
     halving = n % 2 == 1 and len(lam) % 2 == 0
     scale = (TWO if halving else ONE) / sc_int(dim_clifford_module(n))
-    return scale * character_values(h)[tuple(lam)]
+    return scale * values_on_class_vector(reduce(h))[tuple(lam)]
 
 
 # -- the embedding ------------------------------------------------------------
@@ -264,6 +266,70 @@ def test_spin_schur_halving_cross_check_passes(n):
     # return at all means the closed halving relation held for every row
     elements = spin_schur_elements(n)
     assert set(elements) == set(enumerate_partitions(n, "strict"))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_certified_schur_elements_match_the_bareiss_solve(n):
+    # the weights solved for by fraction-free elimination, as the package
+    # did before it certified the closed-form ones
+    table = spin_character_table(n)
+    rows = [[table.entry(lam, nu) for lam in table.rows] for nu in table.columns]
+    rhs = [ONE if nu == (1,) * n else ZERO for nu in table.columns]
+    weights = solve_exact(rows, rhs)
+    solved = {
+        lam: ONE / (TWO ** delta_minus(lam, n) * w) for lam, w in zip(table.rows, weights)
+    }
+    assert spin_schur_elements(n) == solved
+
+
+def _patch_table(monkeypatch, n, change):
+    """Make spin_schur_elements see spin_character_table(n) with
+    change(entries) applied to a copy of its entries."""
+    table = spin_character_table(n)
+    entries = dict(table.entries)
+    change(entries)
+    altered = CharacterTable(n=n, rows=table.rows, columns=table.columns, entries=entries)
+    monkeypatch.setattr(spin_hecke, "spin_character_table", lambda m: altered)
+
+
+def test_certificate_rejects_an_altered_entry(monkeypatch):
+    def bump(entries):
+        entries[((4,), (3, 1))] = entries[((4,), (3, 1))] + ONE
+
+    _patch_table(monkeypatch, 4, bump)
+    with pytest.raises(RuntimeError, match="on the class word of 3,1$"):
+        spin_schur_elements(4)
+
+
+def test_certificate_rejects_an_entry_outside_the_table_ring(monkeypatch):
+    def divide(entries):
+        entries[((4,), (3, 1))] = entries[((4,), (3, 1))] / (V + ONE)
+
+    _patch_table(monkeypatch, 4, divide)
+    with pytest.raises(RuntimeError, match=r"^the spin character table is not over Z\[v\]\[1/2\]$"):
+        spin_schur_elements(4)
+
+
+def test_certificate_rejects_a_singular_table(monkeypatch):
+    # column (3,1,1) a copy of column (5): the weights still pass the product
+    # check, since both columns must give 0, but no longer uniquely
+    def copy(entries):
+        for lam in enumerate_partitions(5, "strict"):
+            entries[(lam, (3, 1, 1))] = entries[(lam, (5,))]
+
+    _patch_table(monkeypatch, 5, copy)
+    with pytest.raises(RuntimeError, match="^the spin character table is singular$"):
+        spin_schur_elements(5)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_class_word_basis_is_triangular(n):
+    # spin_class_polynomials back-substitutes on this: column nu is supported
+    # on partitions lexicographically at most nu, with 2^(n - len(nu)) at nu
+    for nu in enumerate_partitions(n, "odd"):
+        coeffs = class_word_vector(nu).coeffs
+        assert max(mu for mu, x in coeffs.items() if not x.is_zero()) == nu
+        assert coeffs[nu] == sc_int(2 ** (n - len(nu)))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -9,7 +9,8 @@ import pytest
 
 from _monomial_g_tilde import delta, g_tilde, g_tilde_one_part, monomial
 from _orbits import from_exponents
-from spinhecke._linalg import column_rank, solve_exact, solve_triangular
+from _bareiss_reference import solve_exact
+from spinhecke._linalg import column_rank, solve_triangular
 from spinhecke.combinatorics import enumerate_partitions
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_int, sc_parse
 from spinhecke.symfunc import (
