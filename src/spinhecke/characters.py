@@ -16,7 +16,6 @@ multiplied out once, already in lowest terms.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from collections import Counter
@@ -62,6 +61,8 @@ class CharacterTable(Record):
         return json.dumps(payload)
 
     def to_csv(self) -> str:
+        import csv  # only this method writes CSV, so a CLI launch skips the import
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["lambda"] + [partition_str(nu) for nu in self.columns])

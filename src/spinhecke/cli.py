@@ -47,7 +47,7 @@ from .spin_hecke import (
     verify_iso,
     verify_trace_vanishing,
 )
-from .tensor_oracle import TensorSpace, apply, apply_element, cross_check
+from .tensor_oracle import TensorSpace, cross_check, relation_failure
 from .traces import gimel, gimel_weight, reduce
 
 
@@ -202,50 +202,6 @@ def _suite_core(args):
     return checks
 
 
-def _tensor_word_relations(n: int):
-    """Relations checked on tensor space one generator at a time, as
-    (name, lhs word, rhs word, sign) with lhs = sign * rhs."""
-    rels = []
-    for i in range(1, n - 1):
-        rels.append((f"braid {i}", [("T", i), ("T", i + 1), ("T", i)],
-                     [("T", i + 1), ("T", i), ("T", i + 1)], 1))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append((f"T{i} T{j} commute", [("T", i), ("T", j)],
-                         [("T", j), ("T", i)], 1))
-        rels.append((f"T{i} c{i} pass", [("T", i), ("c", i)],
-                     [("c", i + 1), ("T", i)], 1))
-    for k in range(1, n + 1):
-        rels.append((f"c{k} square", [("c", k), ("c", k)], [], 1))
-        for l in range(k + 1, n + 1):
-            rels.append((f"c{k} c{l} anticommute", [("c", k), ("c", l)],
-                         [("c", l), ("c", k)], -1))
-    return rels
-
-
-def _act(space, word, vec: dict) -> dict:
-    # operator composition: the rightmost generator acts first
-    for gen in reversed(word):
-        vec = apply(space, gen, vec)
-    return vec
-
-
-def _tensor_relation_failure(space, quadratics, relations, vec: dict) -> str:
-    """The first defining relation the tensor action breaks on vec, or "";
-    quadratics[i - 1] is (v-1) T_i + v, which T_i^2 must equal."""
-    for i, quadratic in enumerate(quadratics, 1):
-        lhs = apply(space, ("T", i), apply(space, ("T", i), vec))
-        if lhs != apply_element(space, quadratic, vec):
-            return f"quadratic relation leaked at T{i}"
-    for name, lhs, rhs, sign in relations:
-        right = _act(space, rhs, vec)
-        if sign < 0:
-            right = {tup: -coeff for tup, coeff in right.items()}
-        if _act(space, lhs, vec) != right:
-            return f"{name} leaked"
-    return ""
-
-
 def _suite_oracle(args):
     checks = []
     report = cross_check(args.n)
@@ -256,10 +212,6 @@ def _suite_oracle(args):
         return checks
     rng = random.Random(args.seed)
     size = len(space.indices)
-    relations = _tensor_word_relations(args.n)
-    quadratics = [
-        T_gen(args.n, i).scale(V_MINUS_1) + one(args.n).scale(V) for i in range(1, args.n)
-    ]
     failure = ""
     for _ in range(10):
         # the draws of rng.sample(list(space.basis_tuples()), 3), unlisted
@@ -268,7 +220,7 @@ def _suite_oracle(args):
             tuple(space.indices[j // size**p % size] for p in reversed(range(args.n))): ONE
             for j in picks
         }
-        failure = _tensor_relation_failure(space, quadratics, relations, vec)
+        failure = relation_failure(space, vec)
         if failure:
             break
     checks.append(("tensor relations on random vectors", not failure, failure))

@@ -468,6 +468,46 @@ class Scalar:
         return tuple(out)
 
     @staticmethod
+    def from_u_ints(re, im=()) -> "Scalar":
+        """sum_k (re[k] + i im[k]) u^k for int sequences re and im: a
+        polynomial over the Gaussian integers, canonical as it stands.
+
+        >>> Scalar.from_u_ints((-1, 0, 1)).render()
+        'v-1'
+        >>> Scalar.from_u_ints((0, 1), (2,)).render()
+        'u+2*i'
+        """
+        coeffs = {k: _gr(a, 0) for k, a in enumerate(re) if a}
+        for k, b in enumerate(im):
+            if b:
+                c = coeffs.get(k)
+                coeffs[k] = _gr(0 if c is None else c.re, b)
+        if not coeffs:
+            return ZERO
+        res = _new(UPoly)
+        res.coeffs = coeffs
+        return Scalar(res, UP_ONE, _canonical=True)
+
+    def u_ints(self):
+        """The ascending int tuple in u of a value with denominator 1 and real
+        int parts (() for zero), and None for any other value.
+
+        >>> sc_parse("v-u").u_ints()
+        (0, -1, 1)
+        >>> sc_parse("u/2").u_ints() is None
+        True
+        """
+        if not self.den.is_one():
+            return None
+        coeffs = self.num.coeffs
+        out = [0] * (max(coeffs, default=-1) + 1)
+        for e, c in coeffs.items():
+            if c.im or c.re.__class__ is not int:
+                return None
+            out[e] = c.re
+        return tuple(out)
+
+    @staticmethod
     def v_power(k: int) -> "Scalar":
         """v**k as a Scalar, for any integer k (negative gives 1/v**|k|)."""
         if k >= 0:

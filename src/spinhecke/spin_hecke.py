@@ -123,12 +123,16 @@ def _R_terms(word, n: int) -> dict:
         low, high = 1 << i, 1 << (i + 1)
         out: dict = {}
         for (sigma, mask), p in _lmul_T(terms, i).items():
-            neg = _poly_scale(p, -1)
             odd = (mask & (low - 1)).bit_count() & 1
-            _poly_acc(out, (sigma, mask ^ low), neg if odd else p)
             if mask & low:
-                odd ^= 1
-            _poly_acc(out, (sigma, mask ^ high), p if odd else neg)
+                # c_i and c_{i+1} see the same sign: -p is needed only when odd
+                val = _poly_scale(p, -1) if odd else p
+                _poly_acc(out, (sigma, mask ^ low), val)
+                _poly_acc(out, (sigma, mask ^ high), val)
+            else:
+                neg = _poly_scale(p, -1)
+                _poly_acc(out, (sigma, mask ^ low), neg if odd else p)
+                _poly_acc(out, (sigma, mask ^ high), p if odd else neg)
         for (sigma, mask), p in terms.items():
             q = _poly_mul(_VM1, p)
             if (mask & (high - 1)).bit_count() & 1:

@@ -23,15 +23,30 @@ comparison a genuine cross-check.  The full-orbit pass (every tuple, every
 orbit checked complete and even) is kept in the tests as the reference for the
 dominant-weight shortcut.
 
+One integer kernel carries the action.  Every exchange coefficient lies in
+Z[u] (v = u^2), and c_k sends a tuple to one tuple with a sign and one factor
+of i.  So a vector is {tuple: ints}, each value an ascending int tuple in u,
+and a word acting on a real vector carries one power of i for the whole
+vector, the number of its c letters.  No Gaussian arithmetic runs inside the
+kernel.  `apply` and `apply_element` keep {tuple: Scalar} at their boundary:
+they group the input by coefficient (a real coefficient in Z[u] joins the
+int group of 1, any other `Scalar` heads a group of its own), run the
+kernel on each group, and build one `Scalar` per output entry.
+
 Operators are never materialized.  A Clifford-free staircase term T_{w_gamma}
-(every class column is one) is traced by a chain transfer: its gates are
-two-site exchanges, so the diagonal on a weight block is a walk along each
-block of gamma whose state is the weight still to place and the index carried
-between neighbouring gates, with no tuple of the block ever listed.  Every
-other term (Clifford letters, or a permutation that is no staircase) acts on
-sparse vectors (dicts mapping index tuples to scalars) and its diagonal is
-summed tuple by tuple, one dominant weight block at a time; the tests check
-the transfer against that per-tuple sum.
+(every class column is one) acts as a tensor product of one-block operators,
+so its trace on a weight block is a sum, over the splits of the weight among
+the blocks of gamma, of products of one-block traces.  A one-block trace
+B_p(mu) is a chain transfer: the gates of T_1 ... T_{p-1} are two-site
+exchanges, so the diagonal is a walk whose state is the weight still to
+place and the index carried between neighbouring gates, with no tuple of the
+block ever listed.  B_p(mu) and the trace of every suffix of gamma depend on
+the weight only through its sorted counts, so both are memoized on them, for
+one trace_poly or oracle_characters call.  Every other term (Clifford
+letters, or a permutation that is no staircase) acts on the kernel's sparse
+vectors and its diagonal is summed tuple by tuple, one dominant weight block
+at a time; the tests check the factored traces against the unfactored
+transfer and against that per-tuple sum.
 """
 
 from __future__ import annotations
@@ -43,10 +58,15 @@ from ._record import Record
 from .characters import CharacterTable, character_table, table_from_columns
 from .combinatorics import enumerate_partitions, partition_str, reduced_word, w_gamma_form
 from .hecke_clifford import AlgebraElement, build_T_w
-from .scalars import I, MINUS_ONE, ONE, Scalar, U, V, V_MINUS_1, ZERO, _acc
+from .scalars import ONE, ZERO, Scalar, _acc, _poly_acc, _poly_add, _poly_mul, _poly_scale
 from .symfunc import SymPoly
 
-_NEG_I = MINUS_ONE * I
+# exchange coefficients as ascending int tuples in u
+_V = (0, 0, 1)
+_VM1 = (-1, 0, 1)  # v - 1
+_MINUS_VM1 = (1, 0, -1)
+_U = (0, 1)
+_MINUS_U = (0, -1)
 
 
 class TensorSpace(Record):
@@ -70,25 +90,114 @@ class TensorSpace(Record):
 @lru_cache(maxsize=None)
 def _exchange(k: int, l: int) -> tuple:
     """Image of e_k (x) e_l under the two-factor exchange operator, as a tuple
-    of ((a, b), coefficient) meaning coefficient * e_a (x) e_b."""
+    of ((a, b), ints) meaning ints * e_a (x) e_b, ints ascending in u."""
     if k == l:
         if k >= 1:
-            return (((k, k), V), ((-k, -k), V_MINUS_1))
-        return (((k, k), MINUS_ONE),)
+            return (((k, k), _V), ((-k, -k), _VM1))
+        return (((k, k), (-1,)),)
     if k == -l:
         if k >= 1:
-            return (((l, k), ONE),)
-        return (((l, k), V), ((k, l), V_MINUS_1))
+            return (((l, k), (1,)),)
+        return (((l, k), _V), ((k, l), _VM1))
     if abs(k) < abs(l):
         if l >= 1:
-            return (((l, k), U), ((-k, -l), V_MINUS_1), ((k, l), V_MINUS_1))
-        sgn = ONE if k >= 1 else MINUS_ONE
-        return (((l, k), U * sgn),)
+            return (((l, k), _U), ((-k, -l), _VM1), ((k, l), _VM1))
+        return (((l, k), _U if k >= 1 else _MINUS_U),)
     if k >= 1:
-        sgn = ONE if l >= 1 else MINUS_ONE
-        return (((l, k), U), ((-k, -l), sgn * V_MINUS_1))
-    sgn = ONE if l >= 1 else MINUS_ONE
-    return (((l, k), U * sgn), ((k, l), V_MINUS_1))
+        return (((l, k), _U), ((-k, -l), _VM1 if l >= 1 else _MINUS_VM1))
+    return (((l, k), _U if l >= 1 else _MINUS_U), ((k, l), _VM1))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: vectors {tuple: ints in u}
+
+
+def _T_ints(vec: dict, j: int) -> dict:
+    """T_j on an int vector."""
+    pos = j - 1
+    out: dict = {}
+    for tup, p in vec.items():
+        head, tail = tup[:pos], tup[pos + 2 :]
+        for (a, b), s in _exchange(tup[pos], tup[pos + 1]):
+            _poly_acc(out, head + (a, b) + tail, _poly_mul(p, s))
+    return out
+
+
+def _c_ints(vec: dict, k: int) -> dict:
+    """c_k on an int vector, all but the factor i of every image: e_t goes
+    to -e_t' when t_k > 0 and to e_t' otherwise (t' is t with t_k negated),
+    the sign flipped once more for each odd factor before k."""
+    pos = k - 1
+    out: dict = {}
+    for tup, p in vec.items():
+        flips = sum(1 for e in tup[:pos] if e < 0) + (tup[pos] > 0)
+        out[tup[:pos] + (-tup[pos],) + tup[pos + 1 :]] = _poly_scale(p, -1) if flips & 1 else p
+    return out
+
+
+def _act(word, vec: dict) -> tuple:
+    """The letters of word on an int vector, the rightmost first: (turns,
+    image) for the image times i^turns, turns the number of c letters."""
+    turns = 0
+    for kind, idx in reversed(word):
+        if kind == "T":
+            vec = _T_ints(vec, idx)
+        else:
+            vec = _c_ints(vec, idx)
+            turns += 1
+    return turns, vec
+
+
+def _element_ints(terms, vec: dict) -> tuple:
+    """sum over (word, ints) in terms of ints times word on a real int vector,
+    as the int vectors (re, im) of its real and imaginary parts."""
+    parts: tuple = ({}, {})
+    for word, q in terms:
+        turns, image = _act(word, vec)
+        if turns & 2:
+            q = _poly_scale(q, -1)
+        part = parts[turns & 1]
+        for tup, p in image.items():
+            _poly_acc(part, tup, _poly_mul(p, q))
+    return parts
+
+
+def _word(sigma, cliff) -> tuple:
+    """The letters of C_I T_sigma: the Clifford word, then a reduced word."""
+    return tuple(("c", k) for k in sorted(cliff)) + tuple(("T", j) for j in reduced_word(sigma))
+
+
+# ---------------------------------------------------------------------------
+# the boundary: {key: Scalar} in and out
+
+
+def _groups(coeffs: dict) -> list:
+    """{key: Scalar} as [(c, {key: ints})], read as the sum over c of c times
+    its group.  A real coefficient in Z[u] joins the group of 1 as its int
+    tuple; any other c heads a group of its own, at 1."""
+    ints_of_one: dict = {}
+    others: dict = {}
+    for key, c in coeffs.items():
+        ints = c.u_ints()
+        if ints is None:
+            others.setdefault(c, {})[key] = (1,)
+        elif ints:
+            ints_of_one[key] = ints
+    groups = [(ONE, ints_of_one)] if ints_of_one else []
+    return groups + list(others.items())
+
+
+def _times(c: Scalar, value: Scalar) -> Scalar:
+    return value if c is ONE else c * value
+
+
+def _collect(out: dict, c: Scalar, re: dict, im: dict) -> None:
+    """out[t] += c * (re[t] + i im[t]) for the int vectors re and im."""
+    for tup, p in re.items():
+        _acc(out, tup, _times(c, Scalar.from_u_ints(p, im.get(tup, ()))))
+    for tup, p in im.items():
+        if tup not in re:
+            _acc(out, tup, _times(c, Scalar.from_u_ints((), p)))
 
 
 def apply(space: TensorSpace, gen, vec: dict) -> dict:
@@ -97,25 +206,15 @@ def apply(space: TensorSpace, gen, vec: dict) -> dict:
     kind, idx = gen
     if kind not in ("T", "c"):
         raise ValueError(f"unrecognized generator kind {kind!r}")
+    top = space.n - 1 if kind == "T" else space.n
+    if not 1 <= idx <= top:
+        raise ValueError(f"{kind} index {idx} out of range for n={space.n}")
     out: dict = {}
-    if kind == "T":
-        if not 1 <= idx <= space.n - 1:
-            raise ValueError(f"T index {idx} out of range for n={space.n}")
-        pos = idx - 1
-        for tup, coeff in vec.items():
-            for (a, b), s in _exchange(tup[pos], tup[pos + 1]):
-                _acc(out, tup[:pos] + (a, b) + tup[pos + 2 :], coeff * s)
-        return out
-    if not 1 <= idx <= space.n:
-        raise ValueError(f"c index {idx} out of range for n={space.n}")
-    pos = idx - 1
-    for tup, coeff in vec.items():
-        sign_flips = sum(1 for e in tup[:pos] if e < 0)
-        factor = _NEG_I if tup[pos] > 0 else I
-        if sign_flips % 2:
-            factor = -factor
-        key = tup[:pos] + (-tup[pos],) + tup[pos + 1 :]
-        out[key] = coeff * factor
+    for c, group in _groups(vec):
+        if kind == "T":
+            _collect(out, c, _T_ints(group, idx), {})
+        else:
+            _collect(out, c, {}, _c_ints(group, idx))
     return out
 
 
@@ -125,20 +224,96 @@ def apply_element(space: TensorSpace, h: AlgebraElement, vec: dict) -> dict:
     if h.n != space.n:
         raise ValueError(f"element rank {h.n} does not match tensor rank {space.n}")
     total: dict = {}
-    for (sigma, cliff), coeff in h.terms.items():
-        cur = vec
-        for j in reversed(reduced_word(sigma)):
-            cur = apply(space, ("T", j), cur)
-        for k in sorted(cliff, reverse=True):
-            cur = apply(space, ("c", k), cur)
-        for tup, val in cur.items():
-            _acc(total, tup, coeff * val)
+    terms = _groups({_word(sigma, cliff): c for (sigma, cliff), c in h.terms.items()})
+    for a, group in _groups(vec):
+        for b, words in terms:
+            _collect(total, _times(a, b), *_element_ints(words.items(), group))
     return total
 
 
-def _diagonal(space: TensorSpace, h: AlgebraElement, tup) -> Scalar:
-    image = apply_element(space, h, {tup: ONE})
-    return image.get(tup, ZERO)
+# ---------------------------------------------------------------------------
+# the defining relations, checked on the kernel
+
+
+def _relation_words(n: int) -> list:
+    """Relations checked one generator at a time, as (name, lhs word, rhs
+    word, sign) with lhs = sign * rhs."""
+    rels = []
+    for i in range(1, n - 1):
+        rels.append((f"braid {i}", (("T", i), ("T", i + 1), ("T", i)),
+                     (("T", i + 1), ("T", i), ("T", i + 1)), 1))
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            rels.append((f"T{i} T{j} commute", (("T", i), ("T", j)), (("T", j), ("T", i)), 1))
+        rels.append((f"T{i} c{i} pass", (("T", i), ("c", i)), (("c", i + 1), ("T", i)), 1))
+    for k in range(1, n + 1):
+        rels.append((f"c{k} square", (("c", k), ("c", k)), (), 1))
+        for l in range(k + 1, n + 1):
+            rels.append((f"c{k} c{l} anticommute", (("c", k), ("c", l)),
+                         (("c", l), ("c", k)), -1))
+    return rels
+
+
+def _equal(a: tuple, b: tuple, sign: int) -> bool:
+    """i^s A == sign * i^t B for a = (s, A) and b = (t, B), A and B real."""
+    (s, lhs), (t, rhs) = a, b
+    if not lhs or not rhs:
+        return not lhs and not rhs
+    turn = (s - t - (sign < 0) * 2) % 4
+    if turn == 0:
+        return lhs == rhs
+    if turn == 2:
+        return lhs == {tup: _poly_scale(p, -1) for tup, p in rhs.items()}
+    return False
+
+
+def _broken_relation(n: int, vec: dict) -> str:
+    images = {(): (0, vec)}
+
+    def image(word):
+        # each word acts on the image of its suffix one letter shorter, so a
+        # suffix shared by several relation words acts once
+        got = images.get(word)
+        if got is None:
+            turns, below = image(word[1:])
+            kind, idx = word[0]
+            if kind == "T":
+                got = (turns, _T_ints(below, idx))
+            else:
+                got = (turns + 1, _c_ints(below, idx))
+            images[word] = got
+        return got
+
+    for i in range(1, n):
+        t = image((("T", i),))[1]
+        rhs: dict = {}
+        for src, coeff in ((t, _VM1), (vec, _V)):
+            for tup, p in src.items():
+                _poly_acc(rhs, tup, _poly_mul(p, coeff))
+        if image((("T", i), ("T", i))) != (0, rhs):
+            return f"quadratic relation leaked at T{i}"
+    for name, lhs, rhs, sign in _relation_words(n):
+        if not _equal(image(lhs), image(rhs), sign):
+            return f"{name} leaked"
+    return ""
+
+
+def relation_failure(space: TensorSpace, vec: dict) -> str:
+    """The first defining relation the tensor action breaks on the vector
+    {tuple: Scalar}, as "... leaked", or "" when all hold: T_i^2 = (v-1) T_i
+    + v first, then the braid and commutation relations, the passes
+    T_i c_i = c_{i+1} T_i, and c_k^2 = 1 with the anticommutations.  Each
+    coefficient group of vec is checked on its own, on the kernel; the
+    relations are linear, so they hold on vec when they hold on each group."""
+    for _, group in _groups(vec):
+        failure = _broken_relation(space.n, group)
+        if failure:
+            return failure
+    return ""
+
+
+# ---------------------------------------------------------------------------
+# traces on weight blocks
 
 
 def _picks(counts: tuple):
@@ -161,38 +336,111 @@ def _weight_block(counts: tuple):
             yield (t,) + tail
 
 
-def _staircase_trace(gamma: tuple, lam: tuple) -> Scalar:
-    """Trace of T_{w_gamma} on the block of weight lam, by a transfer along
-    the chain of exchange gates.
+def _block_trace(mu: tuple) -> tuple:
+    """B_p(mu): the trace of T_1 ... T_{p-1} on the block of weight mu, p = |mu|,
+    by a transfer along the chain of exchange gates.
 
-    On a block covering positions p..q the staircase T_p ... T_{q-1} applies
-    its gates from (q-1, q) down to (p, p+1), and each gate leaves its right
-    factor final.  So the diagonal coefficient at t is a walk from q down to
-    p: pick t_q, then at each j < q pick t_j, exchange (t_j, carried), keep
-    the outputs whose right factor gives back the index the previous step
-    must return, and carry the left one; the block closes when the carried
-    index is t_p again.  States are (counts left, carried, required) with
-    their summed coefficients; between blocks only the counts remain.
+    The staircase applies its gates from (p-1, p) down to (1, 2), and each
+    gate leaves its right factor final.  So the diagonal coefficient at t is
+    a walk from p down to 1: pick t_p, then at each j < p pick t_j, exchange
+    (t_j, carried), keep the outputs whose right factor gives back the index
+    the previous step must return, and carry the left one; the walk closes
+    when the carried index is t_1 again.  States are (counts left, carried,
+    required) with their summed int coefficients.
     """
-    states = {lam: ONE}
-    for part in gamma:
-        walk: dict = {}
-        for counts, val in states.items():
+    walk: dict = {}
+    for t, rest in _picks(mu):
+        walk[(rest, t, t)] = (1,)
+    for _ in range(sum(mu) - 1):
+        step: dict = {}
+        for (counts, carried, required), p in walk.items():
             for t, rest in _picks(counts):
-                _acc(walk, (rest, t, t), val)
-        for _ in range(part - 1):
-            step: dict = {}
-            for (counts, carried, required), val in walk.items():
-                for t, rest in _picks(counts):
-                    for (a, b), s in _exchange(t, carried):
-                        if b == required:
-                            _acc(step, (rest, a, t), val * s)
-            walk = step
-        states = {}
-        for (counts, carried, required), val in walk.items():
-            if carried == required:
-                _acc(states, counts, val)
-    return states.get((0,) * len(lam), ZERO)
+                for (a, b), s in _exchange(t, carried):
+                    if b == required:
+                        _poly_acc(step, (rest, a, t), _poly_mul(p, s))
+        walk = step
+    total = ()
+    for (_, carried, required), p in walk.items():
+        if carried == required:
+            total = _poly_add(total, p)
+    return total
+
+
+def _splits(counts: tuple, size: int):
+    """Each way to take size factors out of a weight with these counts: the
+    counts taken and the counts left."""
+    if not counts:
+        if not size:
+            yield (), ()
+        return
+    first, rest = counts[0], counts[1:]
+    for taken in range(max(0, size - sum(rest)), min(first, size) + 1):
+        for more, left in _splits(rest, size - taken):
+            yield (taken,) + more, (first - taken,) + left
+
+
+def _dominant(counts) -> tuple:
+    return tuple(sorted((c for c in counts if c), reverse=True))
+
+
+def _staircase_trace(gamma: tuple, lam: tuple, memo: dict) -> tuple:
+    """The trace of T_{w_gamma} on the block of weight lam (a partition of
+    |gamma|), as ints in u: the sum over the splits of lam between the first
+    block of gamma and the rest of B_{gamma_1}(taken) times the trace of the
+    rest on what is left.  Both factors depend only on the sorted counts, so
+    splits with the same sorted pair are taken once, times their number, and
+    memo keeps every (suffix of gamma, sorted weight)."""
+    key = (gamma, lam)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if len(gamma) == 1:
+        got = _block_trace(lam)
+    else:
+        pairs: dict = {}
+        for taken, left in _splits(lam, gamma[0]):
+            pair = (_dominant(taken), _dominant(left))
+            pairs[pair] = pairs.get(pair, 0) + 1
+        got = ()
+        for (mu, nu), count in pairs.items():
+            head = _staircase_trace(gamma[:1], mu, memo)
+            if head:
+                tail = _staircase_trace(gamma[1:], nu, memo)
+                got = _poly_add(got, _poly_scale(_poly_mul(head, tail), count))
+    memo[key] = got
+    return got
+
+
+def _trace_poly(h: AlgebraElement, m: int, memo: dict) -> SymPoly:
+    if m < 1:
+        raise ValueError("need at least one variable")
+    groups = []
+    for c, terms in _groups(h.terms):
+        staircases, words = [], []
+        for (sigma, cliff), p in terms.items():
+            gamma = None if cliff else w_gamma_form(sigma)
+            if gamma is None:
+                words.append((_word(sigma, cliff), p))
+            else:
+                staircases.append((gamma, p))
+        groups.append((c, staircases, words))
+    terms = {}
+    for lam in enumerate_partitions(h.n):
+        if len(lam) > m:
+            continue
+        total = ZERO
+        for c, staircases, words in groups:
+            diag = ()
+            for gamma, p in staircases:
+                diag = _poly_add(diag, _poly_mul(p, _staircase_trace(gamma, lam, memo)))
+            if words:
+                # the imaginary part has no diagonal entry: a T letter keeps
+                # the parity of the odd factors and a c letter flips it
+                for tup in _weight_block(lam):
+                    diag = _poly_add(diag, _element_ints(words, {tup: (1,)})[0].get(tup, ()))
+            total = total + _times(c, Scalar.from_u_ints(diag))
+        terms[lam] = total
+    return SymPoly(m, h.n, terms)
 
 
 def trace_poly(h: AlgebraElement, m: int) -> SymPoly:
@@ -200,37 +448,20 @@ def trace_poly(h: AlgebraElement, m: int) -> SymPoly:
     coefficient is the trace on the block of weight lambda, lambda |- n with
     at most m parts.
 
-    A Clifford-free term T_{w_gamma} on a staircase is traced by the chain
-    transfer of _staircase_trace; every other term (one with Clifford letters,
-    or a permutation that is no staircase) goes tuple by tuple through the
-    diagonal of its action on the weight block.
+    A Clifford-free term T_{w_gamma} on a staircase is traced block by block
+    (_staircase_trace); every other term (one with Clifford letters, or a
+    permutation that is no staircase) goes tuple by tuple through the
+    diagonal of its action on the weight block.  One `Scalar` is built per
+    m_lambda coefficient and coefficient group of h.
     """
-    if m < 1:
-        raise ValueError("need at least one variable")
-    space = TensorSpace(m=m, n=h.n)
-    staircases = []
-    rest = {}
-    for (sigma, cliff), coeff in h.terms.items():
-        gamma = None if cliff else w_gamma_form(sigma)
-        if gamma is None:
-            rest[(sigma, cliff)] = coeff
-        else:
-            staircases.append((gamma, coeff))
-    other = AlgebraElement(h.n, rest)
-    terms = {}
-    for lam in enumerate_partitions(h.n):
-        if len(lam) > m:
-            continue
-        total = sum((c * _staircase_trace(g, lam) for g, c in staircases), ZERO)
-        if rest:
-            total = sum((_diagonal(space, other, t) for t in _weight_block(lam)), total)
-        terms[lam] = total
-    return SymPoly(m, h.n, terms)
+    return _trace_poly(h, m, {})
 
 
 def oracle_characters(n: int) -> CharacterTable:
-    """The character table recomputed from tensor traces alone (m = n)."""
-    return table_from_columns(n, lambda nu: trace_poly(build_T_w(nu), n))
+    """The character table recomputed from tensor traces alone (m = n); the
+    columns share one memo of block and suffix traces."""
+    memo: dict = {}
+    return table_from_columns(n, lambda nu: _trace_poly(build_T_w(nu), n, memo))
 
 
 class OracleReport(Record):

@@ -8,10 +8,10 @@ import sys
 import pytest
 
 import spinhecke
-from spinhecke import cli, spin_hecke, tensor_oracle
+from spinhecke import spin_hecke, tensor_oracle
 from spinhecke.cli import run
 from spinhecke.characters import CharacterTable
-from spinhecke.scalars import I, ONE
+from spinhecke.scalars import ONE
 
 
 def invoke(capsys, *argv):
@@ -114,26 +114,39 @@ def test_oracle_suite_catches_a_missing_sign_crossing(capsys, monkeypatch):
     # c_k without its sign over the odd factors before k still squares to 1
     # and leaves the T quadratic relation alone; the Clifford relations must
     # catch it
-    exact = tensor_oracle.apply
-
-    def no_crossing(space, gen, vec):
-        kind, idx = gen
-        if kind != "c":
-            return exact(space, gen, vec)
-        pos = idx - 1
+    def no_crossing(vec, k):
+        pos = k - 1
         return {
-            tup[:pos] + (-tup[pos],) + tup[pos + 1 :]: coeff * (-I if tup[pos] > 0 else I)
-            for tup, coeff in vec.items()
+            tup[:pos] + (-tup[pos],) + tup[pos + 1 :]: tuple(-a for a in p) if tup[pos] > 0 else p
+            for tup, p in vec.items()
         }
 
-    monkeypatch.setattr(tensor_oracle, "apply", no_crossing)
-    monkeypatch.setattr(cli, "apply", no_crossing)
+    monkeypatch.setattr(tensor_oracle, "_c_ints", no_crossing)
     code, out, _ = invoke(capsys, "verify", "--n", "3", "--suite", "oracle")
     assert code == 1
     assert "ok - character table cross-check" in out
     (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert line.startswith("FAIL - tensor relations on random vectors: ")
     assert line.endswith(" leaked") and "quadratic" not in line
+
+
+def test_oracle_suite_catches_a_broken_exchange_coefficient(capsys, monkeypatch):
+    # e_1 (x) e_-1 -> -e_-1 (x) e_1: no diagonal entry of a staircase sees
+    # the flipped sign, so the cross-check still passes; the braid relation
+    # must catch it
+    exact = tensor_oracle._exchange
+
+    def broken(k, l):
+        if (k, l) == (1, -1):
+            return (((-1, 1), (-1,)),)
+        return exact(k, l)
+
+    monkeypatch.setattr(tensor_oracle, "_exchange", broken)
+    code, out, _ = invoke(capsys, "verify", "--n", "3", "--suite", "oracle")
+    assert code == 1
+    assert "ok - character table cross-check" in out
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line == "FAIL - tensor relations on random vectors: braid 1 leaked"
 
 
 def test_spin_suite_rechecks_the_closed_form(capsys, monkeypatch):

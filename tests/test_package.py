@@ -171,6 +171,28 @@ def test_cli_workload_matches_its_goldens(workload):
     assert all(r["check"] for r in results)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_workload_matches_its_goldens(seed):
+    # verify --suite oracle --n 4 and the (1^5) tensor-trace column, run
+    # untraced by the benchmark's worker, print their golden bytes
+    code = (
+        f"import json, run; steps = run.workload_steps('oracle', {seed}); "
+        "print(json.dumps([op for step in steps "
+        "for op in (step['ops'] if step['kind'] == 'batch' else [step])]))"
+    )
+    ops = json.loads(_perfbench("-c", code))
+    assert sorted(op["kind"] for op in ops) == ["cli", "column"]
+    job = {"trace": False, "op_base": 0, "ops": ops}
+    report = json.loads(_perfbench("worker.py", json.dumps(job)).splitlines()[-1])
+    goldens = json.loads((PERFBENCH[0].parent / "goldens.json").read_text())
+    results = report["ops"]
+    assert [r.get("error") for r in results] == [None] * len(ops)
+    assert {op["key"]: r["digest"] for op, r in zip(ops, results)} == {
+        op["key"]: goldens[op["key"]] for op in ops
+    }
+    assert all(r["check"] is not False for r in results)
+
+
 def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
     # the oracle's traces must not reuse g-tilde, the reduction or the
     # Frobenius columns; it takes only the SymPoly container and the step
@@ -198,12 +220,12 @@ def test_cli_import_leaves_out_dataclasses():
     env = dict(os.environ)
     path = [str(PACKAGE.parent), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
-    code = "import sys, spinhecke.cli; print('dataclasses' in sys.modules)"
+    code = "import sys, spinhecke.cli; print('dataclasses' in sys.modules, 'csv' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
 
 def test_records_are_frozen_values():

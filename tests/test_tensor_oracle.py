@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+import _tensor_reference as ref
 from _monomial_g_tilde import delta, g_tilde
 from _orbits import from_exponents
 from spinhecke.combinatorics import enumerate_partitions, reduced_word
 from spinhecke.hecke_clifford import build_T_w, from_word, one, parse_element
-from spinhecke.scalars import HALF, I, MINUS_ONE, ONE, TWO, U, V, ZERO
+from spinhecke.scalars import HALF, I, MINUS_ONE, ONE, TWO, U, V, ZERO, sc_parse
 from spinhecke.tensor_oracle import (
     OracleReport,
     TensorSpace,
@@ -128,6 +129,57 @@ def test_generators_preserve_weight():
         for gen in (("T", 1), ("T", 2), ("c", 1), ("c", 2), ("c", 3)):
             for out_tup in apply(sp, gen, {tup: ONE}):
                 assert weight(sp, out_tup) == w
+
+
+# -- the int kernel against the Scalar reference --------------------------------
+
+# 1/2 and 1/(1-v) head coefficient groups of their own, and so does i; u, v,
+# 2 and -1 join the group of 1 as int tuples other than (1,)
+_REFERENCE_POOL = [ONE, MINUS_ONE, V, TWO, HALF, I, U, sc_parse("1/(1-v)")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_action_matches_the_scalar_reference(n):
+    rng = random.Random(700 + n)
+    sp = TensorSpace(m=min(n, 3), n=n)
+    tuples = list(sp.basis_tuples())
+    gens = [("T", j) for j in range(1, n)] + [("c", k) for k in range(1, n + 1)]
+    elements = [parse_element(n, "u * c1 + i * 1 + 1/2")]
+    if n >= 2:
+        elements.append(parse_element(n, "(v-1)/2 * c1 c2 T1 + i * c2 T1 - u"))
+    if n >= 3:
+        elements.append(parse_element(n, "1/(1-v) * T2 T1 + v * c3 T1 T2 c1 + 2 * c2"))
+    for _ in range(12):
+        size = rng.randint(1, min(4, len(tuples)))
+        vec = {tup: rng.choice(_REFERENCE_POOL) for tup in rng.sample(tuples, size)}
+        for gen in gens:
+            assert apply(sp, gen, vec) == ref.apply(sp, gen, vec), (gen, vec)
+        for h in elements:
+            assert apply_element(sp, h, vec) == ref.apply_element(sp, h, vec), h.render()
+
+
+def _compositions(n):
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        gamma, part = [], 1
+        for cut in cuts:
+            if cut:
+                gamma.append(part)
+                part = 1
+            else:
+                part += 1
+        yield tuple(gamma + [part])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_block_factored_traces_match_the_unfactored_transfer(n):
+    for gamma in _compositions(n):
+        h = build_T_w(gamma)
+        want = {lam: ref._staircase_trace(gamma, lam) for lam in enumerate_partitions(n)}
+        for m in range(1, n + 1):
+            got = trace_poly(h, m).terms
+            assert set(got) == {lam for lam in want if len(lam) <= m}, (gamma, m)
+            for lam, value in got.items():
+                assert value == want[lam], (gamma, m, lam)
 
 
 # -- defining relations hold on the tensor side --------------------------------
@@ -358,6 +410,10 @@ def test_oracle_table_equals_direct_table(n):
     assert oracle.rows == direct.rows
     assert oracle.columns == direct.columns
     assert oracle.entries == direct.entries
+
+
+def test_cross_check_reaches_rank_nine():
+    assert cross_check(9) == OracleReport(n=9, passed=True, mismatch=None)
 
 
 def test_cross_check_report():
