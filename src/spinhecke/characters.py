@@ -5,13 +5,14 @@ each odd partition nu the deformed product function expands as
 
     g-tilde_nu = sum over strict lambda of 2^(-(len+delta)/2) Q_lambda zeta^lambda(T_w_nu),
 
-and `symfunc.g_tilde_in_Q` builds that expansion directly in the Q basis,
+and `symfunc._g_tilde_vector` builds that expansion directly in the Q basis,
 one Pieri product per part, so a column is read off with no monomials and no
-back-substitution.  Values on arbitrary elements follow by pairing a class
-vector with the rows.  The Schur elements and generic degrees are
-hook-content products on the shifted diagram; every factor is a product of
-cyclotomic polynomials Phi_d(v), so they are computed as Phi_d exponents and
-multiplied out once, already in lowest terms.
+back-substitution.  Its coefficients are integer polynomials in v, and so
+are the values: each rank caches them once as int tuples, the one table that
+both `character_table` and the spin table are read from.  The Schur elements
+and generic degrees are hook-content products on the shifted diagram; every
+factor is a product of cyclotomic polynomials Phi_d(v), so they are computed
+as Phi_d exponents and multiplied out once, already in lowest terms.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .combinatorics import (
 )
 from .hecke_clifford import build_T_w
 from .scalars import Scalar, TWO, ZERO, _poly_mul, _v_poly
-from .symfunc import g_tilde_in_Q, q_basis
-from .traces import ClassVector, gimel_weight, reduce, register_cache
+from .symfunc import _g_tilde_vector, q_basis
+from .traces import gimel_weight, reduce, register_cache
 
 
 class CharacterTable(Record):
@@ -88,64 +89,64 @@ class CharacterTable(Record):
         return "\n".join(lines)
 
 
+# n -> {odd nu: {strict lambda: zeta^lambda(T_w_nu) as an int tuple in v}}
 _TABLE_CACHE: dict = register_cache({})
 
 
-def _assemble(n: int, column) -> CharacterTable:
-    """The table whose column nu is read off column(nu) = {lambda: a_lambda},
-    the coefficients of sum a_lambda Q_lambda, as
-    zeta^lambda = 2^((len+delta)/2) a_lambda."""
+def _table_ints(n: int) -> dict:
+    """zeta^lambda(T_w_nu) = 2^((len+delta)/2) a_lambda, a_lambda the
+    Q-coefficients of g-tilde_nu, as {nu: {lambda: int tuple in v}} with zeros
+    left out; cached per rank, the columns built on one memo of their factors."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    table = _TABLE_CACHE.get(n)
+    if table is None:
+        memo: dict = {}
+        table = {}
+        for nu in enumerate_partitions(n, "odd"):
+            column = table[nu] = {}
+            for lam, coeff in _g_tilde_vector(nu, memo).items():
+                power = (len(lam) + delta_stat(lam)) // 2
+                column[lam] = tuple(c << power for c in coeff)
+        _TABLE_CACHE[n] = table
+    return table
+
+
+def _table_of(n: int, table: dict, den: int = 1) -> CharacterTable:
+    """The CharacterTable whose entry (lambda, nu) is table[nu][lambda] / den."""
+    rows = tuple(enumerate_partitions(n, "strict"))
+    entries = {
+        (lam, nu): Scalar.from_v_ints(column.get(lam, ()), den)
+        for nu, column in table.items()
+        for lam in rows
+    }
+    return CharacterTable(n=n, rows=rows, columns=tuple(table), entries=entries)
+
+
+def table_from_columns(n: int, column) -> CharacterTable:
+    """The table whose column nu is read off the symmetric polynomial
+    column(nu) = sum over strict lambda of a_lambda Q_lambda as
+    zeta^lambda = 2^((len+delta)/2) a_lambda; every column is
+    back-substituted against one Q basis of degree n."""
+    basis = q_basis(n, n)
     rows = tuple(enumerate_partitions(n, "strict"))
     columns = tuple(enumerate_partitions(n, "odd"))
     entries = {}
     for nu in columns:
-        coeffs = column(nu)
+        try:
+            coeffs = solve_triangular(basis, column(nu).terms)
+        except ValueError as err:
+            raise ValueError("not in the span of Q-functions") from err
         for lam in rows:
             power = (len(lam) + delta_stat(lam)) // 2
             entries[(lam, nu)] = coeffs.get(lam, ZERO) * TWO**power
     return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
 
 
-def table_from_columns(n: int, column) -> CharacterTable:
-    """The table whose column nu is read off the symmetric polynomial
-    column(nu) = sum over strict lambda of a_lambda Q_lambda; every column is
-    back-substituted against one Q basis of degree n."""
-    basis = q_basis(n, n)
-
-    def coefficients(nu):
-        try:
-            return solve_triangular(basis, column(nu).terms)
-        except ValueError as err:
-            raise ValueError("not in the span of Q-functions") from err
-
-    return _assemble(n, coefficients)
-
-
 def character_table(n: int) -> CharacterTable:
     """The table zeta^lambda(T_w_nu), column nu the Q-expansion of
-    g-tilde_nu built by the Pieri rule; the columns share one memo of their
-    common factors."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    cached = _TABLE_CACHE.get(n)
-    if cached is None:
-        memo: dict = {}
-        cached = _TABLE_CACHE[n] = _assemble(n, lambda nu: g_tilde_in_Q(nu, memo))
-    return cached
-
-
-def values_on_class_vector(vec: ClassVector) -> dict:
-    """zeta^lambda of every element whose class vector is vec, for every
-    strict lambda: vec paired with each row of the table."""
-    table = character_table(vec.n)
-    out = {}
-    for lam in table.rows:
-        total = ZERO
-        for nu, val in vec.coeffs.items():
-            if not val.is_zero():
-                total = total + val * table.entry(lam, nu)
-        out[lam] = total
-    return out
+    g-tilde_nu built by the Pieri rule, read off the cached int table."""
+    return _table_of(n, _table_ints(n))
 
 
 # ---------------------------------------------------------------------------

@@ -241,12 +241,8 @@ def _lmul_T(terms: dict, j: int) -> dict:
     return acc
 
 
+# (sigma, k) -> T_sigma * c_k, emptied by traces.clear_caches()
 _PUSH_MEMO: dict = {}
-
-
-def clear_push_memo() -> None:
-    """Empty the memo of Clifford pushes through T_sigma."""
-    _PUSH_MEMO.clear()
 
 
 def _push_c_left(sigma, k: int) -> dict:

@@ -2,8 +2,8 @@
 
 Every computation here routes through the embedding R_i |-> (c_i - c_{i+1})T_i
 + (v-1)c_{i+1}: products of R generators become ordinary normal forms, the
-induced trace is the restriction of gimel, and the spin character table is the
-ordinary one rescaled by the Clifford-module dimension.  No native rewriting on
+induced trace is the restriction of gimel, and the spin character table is
+read off the ordinary one.  No native rewriting on
 R-words is attempted — the deformed braid relation makes confluence unclear,
 whereas the embedding is exact and its relations are *verified* rather than
 assumed (see verify_iso).
@@ -24,6 +24,10 @@ built on them passes the certificate of `spin_schur_elements` at every
 n <= 18.  `verify --suite spin` rechecks the p-cycles up to p = min(n, 9) at
 run time, and the reduction of R-images is left for arbitrary words and for
 those checks.
+
+The spin table is the int table of `characters` times these int vectors, over
+the Clifford-module dimension, multiplied out on int tuples in v once: both
+`spin_character_table` and the certificate of `spin_schur_elements` read it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from .characters import (
     _phi_products,
     _quotient,
     _schur_factors,
-    values_on_class_vector,
+    _table_ints,
+    _table_of,
 )
 from .combinatorics import (
     all_reduced_words,
@@ -67,16 +72,13 @@ from .hecke_clifford import (
 from .scalars import (
     ONE,
     Scalar,
-    TWO,
     V_MINUS_1,
     ZERO,
-    _const_den,
     _poly_acc,
     _poly_add,
     _poly_mul,
     _poly_scale,
     half,
-    sc_int,
 )
 from .traces import ClassVector, _class_vector, _gimel_of, zero_vector
 
@@ -227,41 +229,50 @@ def _cycle_vector(p: int) -> dict:
     return out
 
 
-def class_word_vector(nu) -> ClassVector:
-    """The class vector of R(canonical_class_word(nu)), with no reduction:
-    the product over the parts p of nu of the closed-form vectors of the
-    p-cycles, partitions concatenated."""
-    nu = tuple(nu)
-    acc: dict = {(): [1]}
+def _class_word_ints(nu) -> dict:
+    """The closed-form class vector of R(canonical_class_word(nu)) as
+    {odd mu: ints}, zeros left out: the product over the parts p of nu of
+    the vectors of the p-cycles, partitions concatenated."""
+    acc: dict = {(): (1,)}
     for p in nu:
+        cycle = _cycle_vector(p)
         out: dict = {}
         for key, a in acc.items():
-            for part_key, b in _cycle_vector(p).items():
+            for part_key, b in cycle.items():
                 mu = tuple(sorted(key + part_key, reverse=True))
-                term = _poly_mul(a, b)
-                cur = out.get(mu)
-                out[mu] = term if cur is None else _poly_add(cur, term)
+                _poly_acc(out, mu, _poly_mul(a, b))
         acc = out
-    n = sum(nu)
+    return acc
+
+
+def class_word_vector(nu) -> ClassVector:
+    """The class vector of R(canonical_class_word(nu)), with no reduction."""
+    ints, n = _class_word_ints(nu), sum(nu)
     return ClassVector(
-        n, {mu: Scalar.from_v_ints(acc.get(mu, ())) for mu in enumerate_partitions(n, "odd")}
+        n, {mu: Scalar.from_v_ints(ints.get(mu, ())) for mu in enumerate_partitions(n, "odd")}
     )
+
+
+def _spin_table_ints(n: int) -> dict:
+    """dim_clifford_module(n) times the spin table, {nu: {lambda: ints}} with
+    zeros left out: the ordinary int table paired with the closed-form class
+    vector of nu, doubled in the odd-rank/even-rows case."""
+    table = _table_ints(n)
+    out = {}
+    for nu in table:
+        column: dict = {}
+        for mu, b in _class_word_ints(nu).items():
+            for lam, t in table[mu].items():
+                _poly_acc(column, lam, _poly_mul(b, t))
+        out[nu] = {lam: _poly_scale(p, 2 ** _gamma_exponent(lam, n)) for lam, p in column.items()}
+    return out
 
 
 def spin_character_table(n: int) -> CharacterTable:
     """zeta-minus on the canonical class words: the ordinary value divided by
     the Clifford-module dimension, doubled in the odd-rank/even-rows case;
     each column pairs the table with a closed-form class vector."""
-    rows = tuple(enumerate_partitions(n, "strict"))
-    columns = tuple(enumerate_partitions(n, "odd"))
-    dim_u = sc_int(dim_clifford_module(n))
-    entries = {}
-    for nu in columns:
-        values = values_on_class_vector(class_word_vector(nu))
-        for lam in rows:
-            scale = TWO ** _gamma_exponent(lam, n) / dim_u
-            entries[(lam, nu)] = scale * values[lam]
-    return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
+    return _table_of(n, _spin_table_ints(n), dim_clifford_module(n))
 
 
 def spin_class_polynomials(word, n: int) -> ClassVector:
@@ -292,17 +303,18 @@ def spin_schur_elements(n: int) -> dict:
     The weights w_lambda = 1 / (2^delta-minus c-minus) must solve T^t w = e
     for the spin table T, e the indicator of the empty word: gimel-minus is 1
     there and 0 on every other canonical class word.  The closed-form weights
-    are checked instead of solved for, on integer polynomials in v once every
-    denominator is cleared: the constants by their lcm, the cyclotomic ones
-    by one common multiple D = v^A prod_d Phi_d^(E_d).  Then T is shown
-    nonsingular by its full rank at a point modulo a prime (`column_rank`),
-    so the weights are the only solution.  Raises RuntimeError naming the
-    first failing class word, or saying that T is singular or not over
-    Z[v][1/2].
+    are checked instead of solved for, on the integer polynomials in v of
+    d T, d = dim_clifford_module(n), once every weight denominator is
+    cleared: the constants by their lcm, the cyclotomic ones by one common
+    multiple D = v^A prod_d Phi_d^(E_d).  Then T is shown nonsingular by its
+    full rank at a point modulo a prime (`column_rank`), so the weights are
+    the only solution.  Raises RuntimeError naming the first failing class
+    word, or saying that T is singular.
     """
-    table = spin_character_table(n)
+    table = _spin_table_ints(n)
+    rows = enumerate_partitions(n, "strict")
     weights, common = {}, Counter()
-    for lam in table.rows:
+    for lam in rows:
         power = n // 2 + (n % 2 - 1) * delta_minus(lam, n)
         weights[lam] = _quotient((Fraction(2) ** power, 0, Counter()), _schur_factors(lam))
         common |= -weights[lam][2]
@@ -313,25 +325,18 @@ def spin_schur_elements(n: int) -> dict:
         + _poly_scale(_phi_products(common + exps)[0], r.numerator * scale // r.denominator)
         for lam, (r, a, exps) in weights.items()
     }
-    dens = {key: _const_den(x.den) for key, x in table.entries.items()}
-    entry_scale = lcm(*dens.values())
-    target = _poly_scale((0,) * shift + _phi_products(common)[0], scale * entry_scale)
-    for nu in table.columns:
+    target = _poly_scale((0,) * shift + _phi_products(common)[0], scale * dim_clifford_module(n))
+    for nu, column in table.items():
         total = ()
-        for lam in table.rows:
-            num = Scalar(table.entry(lam, nu).num, _canonical=True).v_ints()
-            if num is None or not entry_scale:
-                raise RuntimeError("the spin character table is not over Z[v][1/2]")
-            if num:
-                num = _poly_scale(num, entry_scale // dens[(lam, nu)])
-                total = _poly_add(total, _poly_mul(num, cleared[lam]))
+        for lam, ints in column.items():
+            total = _poly_add(total, _poly_mul(ints, cleared[lam]))
         if total != (target if nu == (1,) * n else ()):
             raise RuntimeError(
                 "the closed-form spin Schur weights fail the trace decomposition "
                 f"on the class word of {partition_str(nu)}"
             )
-    rows = [[table.entry(lam, nu) for lam in table.rows] for nu in table.columns]
-    if column_rank(rows) < len(table.rows):
+    matrix = [[Scalar.from_v_ints(col.get(lam, ())) for lam in rows] for col in table.values()]
+    if column_rank(matrix) < len(rows):
         raise RuntimeError("the spin character table is singular")
     return {
         lam: _expand(_quotient((Fraction(1, 2 ** delta_minus(lam, n)), 0, Counter()), w))

@@ -267,18 +267,15 @@ def _g_tilde_vector(mu: tuple, memo: dict) -> dict:
     return vec
 
 
-def g_tilde_in_Q(mu, memo: dict = None) -> dict:
+def g_tilde_in_Q(mu) -> dict:
     """The coefficients a_lambda of g-tilde_mu = sum a_lambda Q_lambda, the
     product over the parts r of mu of the one-part functions g-tilde_(r),
     multiplied out by the Pieri rule with no monomials; zeros are left out.
 
-    `memo`, when given, keeps the vector of every suffix of mu, so that the
-    columns of one table share their common factors.
-
     >>> {lam: a.render() for lam, a in g_tilde_in_Q((3,)).items()}
     {(3,): 'v^2-v+1', (2, 1): '-v'}
     """
-    vec = _g_tilde_vector(tuple(mu), {} if memo is None else memo)
+    vec = _g_tilde_vector(tuple(mu), {})
     return {lam: Scalar.from_v_ints(coeff) for lam, coeff in vec.items()}
 
 

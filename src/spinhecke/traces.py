@@ -49,9 +49,9 @@ from .combinatorics import (
 )
 from .hecke_clifford import (
     _ONE,
+    _PUSH_MEMO,
     AlgebraElement,
     _by_coeff,
-    clear_push_memo,
     _lmul_c,
     _lmul_T,
     _rmul_c,
@@ -111,9 +111,10 @@ _CPUSH_MEMO: dict = {}
 _DEFAULT_FUEL = 5_000_000
 
 
-# caches of modules that import this one (the character tables), which
-# clear_caches() must reach without importing them
-_REGISTERED: list = []
+# every cache that clear_caches() empties: the reduction memo, the Clifford
+# push memo it reads, and those that modules importing this one (the
+# character tables) register, since clear_caches() cannot import them
+_REGISTERED: list = [_MEMO, _PUSH_MEMO]
 
 
 def register_cache(cache: dict) -> dict:
@@ -123,10 +124,7 @@ def register_cache(cache: dict) -> dict:
 
 
 def clear_caches() -> None:
-    """Empty the reduction memo, the Clifford push memo it reads and every
-    registered cache."""
-    _MEMO.clear()
-    clear_push_memo()
+    """Empty every registered cache."""
     for cache in _REGISTERED:
         cache.clear()
 

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from _class_values import values_on_class_vector
 from _monomial_g_tilde import g_tilde, monomial
 from spinhecke._linalg import column_rank
 from spinhecke.characters import (
@@ -15,7 +16,6 @@ from spinhecke.characters import (
     generic_degree,
     schur_element,
     u_weight,
-    values_on_class_vector,
     verify_gimel_decomposition,
 )
 from spinhecke.combinatorics import (
@@ -113,7 +113,12 @@ def test_table_at_v_equals_one_matches_doubled_power_sums(n):
 
 
 def test_cache_returns_identical_object():
-    assert character_table(3) is character_table(3)
+    # the int table is the one cached object; character_table wraps it anew
+    table = characters._table_ints(3)
+    assert characters._table_ints(3) is table is characters._TABLE_CACHE[3]
+    assert all(
+        type(c) is int for column in table.values() for ints in column.values() for c in ints
+    )
 
 
 def test_bad_rank_rejected():

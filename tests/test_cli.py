@@ -10,8 +10,7 @@ import pytest
 import spinhecke
 from spinhecke import spin_hecke, tensor_oracle
 from spinhecke.cli import run
-from spinhecke.characters import CharacterTable
-from spinhecke.scalars import ONE
+from spinhecke.scalars import _poly_add
 
 
 def invoke(capsys, *argv):
@@ -165,13 +164,12 @@ def test_spin_suite_rechecks_the_closed_form(capsys, monkeypatch):
 
 
 def test_spin_suite_reports_a_failed_certificate(capsys, monkeypatch):
-    # one altered entry of the spin table must fail the certificate of the
-    # spin Schur elements, and the suite must report it
-    table = spin_hecke.spin_character_table(4)
-    entries = dict(table.entries)
-    entries[((4,), (3, 1))] = entries[((4,), (3, 1))] + ONE
-    altered = CharacterTable(n=4, rows=table.rows, columns=table.columns, entries=entries)
-    monkeypatch.setattr(spin_hecke, "spin_character_table", lambda n: altered)
+    # one altered entry of the int spin table (dim_clifford_module(4) times
+    # the spin table) must fail the certificate of the spin Schur elements,
+    # and the suite must report it
+    table = {nu: dict(column) for nu, column in spin_hecke._spin_table_ints(4).items()}
+    table[(3, 1)][(4,)] = _poly_add(table[(3, 1)].get((4,), ()), (1,))
+    monkeypatch.setattr(spin_hecke, "_spin_table_ints", lambda n: table)
     code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "spin")
     assert code == 1
     (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -270,6 +268,11 @@ _SPIN_DIGESTS = {
     ),
     "schur-elements --n 14 --spin": (
         "f9f6ade603ba3f6d123b1351dd2f4976ae65c2b337fae0605fc54763c8ecff92"
+    ),
+    # captured while the spin table was still the ordinary one paired with
+    # each class vector in Scalars
+    "schur-elements --n 16 --spin": (
+        "f23583b076904a9a19d602b95c4c29f10d6675a65b172812a5bd3783d1507d2a"
     ),
     "spin-class-poly --n 8 --word 2,1,3,2,3,1,5,4,5,4": (
         "541b85ddcd786dd8d47ca002bdfe8ce214543a03294c590e676cbb48233da589"

@@ -1,15 +1,16 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from _bareiss_reference import solve_exact
+from _class_values import values_on_class_vector
 from spinhecke import spin_hecke
 from spinhecke._linalg import column_rank
-from spinhecke.characters import CharacterTable, values_on_class_vector
 from spinhecke.combinatorics import enumerate_partitions, reduced_word, w_gamma
 from spinhecke.hecke_clifford import T_gen, c_gen, multiply, one
-from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO, sc_int
+from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO, _poly_add, sc_int
 from spinhecke.spin_hecke import (
     R_element,
     canonical_class_word,
@@ -220,6 +221,15 @@ def test_closed_form_three_cycle():
 # -- spin characters and Schur elements -------------------------------------------
 
 
+def test_spin_table_json_digest_pinned():
+    # sha256 of to_json(), captured while the spin table was still the
+    # ordinary one paired with each class vector in Scalars
+    text = spin_character_table(12).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cea0783e67971f5b341f4281587e17754163fe3a92faa08a13f251bb1197caa7"
+    )
+
+
 def test_spin_table_rank_two():
     t = spin_character_table(2)
     assert t.rows == ((2,),) and t.columns == ((1, 1),)
@@ -283,39 +293,30 @@ def test_certified_schur_elements_match_the_bareiss_solve(n):
 
 
 def _patch_table(monkeypatch, n, change):
-    """Make spin_schur_elements see spin_character_table(n) with
-    change(entries) applied to a copy of its entries."""
-    table = spin_character_table(n)
-    entries = dict(table.entries)
-    change(entries)
-    altered = CharacterTable(n=n, rows=table.rows, columns=table.columns, entries=entries)
-    monkeypatch.setattr(spin_hecke, "spin_character_table", lambda m: altered)
+    """Make spin_schur_elements read the int spin table of rank n, {nu:
+    {lambda: ints}} = dim_clifford_module(n) times the spin table, with
+    change(table) applied to a copy of it."""
+    table = {nu: dict(column) for nu, column in spin_hecke._spin_table_ints(n).items()}
+    change(table)
+    monkeypatch.setattr(spin_hecke, "_spin_table_ints", lambda m: table)
 
 
 def test_certificate_rejects_an_altered_entry(monkeypatch):
-    def bump(entries):
-        entries[((4,), (3, 1))] = entries[((4,), (3, 1))] + ONE
+    def bump(table):
+        # the spin entry at ((4,), (3,1)) plus 1
+        column = table[(3, 1)]
+        column[(4,)] = _poly_add(column.get((4,), ()), (dim_clifford_module(4),))
 
     _patch_table(monkeypatch, 4, bump)
     with pytest.raises(RuntimeError, match="on the class word of 3,1$"):
         spin_schur_elements(4)
 
 
-def test_certificate_rejects_an_entry_outside_the_table_ring(monkeypatch):
-    def divide(entries):
-        entries[((4,), (3, 1))] = entries[((4,), (3, 1))] / (V + ONE)
-
-    _patch_table(monkeypatch, 4, divide)
-    with pytest.raises(RuntimeError, match=r"^the spin character table is not over Z\[v\]\[1/2\]$"):
-        spin_schur_elements(4)
-
-
 def test_certificate_rejects_a_singular_table(monkeypatch):
     # column (3,1,1) a copy of column (5): the weights still pass the product
     # check, since both columns must give 0, but no longer uniquely
-    def copy(entries):
-        for lam in enumerate_partitions(5, "strict"):
-            entries[(lam, (3, 1, 1))] = entries[(lam, (5,))]
+    def copy(table):
+        table[(3, 1, 1)] = table[(5,)]
 
     _patch_table(monkeypatch, 5, copy)
     with pytest.raises(RuntimeError, match="^the spin character table is singular$"):

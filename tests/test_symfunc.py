@@ -11,7 +11,8 @@ from _monomial_g_tilde import delta, g_tilde, g_tilde_one_part, monomial
 from _orbits import from_exponents
 from _bareiss_reference import solve_exact
 from spinhecke._linalg import column_rank, solve_triangular
-from spinhecke.combinatorics import enumerate_partitions
+from spinhecke.characters import _table_ints
+from spinhecke.combinatorics import delta_stat, enumerate_partitions
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_int, sc_parse
 from spinhecke.symfunc import (
     _strips,
@@ -199,9 +200,15 @@ def test_pieri_strips_match_monomial_products(total):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_pieri_columns_match_monomial_g_tilde(n):
-    memo = {}
+    # the columns of the cached int table, built on one memo of their common
+    # factors, are 2^((len+delta)/2) times the Q-coefficients of g-tilde
+    table = _table_ints(n)
     for nu in enumerate_partitions(n, "odd"):
-        assert g_tilde_in_Q(nu, memo) == expand_in_Q(g_tilde(nu, n)), nu
+        got = {
+            lam: Scalar.from_v_ints(ints, 2 ** ((len(lam) + delta_stat(lam)) // 2))
+            for lam, ints in table[nu].items()
+        }
+        assert got == expand_in_Q(g_tilde(nu, n)), nu
 
 
 @pytest.mark.parametrize("n", range(1, 7))
