@@ -1,26 +1,28 @@
 """Exact arithmetic in the rank-n Hecke-Clifford algebra.
 
 The algebra is generated over the scalar field by even elements T_1..T_{n-1}
-and odd elements c_1..c_n subject to
+and odd elements c_1..c_n subject to the relations listed by relations(n):
 
     (T_i - v)(T_i + 1) = 0,
     T_i T_{i+1} T_i = T_{i+1} T_i T_{i+1},      T_i T_j = T_j T_i   (|i-j| > 1),
-    c_i^2 = 1,    c_i c_j = -c_j c_i (i != j),
-    T_i c_i = c_{i+1} T_i,    T_i c_j = c_j T_i   (j != i, i+1),
+    T_i c_i = c_{i+1} T_i,    T_i c_{i+1} = c_i T_i + (v-1)(c_{i+1} - c_i),
+    T_i c_j = c_j T_i   (j != i, i+1),
+    c_i^2 = 1,    c_i c_j = -c_j c_i (i != j).
 
-from which T_i c_{i+1} = c_i T_i + (v-1)(c_{i+1} - c_i) follows.  Elements are
-stored in the normal form
+The reflection follows from the others; the list states it anyway, so that
+both realizations checked against the list (this normal form, and the tensor
+action of tensor_oracle) are checked on it directly.  Elements are stored in
+the normal form
 
     sum of  coeff * C_I * T_sigma,   C_I = c_{i_1} ... c_{i_k},  i_1 < ... < i_k,
 
-keyed by the pair (one-line permutation, frozen index set).  Keeping the
-Clifford part on the left makes right multiplication by any T_j a plain Hecke
-step on sigma.  Products and the trace reduction in traces.py both work on
-these terms through the generator products below: _lmul_T and _lmul_c on the
-left, _rmul_T and _rmul_c on the right.  The relations that move T_j across
-c_j and c_{j+1} are written once, in _lmul_T: _rmul_c pushes c_k left through
-T_sigma by left-multiplying T_{s_j sigma} c_k by T_j, one left descent j of
-sigma at a time.
+keyed by the pair (one-line permutation, frozen index set).  Products work
+on these terms through the left generator products _lmul_T and _lmul_c:
+from_word applies its letters right to left, and multiply lets each term of
+a act on b.  The relations that move T_j across c_j and c_{j+1} are written
+once, in _lmul_T.  The right product _rmul_c serves the trace reduction in
+traces.py only: it pushes c_k left through T_sigma by left-multiplying
+T_{s_j sigma} c_k by T_j, one left descent j of sigma at a time.
 
 Every structure constant of these products lies in Z[v], so the generator
 products work on raw terms whose coefficients are integer polynomials in v,
@@ -45,11 +47,13 @@ from .combinatorics import (
     left_mul_s,
     perm_identity,
     reduced_word,
-    right_mul_s,
     w_gamma,
 )
 from .scalars import (
+    MINUS_ONE,
     ONE,
+    V,
+    V_MINUS_1,
     Scalar,
     ScalarParseError,
     _acc,
@@ -183,18 +187,6 @@ def _bits(mask: int) -> list:
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-def _rmul_T(terms: dict, j: int) -> dict:
-    acc: dict = {}
-    for (sigma, mask), p in terms.items():
-        tau = right_mul_s(sigma, j)
-        if sigma[j - 1] < sigma[j]:
-            _poly_acc(acc, (tau, mask), p)
-        else:
-            _poly_acc(acc, (sigma, mask), _poly_mul(_VM1, p))
-            _poly_acc(acc, (tau, mask), (0, *p))  # v p
-    return acc
-
-
 def _lmul_c(terms: dict, k: int) -> dict:
     # C_I -> c_k C_I is a bijection on the keys, so nothing merges; the sign
     # is the parity of the letters below k
@@ -322,26 +314,26 @@ def from_word(n: int, word: Iterable, coeff: Scalar = ONE) -> AlgebraElement:
     """Normal form of coeff * (product of the listed generators).
 
     Generators are given as "T3"/"c1" strings or ("T", 3)/("c", 1) pairs and
-    multiplied left to right.
+    multiplied left to right: every token is checked first, then the letters
+    act on 1 from the right end by left generator products.
 
     >>> from_word(2, ["T1", "c1"]).render()
     'c2 T1'
     """
+    letters = []
+    for tok in word:
+        kind, idx = _gen_token(tok)
+        top = n - 1 if kind == "T" else n
+        if not 1 <= idx <= top:
+            raise IndexError(f"{kind} index {idx} out of range for n={n}")
+        letters.append((kind, idx))
     if isinstance(coeff, int):
         coeff = sc_int(coeff)
     if coeff.is_zero():
         return zero(n)
     terms = {(perm_identity(n), 0): _ONE}
-    for tok in word:
-        kind, idx = _gen_token(tok)
-        if kind == "T":
-            if not 1 <= idx <= n - 1:
-                raise IndexError(f"T index {idx} out of range for n={n}")
-            terms = _rmul_T(terms, idx)
-        else:
-            if not 1 <= idx <= n:
-                raise IndexError(f"c index {idx} out of range for n={n}")
-            terms = _rmul_c(terms, idx)
+    for kind, idx in reversed(letters):
+        terms = _lmul_T(terms, idx) if kind == "T" else _lmul_c(terms, idx)
     return AlgebraElement(n, _scalar_terms({coeff: terms}))
 
 
@@ -373,6 +365,44 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 for key, q in cur.items():
                     _poly_acc(into, key, _poly_mul(p, q))
     return AlgebraElement(a.n, _scalar_terms(groups))
+
+
+def relations(n: int) -> list:
+    """The defining relations of the rank-n algebra, as (name, lhs word,
+    [(coefficient, word), ...]) for lhs = the sum of coefficient * word;
+    a word is a tuple of ("T", j) and ("c", k) letters, multiplied left to
+    right.  The quadratic relations come first, then the braid relations,
+    then for each i the distant commutations of T_i, the pass T_i c_i =
+    c_{i+1} T_i, the reflection T_i c_{i+1} = c_i T_i + (v-1)(c_{i+1} - c_i)
+    and the commutations of T_i with every other c_k, and last c_k^2 = 1 with
+    the anticommutations.  Every coefficient lies in Z[v], and the words of
+    one relation carry c letters of one parity."""
+    rels = []
+    for i in range(1, n):
+        t = ("T", i)
+        rels.append((f"T{i} quadratic", (t, t), [(V_MINUS_1, (t,)), (V, ())]))
+    for i in range(1, n - 1):
+        a, b = ("T", i), ("T", i + 1)
+        rels.append((f"braid {i}", (a, b, a), [(ONE, (b, a, b))]))
+    for i in range(1, n):
+        t = ("T", i)
+        low, high = ("c", i), ("c", i + 1)
+        for j in range(i + 2, n):
+            rels.append((f"T{i} T{j} commute", (t, ("T", j)), [(ONE, (("T", j), t))]))
+        rels.append((f"T{i} c{i} pass", (t, low), [(ONE, (high, t))]))
+        rels.append((f"T{i} c{i + 1} reflect", (t, high),
+                     [(ONE, (low, t)), (V_MINUS_1, (high,)), (-V_MINUS_1, (low,))]))
+        for k in range(1, n + 1):
+            if k not in (i, i + 1):
+                c = ("c", k)
+                rels.append((f"T{i} c{k} commute", (t, c), [(ONE, (c, t))]))
+    for k in range(1, n + 1):
+        c = ("c", k)
+        rels.append((f"c{k} square", (c, c), [(ONE, ())]))
+        for l in range(k + 1, n + 1):
+            d = ("c", l)
+            rels.append((f"c{k} c{l} anticommute", (c, d), [(MINUS_ONE, (d, c))]))
+    return rels
 
 
 def build_T_w(mu, n: Optional[int] = None) -> AlgebraElement:

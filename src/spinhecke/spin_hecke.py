@@ -99,12 +99,6 @@ def _gamma_exponent(lam, n: int) -> int:
     return 1 if n % 2 == 1 and len(lam) % 2 == 0 else 0
 
 
-def _generator_image(i: int, n: int) -> AlgebraElement:
-    return multiply(c_gen(n, i) - c_gen(n, i + 1), T_gen(n, i)) + c_gen(
-        n, i + 1
-    ).scale(V_MINUS_1)
-
-
 def _checked_word(word, n: int) -> tuple:
     word = tuple(word)
     for i in word:
@@ -171,7 +165,7 @@ def verify_iso(n: int) -> IsoReport:
     def fail(msg):
         return IsoReport(n=n, passed=False, checked=checked, failure=msg)
 
-    images = {i: _generator_image(i, n) for i in range(1, n)}
+    images = {i: R_element((i,), n) for i in range(1, n)}
     for i, r in images.items():
         checked += 1
         if multiply(r, r) != one(n).scale(minus_v2_plus_1):

@@ -11,17 +11,19 @@ coefficient is the trace on the block of dominant weight lambda; its
 Q-expansion recovers the character table.
 
 Shared with the symmetric-function route: the scalars, the combinatorics, the
-element type with build_T_w, and the CharacterTable container.  Only the
-oracle still expands monomials in Q-functions: table_from_columns
-back-substitutes its traces against the Q basis, while the g-tilde columns
-are Pieri products built in the Q basis.  Independent of it: the columns,
-from the tensor action and trace_poly here against the Pieri products of
-g-tilde there.  An element's
-normal-form terms are read but never multiplied or reduced, and the weight
-blocks are enumerated here, not borrowed from symfunc; that is what makes the
-comparison a genuine cross-check.  The full-orbit pass (every tuple, every
-orbit checked complete and even) is kept in the tests as the reference for the
-dominant-weight shortcut.
+element type with build_T_w, the presentation (`relations`, the one list of
+defining relations that the normal form is checked against too), and the
+CharacterTable container.  Only the oracle still expands monomials in
+Q-functions: table_from_columns back-substitutes its traces against the Q
+basis, while the g-tilde columns are Pieri products built in the Q basis.
+Independent of it: the columns, from the tensor action and trace_poly here
+against the Pieri products of g-tilde there.  An element's normal-form terms
+are read but never multiplied or reduced, and the weight blocks are
+enumerated here, not borrowed from symfunc; that is what makes the
+comparison a genuine cross-check: the oracle reads the algebra's
+definition, never its products.  The full-orbit pass (every tuple, every
+orbit checked complete and even) is kept in the tests as the reference for
+the dominant-weight shortcut.
 
 One integer kernel carries the action.  Every exchange coefficient lies in
 Z[u] (v = u^2), and c_k sends a tuple to one tuple with a sign and one factor
@@ -57,7 +59,7 @@ from functools import lru_cache
 from ._record import Record
 from .characters import CharacterTable, character_table, table_from_columns
 from .combinatorics import enumerate_partitions, partition_str, reduced_word, w_gamma_form
-from .hecke_clifford import AlgebraElement, build_T_w
+from .hecke_clifford import AlgebraElement, build_T_w, relations
 from .scalars import ONE, ZERO, Scalar, _acc, _poly_acc, _poly_add, _poly_mul, _poly_scale
 from .symfunc import SymPoly
 
@@ -235,39 +237,7 @@ def apply_element(space: TensorSpace, h: AlgebraElement, vec: dict) -> dict:
 # the defining relations, checked on the kernel
 
 
-def _relation_words(n: int) -> list:
-    """Relations checked one generator at a time, as (name, lhs word, rhs
-    word, sign) with lhs = sign * rhs."""
-    rels = []
-    for i in range(1, n - 1):
-        rels.append((f"braid {i}", (("T", i), ("T", i + 1), ("T", i)),
-                     (("T", i + 1), ("T", i), ("T", i + 1)), 1))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append((f"T{i} T{j} commute", (("T", i), ("T", j)), (("T", j), ("T", i)), 1))
-        rels.append((f"T{i} c{i} pass", (("T", i), ("c", i)), (("c", i + 1), ("T", i)), 1))
-    for k in range(1, n + 1):
-        rels.append((f"c{k} square", (("c", k), ("c", k)), (), 1))
-        for l in range(k + 1, n + 1):
-            rels.append((f"c{k} c{l} anticommute", (("c", k), ("c", l)),
-                         (("c", l), ("c", k)), -1))
-    return rels
-
-
-def _equal(a: tuple, b: tuple, sign: int) -> bool:
-    """i^s A == sign * i^t B for a = (s, A) and b = (t, B), A and B real."""
-    (s, lhs), (t, rhs) = a, b
-    if not lhs or not rhs:
-        return not lhs and not rhs
-    turn = (s - t - (sign < 0) * 2) % 4
-    if turn == 0:
-        return lhs == rhs
-    if turn == 2:
-        return lhs == {tup: _poly_scale(p, -1) for tup, p in rhs.items()}
-    return False
-
-
-def _broken_relation(n: int, vec: dict) -> str:
+def _broken_relation(rels: list, vec: dict) -> str:
     images = {(): (0, vec)}
 
     def image(word):
@@ -284,29 +254,41 @@ def _broken_relation(n: int, vec: dict) -> str:
             images[word] = got
         return got
 
-    for i in range(1, n):
-        t = image((("T", i),))[1]
-        rhs: dict = {}
-        for src, coeff in ((t, _VM1), (vec, _V)):
-            for tup, p in src.items():
-                _poly_acc(rhs, tup, _poly_mul(p, coeff))
-        if image((("T", i), ("T", i))) != (0, rhs):
-            return f"quadratic relation leaked at T{i}"
-    for name, lhs, rhs, sign in _relation_words(n):
-        if not _equal(image(lhs), image(rhs), sign):
+    def side(terms):
+        # sum of q i^turns A over (q, word), over the i^turns of one parity:
+        # i^turns reads as the sign -1 exactly when turns & 2
+        if len(terms) == 1:
+            q, word = terms[0]
+            turns, part = image(word)
+            if q == (1,) and not turns & 2:
+                return part
+        acc: dict = {}
+        for q, word in terms:
+            turns, part = image(word)
+            if turns & 2:
+                q = _poly_scale(q, -1)
+            for tup, p in part.items():
+                _poly_acc(acc, tup, _poly_mul(p, q))
+        return acc
+
+    for name, lhs, rhs in rels:
+        if side(lhs) != side(rhs):
             return f"{name} leaked"
     return ""
 
 
 def relation_failure(space: TensorSpace, vec: dict) -> str:
-    """The first defining relation the tensor action breaks on the vector
-    {tuple: Scalar}, as "... leaked", or "" when all hold: T_i^2 = (v-1) T_i
-    + v first, then the braid and commutation relations, the passes
-    T_i c_i = c_{i+1} T_i, and c_k^2 = 1 with the anticommutations.  Each
-    coefficient group of vec is checked on its own, on the kernel; the
-    relations are linear, so they hold on vec when they hold on each group."""
+    """The first defining relation of `relations` that the tensor action
+    breaks on the vector {tuple: Scalar}, as "<name> leaked", or "" when all
+    hold.  Each coefficient group of vec is checked on its own, on the
+    kernel; the relations are linear, so they hold on vec when they hold on
+    each group."""
+    rels = [
+        (name, [((1,), lhs)], [(c.u_ints(), word) for c, word in rhs])
+        for name, lhs, rhs in relations(space.n)
+    ]
     for _, group in _groups(vec):
-        failure = _broken_relation(space.n, group)
+        failure = _broken_relation(rels, group)
         if failure:
             return failure
     return ""

@@ -21,27 +21,12 @@ from spinhecke.scalars import ONE, V, V_MINUS_1, _acc, half, sc_int
 _MINUS_VM1 = -V_MINUS_1
 
 
-def _right_hecke(sigma, j):
-    """T_sigma * T_j as [(perm, coeff), ...]."""
-    if sigma[j - 1] < sigma[j]:
-        return [(right_mul_s(sigma, j), ONE)]
-    return [(sigma, V_MINUS_1), (right_mul_s(sigma, j), V)]
-
-
 def _left_hecke(j, sigma):
     """T_j * T_sigma as [(perm, coeff), ...]."""
     inv = perm_inverse(sigma)
     if inv[j - 1] < inv[j]:
         return [(left_mul_s(j, sigma), ONE)]
     return [(sigma, V_MINUS_1), (left_mul_s(j, sigma), V)]
-
-
-def rmul_T(terms: dict, j: int) -> dict:
-    acc: dict = {}
-    for (sigma, cliff), coeff in terms.items():
-        for tau, s in _right_hecke(sigma, j):
-            _acc(acc, (tau, cliff), coeff * s)
-    return acc
 
 
 def lmul_c(terms: dict, k: int) -> dict:

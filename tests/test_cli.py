@@ -8,9 +8,9 @@ import sys
 import pytest
 
 import spinhecke
-from spinhecke import spin_hecke, tensor_oracle
+from spinhecke import cli, hecke_clifford, spin_hecke, tensor_oracle
 from spinhecke.cli import run
-from spinhecke.scalars import _poly_add
+from spinhecke.scalars import MINUS_ONE, _poly_add
 
 
 def invoke(capsys, *argv):
@@ -146,6 +146,30 @@ def test_oracle_suite_catches_a_broken_exchange_coefficient(capsys, monkeypatch)
     assert "ok - character table cross-check" in out
     (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert line == "FAIL - tensor relations on random vectors: braid 1 leaked"
+
+
+@pytest.mark.parametrize(
+    "suite, line",
+    [
+        ("core", "FAIL - normal-form relations: T1 c3 anticommute"),
+        ("oracle", "FAIL - tensor relations on random vectors: T1 c3 anticommute leaked"),
+    ],
+    ids=["core", "oracle"],
+)
+def test_relation_suites_read_the_shared_list(capsys, monkeypatch, suite, line):
+    # T1 c3 = -c3 T1 is false; both realizations must be checked against it
+    # and name it
+    exact = hecke_clifford.relations
+
+    def with_a_false_one(n):
+        false = ("T1 c3 anticommute", (("T", 1), ("c", 3)), [(MINUS_ONE, (("c", 3), ("T", 1)))])
+        return exact(n) + [false]
+
+    monkeypatch.setattr(cli, "relations", with_a_false_one)
+    monkeypatch.setattr(tensor_oracle, "relations", with_a_false_one)
+    code, out, _ = invoke(capsys, "verify", "--n", "3", "--suite", suite)
+    assert code == 1
+    assert [text for text in out.splitlines() if text.startswith("FAIL")] == [line]
 
 
 def test_spin_suite_rechecks_the_closed_form(capsys, monkeypatch):

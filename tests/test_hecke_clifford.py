@@ -1,7 +1,9 @@
 """Normal-form arithmetic in the Hecke-Clifford algebra."""
 
+import collections
 import itertools
 import random
+import re
 
 import pytest
 
@@ -21,6 +23,7 @@ from spinhecke.hecke_clifford import (
     multiply,
     one,
     parse_element,
+    relations,
     zero,
 )
 from spinhecke.scalars import HALF, MINUS_ONE, ONE, TWO, V, V_MINUS_1, sc_int, sc_parse
@@ -76,6 +79,8 @@ def test_from_word_accepts_pairs_and_rejects_junk():
     with pytest.raises(IndexError):
         from_word(3, ["c4"])
     assert from_word(3, ["T1"], coeff=sc_int(0)).is_zero()
+    with pytest.raises(IndexError):
+        from_word(3, ["T3"], coeff=sc_int(0))  # a zero coefficient checks its word too
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +134,31 @@ def _relation_cases(n):
 def test_all_relations_vanish(n):
     for name, residue in _relation_cases(n):
         assert residue.is_zero(), f"{name} fails at n={n}: {residue.render()}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_relations_list_every_family_once_per_index(n):
+    # the shared list read by both realizations' checks: the family sizes,
+    # c letters of one parity within a relation (the tensor check reads its
+    # power of i as a real sign), and coefficients in Z[u]
+    rels = relations(n)
+    families = collections.Counter(re.sub(r"\d+", "#", name) for name, _, _ in rels)
+    sizes = {
+        "T# quadratic": n - 1,
+        "braid #": max(n - 2, 0),
+        "T# T# commute": max(n - 2, 0) * max(n - 3, 0) // 2,
+        "T# c# pass": n - 1,
+        "T# c# reflect": n - 1,
+        "T# c# commute": (n - 1) * (n - 2),
+        "c# square": n,
+        "c# c# anticommute": n * (n - 1) // 2,
+    }
+    assert families == {name: size for name, size in sizes.items() if size}
+    assert len({name for name, _, _ in rels}) == len(rels)
+    for name, lhs, rhs in rels:
+        words = [lhs] + [word for _, word in rhs]
+        assert len({sum(kind == "c" for kind, _ in w) % 2 for w in words}) == 1, name
+        assert all(c.u_ints() is not None for c, _ in rhs), name
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ _P = (2, -1, 3)
 
 _KERNELS = [
     ("lmul_T", hecke_clifford._lmul_T, ref.lmul_T, "T"),
-    ("rmul_T", hecke_clifford._rmul_T, ref.rmul_T, "T"),
     ("lmul_c", hecke_clifford._lmul_c, ref.lmul_c, "c"),
     ("rmul_c", hecke_clifford._rmul_c, ref.rmul_c, "c"),
 ]
