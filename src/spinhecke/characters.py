@@ -12,7 +12,9 @@ are the values: each rank caches them once as int tuples, the one table that
 both `character_table` and the spin table are read from.  The Schur elements
 and generic degrees are hook-content products on the shifted diagram; every
 factor is a product of cyclotomic polynomials Phi_d(v), so they are computed
-as Phi_d exponents and multiplied out once, already in lowest terms.
+as Phi_d exponents and multiplied out once, already in lowest terms.  Both
+trace decompositions, the ordinary one here and the spin one, are certified
+on int tables with those factored weights: no element is reduced.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import io
 import json
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 from ._linalg import solve_triangular
 from ._record import Record
@@ -30,10 +33,9 @@ from .combinatorics import (
     partition_str,
     shifted_data,
 )
-from .hecke_clifford import build_T_w
-from .scalars import Scalar, TWO, ZERO, _poly_mul, _v_poly
+from .scalars import Scalar, TWO, ZERO, _poly_add, _poly_mul, _poly_scale, _v_poly
 from .symfunc import _g_tilde_vector, q_basis
-from .traces import gimel_weight, reduce, register_cache
+from .traces import register_cache
 
 
 class CharacterTable(Record):
@@ -273,16 +275,45 @@ def generic_degree(lam) -> Scalar:
     return _expand(_quotient(total, _schur_factors(tuple(lam))))
 
 
-def u_weight(lam) -> Scalar:
-    """The coefficient of zeta^lambda in the trace decomposition,
+def _u_factors(lam) -> tuple:
+    """The factored coefficient of zeta^lambda in the trace decomposition,
     1 / (2^delta c^lambda)."""
-    lam = tuple(lam)
-    scale = (Fraction(1, 2 ** delta_stat(lam)), 0, Counter())
-    return _expand(_quotient(scale, _schur_factors(lam)))
+    return _quotient((Fraction(1, 2 ** delta_stat(lam)), 0, Counter()), _schur_factors(lam))
 
 
 # ---------------------------------------------------------------------------
-# the trace decomposition
+# the trace decomposition, certified on the int table
+
+
+def _failing_column(table: dict, weights: dict, targets: dict):
+    """The first column nu of table = {nu: {lambda: ints}} where
+    sum_lambda weights[lambda] table[nu][lambda] != targets[nu] (a missing
+    target is 0), or None.  Weights and targets are factored values.
+
+    Every denominator is cleared first, the constants by their lcm, the power
+    of v by a shift and the Phi_d by one common multiple prod_d Phi_d^(E_d),
+    so each column is summed and compared on integer polynomials in v.
+    """
+    values = [*weights.values(), *targets.values()]
+    scale = lcm(*(r.denominator for r, _, _ in values))
+    shift = max(0, *(-a for _, a, _ in values))
+    common = Counter()
+    for _, _, exps in values:
+        common |= -exps
+
+    def cleared(factored):
+        r, a, exps = factored
+        top = _phi_products(common + exps)[0]
+        return (0,) * (a + shift) + _poly_scale(top, r.numerator * scale // r.denominator)
+
+    weight_ints = {lam: cleared(w) for lam, w in weights.items()}
+    for nu, column in table.items():
+        total = ()
+        for lam, ints in column.items():
+            total = _poly_add(total, _poly_mul(ints, weight_ints[lam]))
+        if total != (cleared(targets[nu]) if nu in targets else ()):
+            return nu
+    return None
 
 
 class DecompositionReport(Record):
@@ -290,40 +321,20 @@ class DecompositionReport(Record):
 
 
 def verify_gimel_decomposition(n: int) -> DecompositionReport:
-    """Check gimel(h) = sum_lambda u_lambda zeta^lambda(h) on every T_w_nu
-    (nu odd) and every T_w_mu (mu any partition of n).
+    """Check gimel(T_w_nu) = sum_lambda u_lambda zeta^lambda(T_w_nu) for every
+    odd nu, with u_lambda = 1 / (2^delta c^lambda), on the int table.
 
-    Both sides are linear in the class vector of h, so each h is reduced once
-    and paired with gimel's class weights and with the column sums
-    sum_lambda u_lambda zeta^lambda(T_w_nu), built once per table.
+    gimel(T_w_nu) = ((v-1)/2)^(n - len(nu)), and a trace function is fixed by
+    its values on the T_w_nu, so this is the whole identity gimel = sum_lambda
+    u_lambda zeta^lambda.
     """
-    table = character_table(n)
-    weights = {lam: u_weight(lam) for lam in table.rows}
-    column_sums = {}
-    for nu in table.columns:
-        total = ZERO
-        for lam in table.rows:
-            total = total + weights[lam] * table.entry(lam, nu)
-        column_sums[nu] = total
-    seen = []
-    for mu in enumerate_partitions(n, "odd") + enumerate_partitions(n):
-        if mu in seen:
-            continue
-        seen.append(mu)
-        vec = reduce(build_T_w(mu))
-        lhs = rhs = ZERO
-        for nu, val in vec.coeffs.items():
-            if not val.is_zero():
-                lhs = lhs + val * gimel_weight(n, nu)
-                rhs = rhs + val * column_sums[nu]
-        if lhs != rhs:
-            return DecompositionReport(
-                n=n,
-                passed=False,
-                checked=len(seen),
-                counterexample=(
-                    f"T_w_mu for mu={partition_str(mu)}: "
-                    f"gimel={lhs.render()} decomposition={rhs.render()}"
-                ),
-            )
-    return DecompositionReport(n=n, passed=True, checked=len(seen), counterexample=None)
+    table = _table_ints(n)
+    weights = {lam: _u_factors(lam) for lam in enumerate_partitions(n, "strict")}
+    targets = {
+        nu: (Fraction(1, 2 ** (n - len(nu))), 0, Counter({1: n - len(nu)})) for nu in table
+    }
+    nu = _failing_column(table, weights, targets)
+    detail = None
+    if nu is not None:
+        detail = f"T_w_nu for nu={partition_str(nu)}: gimel != sum_lambda u_lambda zeta^lambda"
+    return DecompositionReport(n=n, passed=nu is None, checked=len(table), counterexample=detail)

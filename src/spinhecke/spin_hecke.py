@@ -34,14 +34,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from ._linalg import column_rank, solve_triangular
 from ._record import Record
 from .characters import (
     CharacterTable,
     _expand,
-    _phi_products,
+    _failing_column,
     _quotient,
     _schur_factors,
     _table_ints,
@@ -75,7 +75,6 @@ from .scalars import (
     V_MINUS_1,
     ZERO,
     _poly_acc,
-    _poly_add,
     _poly_mul,
     _poly_scale,
     half,
@@ -298,37 +297,25 @@ def spin_schur_elements(n: int) -> dict:
     for the spin table T, e the indicator of the empty word: gimel-minus is 1
     there and 0 on every other canonical class word.  The closed-form weights
     are checked instead of solved for, on the integer polynomials in v of
-    d T, d = dim_clifford_module(n), once every weight denominator is
-    cleared: the constants by their lcm, the cyclotomic ones by one common
-    multiple D = v^A prod_d Phi_d^(E_d).  Then T is shown nonsingular by its
-    full rank at a point modulo a prime (`column_rank`), so the weights are
-    the only solution.  Raises RuntimeError naming the first failing class
+    d T, d = dim_clifford_module(n), by the certificate that also checks the
+    ordinary decomposition (`characters._failing_column`), with target d on
+    the empty word.  Then T is shown nonsingular by its full rank at a point
+    modulo a prime (`column_rank`), so the weights are the only solution.  Raises RuntimeError naming the first failing class
     word, or saying that T is singular.
     """
     table = _spin_table_ints(n)
     rows = enumerate_partitions(n, "strict")
-    weights, common = {}, Counter()
+    weights = {}
     for lam in rows:
         power = n // 2 + (n % 2 - 1) * delta_minus(lam, n)
         weights[lam] = _quotient((Fraction(2) ** power, 0, Counter()), _schur_factors(lam))
-        common |= -weights[lam][2]
-    shift = max(0, *(-a for _, a, _ in weights.values()))
-    scale = lcm(*(r.denominator for r, _, _ in weights.values()))
-    cleared = {
-        lam: (0,) * (a + shift)
-        + _poly_scale(_phi_products(common + exps)[0], r.numerator * scale // r.denominator)
-        for lam, (r, a, exps) in weights.items()
-    }
-    target = _poly_scale((0,) * shift + _phi_products(common)[0], scale * dim_clifford_module(n))
-    for nu, column in table.items():
-        total = ()
-        for lam, ints in column.items():
-            total = _poly_add(total, _poly_mul(ints, cleared[lam]))
-        if total != (target if nu == (1,) * n else ()):
-            raise RuntimeError(
-                "the closed-form spin Schur weights fail the trace decomposition "
-                f"on the class word of {partition_str(nu)}"
-            )
+    target = (Fraction(dim_clifford_module(n)), 0, Counter())
+    nu = _failing_column(table, weights, {(1,) * n: target})
+    if nu is not None:
+        raise RuntimeError(
+            "the closed-form spin Schur weights fail the trace decomposition "
+            f"on the class word of {partition_str(nu)}"
+        )
     matrix = [[Scalar.from_v_ints(col.get(lam, ())) for lam in rows] for col in table.values()]
     if column_rank(matrix) < len(rows):
         raise RuntimeError("the spin character table is singular")

@@ -171,6 +171,8 @@ def _reduce_terms(terms: dict, fuel: _Fuel) -> tuple:
     e = 0
     acc: dict = {}
     for (sigma, mask), p in terms.items():
+        if mask.bit_count() & 1:
+            continue  # (1) odd terms carry no trace, and never enter the memo
         f, vec = _reduce_term(sigma, mask, fuel)
         if f > e:
             acc = {nu: _poly_scale(val, 1 << (f - e)) for nu, val in acc.items()}
@@ -201,10 +203,6 @@ def _reduce_term(sigma, mask: int, fuel: _Fuel) -> tuple:
 def _reduce_term_inner(sigma, mask: int, fuel: _Fuel) -> tuple:
     fuel.burn()
     n = len(sigma)
-
-    # (1) odd terms carry no trace
-    if mask.bit_count() & 1:
-        return 0, {}
 
     # (2) rotate a trailing T_j away until sigma^{-1} is a staircase
     inv = perm_inverse(sigma)

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from _class_values import values_on_class_vector
+from _class_values import u_weight, values_on_class_vector
 from _monomial_g_tilde import g_tilde, monomial
 from spinhecke._linalg import column_rank
 from spinhecke.characters import (
@@ -15,7 +15,6 @@ from spinhecke.characters import (
     character_table,
     generic_degree,
     schur_element,
-    u_weight,
     verify_gimel_decomposition,
 )
 from spinhecke.combinatorics import (
@@ -282,12 +281,12 @@ def test_character_degree_equals_generic_degree_at_one(n):
 # -- the trace decomposition -------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", [*range(1, 6), 12, 16])
 def test_gimel_decomposition_verifies(n):
     report = verify_gimel_decomposition(n)
     assert report.passed, report.counterexample
     assert report.counterexample is None
-    assert report.checked == len(enumerate_partitions(n))
+    assert report.checked == len(enumerate_partitions(n, "odd"))
 
 
 def test_decomposition_on_a_mixed_element():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import spinhecke
-from spinhecke import cli, hecke_clifford, spin_hecke, tensor_oracle
+from spinhecke import characters, cli, hecke_clifford, spin_hecke, tensor_oracle
 from spinhecke.cli import run
 from spinhecke.scalars import MINUS_ONE, _poly_add
 
@@ -199,6 +199,18 @@ def test_spin_suite_reports_a_failed_certificate(capsys, monkeypatch):
     (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert line.startswith("FAIL - spin Schur halving: ")
     assert line.endswith("on the class word of 3,1")
+
+
+def test_core_suite_reports_a_failed_gimel_decomposition(capsys, monkeypatch):
+    # one altered entry of the ordinary int table must fail the certificate
+    # of the trace decomposition, and the suite must name the column
+    table = {nu: dict(column) for nu, column in characters._table_ints(5).items()}
+    table[(3, 1, 1)][(5,)] = _poly_add(table[(3, 1, 1)].get((5,), ()), (1,))
+    monkeypatch.setattr(characters, "_table_ints", lambda n: table)
+    code, out, _ = invoke(capsys, "verify", "--n", "5", "--suite", "core")
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line.startswith("FAIL - gimel decomposition: T_w_nu for nu=3,1,1: ")
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -193,6 +193,23 @@ def test_oracle_workload_matches_its_goldens(seed):
     assert all(r["check"] is not False for r in results)
 
 
+def _assert_imports_within(filename: str, allowed: dict) -> None:
+    """The package module `filename` imports, of each module named in
+    `allowed`, only the names listed there, and never a module as a whole."""
+    tree = ast.parse((PACKAGE / filename).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[-1] not in allowed, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            names = {alias.name for alias in node.names}
+            if module in allowed:
+                assert names <= allowed[module], (module, names - allowed[module])
+            else:
+                assert not names & set(allowed), names
+
+
 def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
     # the oracle's traces must not reuse g-tilde, the reduction or the
     # Frobenius columns; it takes only the SymPoly container and the step
@@ -205,18 +222,15 @@ def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
         "characters": {"CharacterTable", "character_table", "table_from_columns"},
         "hecke_clifford": {"AlgebraElement", "build_T_w", "relations"},
     }
-    tree = ast.parse((PACKAGE / "tensor_oracle.py").read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                assert alias.name.split(".")[-1] not in allowed, alias.name
-        elif isinstance(node, ast.ImportFrom):
-            module = (node.module or "").split(".")[-1]
-            names = {alias.name for alias in node.names}
-            if module in allowed:
-                assert names <= allowed[module], (module, names - allowed[module])
-            else:
-                assert not names & set(allowed), names
+    _assert_imports_within("tensor_oracle.py", allowed)
+
+
+def test_characters_reach_neither_the_normal_form_nor_the_reduction():
+    # both trace decompositions are certified on the int table, so the
+    # character module imports nothing of hecke_clifford and, of traces,
+    # only the cache registry
+    allowed = {"hecke_clifford": set(), "traces": {"register_cache"}}
+    _assert_imports_within("characters.py", allowed)
 
 
 def test_cli_import_leaves_out_dataclasses():
