@@ -25,7 +25,6 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from ._linalg import solve_triangular
 from ._record import Record
 from .combinatorics import (
     delta_stat,
@@ -33,8 +32,8 @@ from .combinatorics import (
     partition_str,
     shifted_data,
 )
-from .scalars import Scalar, TWO, ZERO, _poly_add, _poly_mul, _poly_scale, _v_poly
-from .symfunc import _g_tilde_vector, q_basis
+from .scalars import Scalar, _poly_add, _poly_mul, _poly_scale, _v_poly
+from .symfunc import _g_tilde_vector
 from .traces import register_cache
 
 
@@ -123,26 +122,6 @@ def _table_of(n: int, table: dict, den: int = 1) -> CharacterTable:
         for lam in rows
     }
     return CharacterTable(n=n, rows=rows, columns=tuple(table), entries=entries)
-
-
-def table_from_columns(n: int, column) -> CharacterTable:
-    """The table whose column nu is read off the symmetric polynomial
-    column(nu) = sum over strict lambda of a_lambda Q_lambda as
-    zeta^lambda = 2^((len+delta)/2) a_lambda; every column is
-    back-substituted against one Q basis of degree n."""
-    basis = q_basis(n, n)
-    rows = tuple(enumerate_partitions(n, "strict"))
-    columns = tuple(enumerate_partitions(n, "odd"))
-    entries = {}
-    for nu in columns:
-        try:
-            coeffs = solve_triangular(basis, column(nu).terms)
-        except ValueError as err:
-            raise ValueError("not in the span of Q-functions") from err
-        for lam in rows:
-            power = (len(lam) + delta_stat(lam)) // 2
-            entries[(lam, nu)] = coeffs.get(lam, ZERO) * TWO**power
-    return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
 
 
 def character_table(n: int) -> CharacterTable:

@@ -27,7 +27,7 @@ from .characters import (
 from ._linalg import column_rank
 from .combinatorics import enumerate_partitions, partition_str, parse_word, reduced_word
 from .hecke_clifford import build_T_w, from_word, multiply, parse_element, relations, zero
-from .scalars import ONE, ZERO
+from .scalars import ZERO
 from .spin_hecke import (
     R_class_vector,
     R_element,
@@ -161,17 +161,15 @@ def _suite_oracle(args):
         return checks
     rng = random.Random(args.seed)
     size = len(space.indices)
-    failure = ""
-    for _ in range(10):
-        # the draws of rng.sample(list(space.basis_tuples()), 3), unlisted
-        picks = rng.sample(range(size**args.n), 3)
-        vec = {
-            tuple(space.indices[j // size**p % size] for p in reversed(range(args.n))): ONE
-            for j in picks
-        }
-        failure = relation_failure(space, vec)
-        if failure:
-            break
+    # ten draws of rng.sample(list(space.basis_tuples()), 3), unlisted
+    picks = [
+        [
+            tuple(space.indices[j // size**p % size] for p in reversed(range(args.n)))
+            for j in rng.sample(range(size**args.n), 3)
+        ]
+        for _ in range(10)
+    ]
+    failure = relation_failure(space, picks)
     checks.append(("tensor relations on random vectors", not failure, failure))
     return checks
 

@@ -7,9 +7,9 @@ in a fixed number m of variables, stored as monomial coefficients
 so keys have at most m parts and truncating to m variables drops longer
 keys.  No caller hands in full exponent vectors: the tensor oracle's traces,
 one per dominant weight, are already m_lambda coefficients, and
-`expand_in_Q` turns them into Q-coefficients by back-substitution.  Degree-n
-linear algebra only ever needs m = n variables; larger m exists for the
-truncation cross-checks.
+`expand_in_Q`, the one Q-expansion, turns them into Q-coefficients by
+back-substitution.  Degree-n linear algebra only ever needs m = n
+variables; larger m exists for the truncation cross-checks.
 
 The deformed family never touches monomials.  Each one-part function
 g-tilde_(r) is a combination of two-row Q-functions, and those are quadratic
@@ -29,6 +29,7 @@ from types import MappingProxyType
 from ._linalg import solve_triangular
 from .combinatorics import enumerate_partitions, is_strict, shifted_data
 from .scalars import MINUS_ONE, ONE, Scalar, TWO, ZERO, _poly_add, _poly_mul, sc_int
+from .traces import register_cache
 
 
 class SymPoly:
@@ -339,17 +340,24 @@ def q_basis(n: int, m: int) -> dict:
     return {lam: schur_q(lam, m).terms for lam in stricts}
 
 
+# (n, m) -> q_basis(n, m), so the columns of one table share one basis
+_Q_BASES: dict = register_cache({})
+
+
 def expand_in_Q(f: SymPoly) -> dict:
     """Coefficients a_lambda with f = sum a_lambda Q_lambda, by back-substitution
-    against the triangular Q basis; a leftover non-strict monomial means f is
-    not in the span and raises ValueError.
+    against the triangular Q basis, built once per degree and variable count;
+    a leftover non-strict monomial means f is not in the span and raises
+    ValueError.
     """
     n = f.degree
     if f.m < n:
         raise ValueError(f"too few variables: need {n}, have {f.m}")
-    basis, target = q_basis(n, f.m), f.terms
+    basis = _Q_BASES.get((n, f.m))
+    if basis is None:
+        basis = _Q_BASES[n, f.m] = q_basis(n, f.m)
     try:
-        return solve_triangular(basis, target)
+        return solve_triangular(basis, f.terms)
     except ValueError as err:
         raise ValueError("not in the span of Q-functions") from err
 

@@ -12,15 +12,16 @@ Q-expansion recovers the character table.
 
 Shared with the symmetric-function route: the scalars, the combinatorics, the
 element type with build_T_w, the presentation (`relations`, the one list of
-defining relations that the normal form is checked against too), and the
-CharacterTable container.  Only the oracle still expands monomials in
-Q-functions: table_from_columns back-substitutes its traces against the Q
-basis, while the g-tilde columns are Pieri products built in the Q basis.
-Independent of it: the columns, from the tensor action and trace_poly here
-against the Pieri products of g-tilde there.  An element's normal-form terms
-are read but never multiplied or reduced, and the weight blocks are
-enumerated here, not borrowed from symfunc; that is what makes the
-comparison a genuine cross-check: the oracle reads the algebra's
+defining relations that the normal form is checked against too), the
+CharacterTable container, and `symfunc.expand_in_Q`, the one Q-expansion.
+Only the oracle expands monomials in Q-functions: oracle_characters
+back-substitutes its traces against the Q basis and reads zeta off the
+Q-coefficients itself, while the g-tilde columns are Pieri products built
+in the Q basis.  Independent of it: the columns, from the tensor action and
+trace_poly here against the Pieri products of g-tilde there.  An element's
+normal-form terms are read but never multiplied or reduced, and the weight
+blocks are enumerated here, not borrowed from symfunc; that is what makes
+the comparison a genuine cross-check: the oracle reads the algebra's
 definition, never its products.  The full-orbit pass (every tuple, every
 orbit checked complete and even) is kept in the tests as the reference for
 the dominant-weight shortcut.
@@ -30,7 +31,10 @@ Z[u] (v = u^2), and c_k sends a tuple to one tuple with a sign and one factor
 of i.  So a vector is {tuple: ints}, each value an ascending int tuple in u,
 and a word acting on a real vector carries one power of i for the whole
 vector, the number of its c letters.  No Gaussian arithmetic runs inside the
-kernel.  `apply` and `apply_element` keep {tuple: Scalar} at their boundary:
+kernel.  One evaluator, _element_ints, runs a sum of words for
+apply_element, the per-tuple traces and the relation check, keeping the
+image of every suffix so that a suffix shared by several words acts once.
+`apply` and `apply_element` keep {tuple: Scalar} at their boundary:
 they group the input by coefficient (a real coefficient in Z[u] joins the
 int group of 1, any other `Scalar` heads a group of its own), run the
 kernel on each group, and build one `Scalar` per output entry.
@@ -57,11 +61,17 @@ import itertools
 from functools import lru_cache
 
 from ._record import Record
-from .characters import CharacterTable, character_table, table_from_columns
-from .combinatorics import enumerate_partitions, partition_str, reduced_word, w_gamma_form
+from .characters import CharacterTable, character_table
+from .combinatorics import (
+    delta_stat,
+    enumerate_partitions,
+    partition_str,
+    reduced_word,
+    w_gamma_form,
+)
 from .hecke_clifford import AlgebraElement, build_T_w, relations
-from .scalars import ONE, ZERO, Scalar, _acc, _poly_acc, _poly_add, _poly_mul, _poly_scale
-from .symfunc import SymPoly
+from .scalars import ONE, TWO, ZERO, Scalar, _acc, _poly_acc, _poly_add, _poly_mul, _poly_scale
+from .symfunc import SymPoly, expand_in_Q
 
 # exchange coefficients as ascending int tuples in u
 _V = (0, 0, 1)
@@ -137,25 +147,28 @@ def _c_ints(vec: dict, k: int) -> dict:
     return out
 
 
-def _act(word, vec: dict) -> tuple:
-    """The letters of word on an int vector, the rightmost first: (turns,
-    image) for the image times i^turns, turns the number of c letters."""
-    turns = 0
-    for kind, idx in reversed(word):
-        if kind == "T":
-            vec = _T_ints(vec, idx)
-        else:
-            vec = _c_ints(vec, idx)
-            turns += 1
-    return turns, vec
+def _element_ints(terms, images: dict) -> tuple:
+    """sum over (word, ints) in terms of ints times word on the real int
+    vector images[()], the rightmost letter first, as the int vectors
+    (re, im) of its real and imaginary parts.
 
-
-def _element_ints(terms, vec: dict) -> tuple:
-    """sum over (word, ints) in terms of ints times word on a real int vector,
-    as the int vectors (re, im) of its real and imaginary parts."""
+    images keeps the image of every suffix of every word, without the factor
+    i of its c letters, so a suffix shared by several words, or by the words
+    of several calls on one images, acts once.  A word with `turns` c letters
+    carries i^turns: its image joins the imaginary part when turns is odd,
+    with the sign -1 exactly when turns & 2.
+    """
     parts: tuple = ({}, {})
     for word, q in terms:
-        turns, image = _act(word, vec)
+        k = 0
+        while word[k:] not in images:
+            k += 1
+        image = images[word[k:]]
+        while k:
+            k -= 1
+            kind, idx = word[k]
+            image = images[word[k:]] = _T_ints(image, idx) if kind == "T" else _c_ints(image, idx)
+        turns = sum(1 for kind, _ in word if kind == "c")
         if turns & 2:
             q = _poly_scale(q, -1)
         part = parts[turns & 1]
@@ -228,8 +241,9 @@ def apply_element(space: TensorSpace, h: AlgebraElement, vec: dict) -> dict:
     total: dict = {}
     terms = _groups({_word(sigma, cliff): c for (sigma, cliff), c in h.terms.items()})
     for a, group in _groups(vec):
+        images = {(): group}
         for b, words in terms:
-            _collect(total, _times(a, b), *_element_ints(words.items(), group))
+            _collect(total, _times(a, b), *_element_ints(words.items(), images))
     return total
 
 
@@ -237,60 +251,21 @@ def apply_element(space: TensorSpace, h: AlgebraElement, vec: dict) -> dict:
 # the defining relations, checked on the kernel
 
 
-def _broken_relation(rels: list, vec: dict) -> str:
-    images = {(): (0, vec)}
-
-    def image(word):
-        # each word acts on the image of its suffix one letter shorter, so a
-        # suffix shared by several relation words acts once
-        got = images.get(word)
-        if got is None:
-            turns, below = image(word[1:])
-            kind, idx = word[0]
-            if kind == "T":
-                got = (turns, _T_ints(below, idx))
-            else:
-                got = (turns + 1, _c_ints(below, idx))
-            images[word] = got
-        return got
-
-    def side(terms):
-        # sum of q i^turns A over (q, word), over the i^turns of one parity:
-        # i^turns reads as the sign -1 exactly when turns & 2
-        if len(terms) == 1:
-            q, word = terms[0]
-            turns, part = image(word)
-            if q == (1,) and not turns & 2:
-                return part
-        acc: dict = {}
-        for q, word in terms:
-            turns, part = image(word)
-            if turns & 2:
-                q = _poly_scale(q, -1)
-            for tup, p in part.items():
-                _poly_acc(acc, tup, _poly_mul(p, q))
-        return acc
-
-    for name, lhs, rhs in rels:
-        if side(lhs) != side(rhs):
-            return f"{name} leaked"
-    return ""
-
-
-def relation_failure(space: TensorSpace, vec: dict) -> str:
+def relation_failure(space: TensorSpace, picks) -> str:
     """The first defining relation of `relations` that the tensor action
-    breaks on the vector {tuple: Scalar}, as "<name> leaked", or "" when all
-    hold.  Each coefficient group of vec is checked on its own, on the
-    kernel; the relations are linear, so they hold on vec when they hold on
-    each group."""
+    breaks on one of the vectors sum_{t in pick} e_t, pick in picks (each a
+    collection of basis tuples), as "<name> leaked", or "" when all hold.
+    The relations are read and their coefficients converted once; each
+    vector keeps one memo of suffix images across all of them."""
     rels = [
-        (name, [((1,), lhs)], [(c.u_ints(), word) for c, word in rhs])
+        (name, [(lhs, (1,))], [(word, c.u_ints()) for c, word in rhs])
         for name, lhs, rhs in relations(space.n)
     ]
-    for _, group in _groups(vec):
-        failure = _broken_relation(rels, group)
-        if failure:
-            return failure
+    for pick in picks:
+        images = {(): {t: (1,) for t in pick}}
+        for name, lhs, rhs in rels:
+            if _element_ints(lhs, images) != _element_ints(rhs, images):
+                return f"{name} leaked"
     return ""
 
 
@@ -419,7 +394,8 @@ def _trace_poly(h: AlgebraElement, m: int, memo: dict) -> SymPoly:
                 # the imaginary part has no diagonal entry: a T letter keeps
                 # the parity of the odd factors and a c letter flips it
                 for tup in _weight_block(lam):
-                    diag = _poly_add(diag, _element_ints(words, {tup: (1,)})[0].get(tup, ()))
+                    real = _element_ints(words, {(): {tup: (1,)}})[0]
+                    diag = _poly_add(diag, real.get(tup, ()))
             total = total + _times(c, Scalar.from_u_ints(diag))
         terms[lam] = total
     return SymPoly(m, h.n, terms)
@@ -440,10 +416,21 @@ def trace_poly(h: AlgebraElement, m: int) -> SymPoly:
 
 
 def oracle_characters(n: int) -> CharacterTable:
-    """The character table recomputed from tensor traces alone (m = n); the
-    columns share one memo of block and suffix traces."""
+    """The character table recomputed from tensor traces alone (m = n):
+    column nu is the Q-expansion sum a_lambda Q_lambda of the trace of
+    T_w_nu, read as zeta^lambda = 2^((len+delta)/2) a_lambda.  The columns
+    share one memo of block and suffix traces, and expand_in_Q builds the Q
+    basis of degree n once."""
     memo: dict = {}
-    return table_from_columns(n, lambda nu: _trace_poly(build_T_w(nu), n, memo))
+    rows = tuple(enumerate_partitions(n, "strict"))
+    columns = tuple(enumerate_partitions(n, "odd"))
+    entries = {}
+    for nu in columns:
+        coeffs = expand_in_Q(_trace_poly(build_T_w(nu), n, memo))
+        for lam in rows:
+            power = (len(lam) + delta_stat(lam)) // 2
+            entries[(lam, nu)] = coeffs.get(lam, ZERO) * TWO**power
+    return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
 
 
 class OracleReport(Record):

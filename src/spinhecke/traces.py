@@ -113,7 +113,8 @@ _DEFAULT_FUEL = 5_000_000
 
 # every cache that clear_caches() empties: the reduction memo, the Clifford
 # push memo it reads, and those that modules importing this one (the
-# character tables) register, since clear_caches() cannot import them
+# character tables, the Q bases) register, since clear_caches() cannot
+# import them
 _REGISTERED: list = [_MEMO, _PUSH_MEMO]
 
 
@@ -283,11 +284,6 @@ def reduce(h: AlgebraElement) -> ClassVector:
     modulo commutators (odd terms contribute nothing).  The terms of one
     coefficient are reduced together."""
     return _class_vector(h.n, _by_coeff(h.terms))
-
-
-def f_nu(h: AlgebraElement, nu) -> Scalar:
-    """The trace function dual to T_{w_nu}: f_nu(T_{w_rho}) = delta."""
-    return reduce(h)[tuple(nu)]
 
 
 def gimel_weight(n: int, nu) -> Scalar:

@@ -172,6 +172,21 @@ def test_relation_suites_read_the_shared_list(capsys, monkeypatch, suite, line):
     assert [text for text in out.splitlines() if text.startswith("FAIL")] == [line]
 
 
+def test_oracle_suite_reads_the_relation_list_once(capsys, monkeypatch):
+    # the ten random vectors are checked against one list, converted once
+    exact = hecke_clifford.relations
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return exact(n)
+
+    monkeypatch.setattr(tensor_oracle, "relations", counted)
+    code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "oracle")
+    assert code == 0, out
+    assert calls == [4]
+
+
 def test_spin_suite_rechecks_the_closed_form(capsys, monkeypatch):
     # a closed form off by a sign at p = 3 must fail the recheck against the
     # reduction, naming p

@@ -212,14 +212,14 @@ def _assert_imports_within(filename: str, allowed: dict) -> None:
 
 def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
     # the oracle's traces must not reuse g-tilde, the reduction or the
-    # Frobenius columns; it takes only the SymPoly container and the step
-    # from columns to a table.  Of the normal form it reads the element
-    # type, the staircase basis elements and the presentation, never
+    # Frobenius columns; it takes only the SymPoly container, the one
+    # Q-expansion and the table container.  Of the normal form it reads the
+    # element type, the staircase basis elements and the presentation, never
     # multiply, from_word or the generator kernels
     allowed = {
-        "symfunc": {"SymPoly"},
+        "symfunc": {"SymPoly", "expand_in_Q"},
         "traces": set(),
-        "characters": {"CharacterTable", "character_table", "table_from_columns"},
+        "characters": {"CharacterTable", "character_table"},
         "hecke_clifford": {"AlgebraElement", "build_T_w", "relations"},
     }
     _assert_imports_within("tensor_oracle.py", allowed)
@@ -228,8 +228,14 @@ def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
 def test_characters_reach_neither_the_normal_form_nor_the_reduction():
     # both trace decompositions are certified on the int table, so the
     # character module imports nothing of hecke_clifford and, of traces,
-    # only the cache registry
-    allowed = {"hecke_clifford": set(), "traces": {"register_cache"}}
+    # only the cache registry; its columns are Pieri products, so of symfunc
+    # it takes only those and it solves no linear system
+    allowed = {
+        "hecke_clifford": set(),
+        "traces": {"register_cache"},
+        "symfunc": {"_g_tilde_vector"},
+        "_linalg": set(),
+    }
     _assert_imports_within("characters.py", allowed)
 
 

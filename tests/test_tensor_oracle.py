@@ -6,6 +6,7 @@ import pytest
 import _tensor_reference as ref
 from _monomial_g_tilde import delta, g_tilde
 from _orbits import from_exponents
+from spinhecke import symfunc
 from spinhecke.combinatorics import enumerate_partitions, reduced_word
 from spinhecke.hecke_clifford import build_T_w, from_word, one, parse_element
 from spinhecke.scalars import HALF, I, MINUS_ONE, ONE, TWO, U, V, ZERO, sc_parse
@@ -19,6 +20,7 @@ from spinhecke.tensor_oracle import (
     trace_poly,
 )
 from spinhecke.characters import character_table
+from spinhecke.traces import clear_caches
 
 V1 = V - ONE
 
@@ -410,6 +412,23 @@ def test_oracle_table_equals_direct_table(n):
     assert oracle.rows == direct.rows
     assert oracle.columns == direct.columns
     assert oracle.entries == direct.entries
+
+
+def test_oracle_table_builds_its_q_basis_once(monkeypatch):
+    # every column is expanded against one cached Q basis of degree n
+    exact = symfunc.q_basis
+    calls = []
+
+    def counted(n, m):
+        calls.append((n, m))
+        return exact(n, m)
+
+    monkeypatch.setattr(symfunc, "q_basis", counted)
+    clear_caches()
+    oracle_characters(5)
+    assert calls == [(5, 5)]
+    oracle_characters(5)
+    assert calls == [(5, 5)]
 
 
 def test_cross_check_reaches_rank_nine():

@@ -18,12 +18,11 @@ from spinhecke.hecke_clifford import (
     multiply,
     one,
 )
-from spinhecke import characters, hecke_clifford, traces
+from spinhecke import characters, hecke_clifford, symfunc, traces
 from spinhecke.scalars import HALF, ONE, V, V_MINUS_1, ZERO, sc_parse
 from spinhecke.traces import (
     ClassVector,
     clear_caches,
-    f_nu,
     gimel,
     gimel_weight,
     odd_partitions,
@@ -170,7 +169,7 @@ def test_f_nu_duality():
         for nu in odd_partitions(n):
             for rho in odd_partitions(n):
                 expected = ONE if nu == rho else ZERO
-                assert f_nu(build_T_w(rho), nu) == expected
+                assert reduce(build_T_w(rho))[nu] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +217,14 @@ def test_golden_class_vectors_through_rank_five():
 def test_clear_caches_empties_every_reduction_memo():
     reduce(from_word(4, ["c1", "c3", "T2", "T1", "T3"]))
     character_table(2)
+    symfunc.expand_in_Q(symfunc.schur_q((2, 1), 3))
     assert traces._MEMO and hecke_clifford._PUSH_MEMO and characters._TABLE_CACHE
+    assert symfunc._Q_BASES
     clear_caches()
     assert not traces._MEMO
     assert not hecke_clifford._PUSH_MEMO
     assert not characters._TABLE_CACHE
+    assert not symfunc._Q_BASES
     assert reduce(build_T_w((3, 1))) == unit_vector(4, (3, 1))
 
 
