@@ -26,14 +26,22 @@ T_{s_j sigma} c_k by T_j, one left descent j of sigma at a time.
 
 Every structure constant of these products lies in Z[v], so the generator
 products work on raw terms whose coefficients are integer polynomials in v,
-held as ascending int tuples (the `_poly_*` helpers of scalars).  A raw term
-is keyed by (one-line permutation, bitmask), bit k set for c_k, so a
-Clifford sign is the parity of a masked bit count and a letter flip is an
-xor; the memo of Clifford pushes holds raw terms too.  The public key stays
-(permutation, frozenset).  A Scalar coefficient is applied only at the
-public boundary: one product per output term of from_word and multiply,
-whose action is linear over the terms of b that share a coefficient, and
-every coefficient in Z[v] rides in the group of 1 as its int tuple.
+each packed into one int, its value at v = 2^W (`scalars._pack`).  A sum
+of two coefficients is one int addition, a product one int multiplication,
+and times v, v - 1 or -1 is a shift, a shift and a subtraction, or a
+negation.  Each dict of raw terms travels with a proven bound on the sum of
+the l1 norms of its coefficients, and is decoded (`scalars._unpack`) only
+where that bound proves the digits: at the public boundary, and once a
+bound passes 2^(W/2), when the exact norm replaces it (`scalars._tighten`).
+A raw term is keyed by (one-line permutation, bitmask), bit k set for c_k,
+so a Clifford sign is the parity of a masked bit count and a letter flip is
+an xor; the memo of Clifford pushes holds raw terms too, each push with its
+exact norm.  The public key stays (permutation, frozenset).  A Scalar
+coefficient is applied only at the public boundary: one product per output
+term of from_word and multiply, whose action is linear over the terms of b
+that share a coefficient, and every coefficient in Z[v] rides in the group
+of 1 as its packed int (unless its norm reaches 2^(W/2): then it heads a
+group of its own, like any other Scalar).
 """
 
 from __future__ import annotations
@@ -56,10 +64,12 @@ from .scalars import (
     V_MINUS_1,
     Scalar,
     ScalarParseError,
+    _W,
     _acc,
-    _poly_acc,
-    _poly_mul,
-    _poly_scale,
+    _int_acc,
+    _pack,
+    _tighten,
+    _unpack,
     sc_int,
     sc_parse,
 )
@@ -175,11 +185,13 @@ def c_gen(n: int, k: int) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# generator multiplication on raw term dicts {(sigma, mask): int tuple}, where
-# bit k of mask is set when c_k is in I
-
-_ONE = (1,)
-_VM1 = (-1, 1)  # v - 1
+# generator multiplication on raw term dicts {(sigma, mask): packed int}, where
+# bit k of mask is set when c_k is in I and a value is an integer polynomial
+# in v packed by scalars._pack.  Each product scales the l1 norm of the terms
+# by at most a factor: 1 for _lmul_c; for _lmul_T and _rmul_c the largest
+# factor among the terms they read, which they return: at most 7 for
+# _lmul_T (2 + 2 + 3 when c_j and c_{j+1} meet a Hecke step that makes two
+# terms), and for _rmul_c the exact norm of a stored push.
 
 
 def _bits(mask: int) -> list:
@@ -192,32 +204,38 @@ def _lmul_c(terms: dict, k: int) -> dict:
     # is the parity of the letters below k
     bit = 1 << k
     below = bit - 1
-    acc: dict = {}
-    for (sigma, mask), p in terms.items():
-        if (mask & below).bit_count() & 1:
-            p = _poly_scale(p, -1)
-        acc[(sigma, mask ^ bit)] = p
-    return acc
+    return {
+        (sigma, mask ^ bit): -p if (mask & below).bit_count() & 1 else p
+        for (sigma, mask), p in terms.items()
+    }
 
 
-def _lmul_T(terms: dict, j: int) -> dict:
+def _lmul_T(terms: dict, j: int) -> tuple:
+    """(T_j times terms, the factor that scales their l1 norm bound)."""
     # passing T_j through C_I before the Hecke step T_j T_sigma; the four
-    # cases follow from T_j c_j = c_{j+1} T_j and its mirror
+    # cases follow from T_j c_j = c_{j+1} T_j and its mirror.  A term grows
+    # by 1 (the Hecke step keeps one term) or 3 (it makes v - 1 and v), plus
+    # 4 when c_{j+1} is in I (two more terms at v - 1)
+    w = _W
     acc: dict = {}
+    growth = 0
     high = 1 << (j + 1)
     pair = (1 << j) | high
     for (sigma, mask), p in terms.items():
+        grow = 1
         inter = mask & pair
         if inter == pair:
-            vm1 = _poly_mul(_VM1, p)
-            _poly_acc(acc, (sigma, mask ^ pair), vm1)
-            _poly_acc(acc, (sigma, mask), vm1)
-            p = _poly_scale(p, -1)
+            vm1 = (p << w) - p
+            _int_acc(acc, (sigma, mask ^ pair), vm1)
+            _int_acc(acc, (sigma, mask), vm1)
+            p = -p
+            grow = 5
         elif inter:
             if inter == high:
-                vm1 = _poly_mul(_VM1, p)
-                _poly_acc(acc, (sigma, mask), vm1)
-                _poly_acc(acc, (sigma, mask ^ pair), _poly_scale(vm1, -1))
+                vm1 = (p << w) - p
+                _int_acc(acc, (sigma, mask), vm1)
+                _int_acc(acc, (sigma, mask ^ pair), -vm1)
+                grow = 5
             mask ^= pair
         a = sigma.index(j)
         b = sigma.index(j + 1)
@@ -226,19 +244,24 @@ def _lmul_T(terms: dict, j: int) -> dict:
         line[b] = j
         tau = tuple(line)  # s_j sigma
         if a < b:
-            _poly_acc(acc, (tau, mask), p)
+            _int_acc(acc, (tau, mask), p)
         else:
-            _poly_acc(acc, (sigma, mask), _poly_mul(_VM1, p))
-            _poly_acc(acc, (tau, mask), (0, *p))  # v p
-    return acc
+            _int_acc(acc, (sigma, mask), (p << w) - p)
+            _int_acc(acc, (tau, mask), p << w)  # v p
+            grow += 2
+        if grow > growth:
+            growth = grow
+    return acc, growth
 
 
-# (sigma, k) -> T_sigma * c_k, emptied by traces.clear_caches()
+# (sigma, k) -> (T_sigma * c_k, its exact l1 norm), emptied by
+# traces.clear_caches()
 _PUSH_MEMO: dict = {}
 
 
-def _push_c_left(sigma, k: int) -> dict:
-    """T_sigma * c_k as normal-form terms {(tau, 1 << m): ints}.
+def _push_c_left(sigma, k: int) -> tuple:
+    """T_sigma * c_k as normal-form terms {(tau, 1 << m): packed}, with the
+    exact l1 norm of those terms.
 
     For the first left descent j of sigma, T_sigma = T_j T_{s_j sigma}, so the
     push is _lmul_T of the push through the shorter s_j sigma; _lmul_T keeps
@@ -249,48 +272,65 @@ def _push_c_left(sigma, k: int) -> dict:
     if cached is None:
         j = next(left_descents(sigma), None)
         if j is None:
-            cached = {(sigma, 1 << k): _ONE}
+            cached = {(sigma, 1 << k): 1}, 1
         else:
-            cached = _lmul_T(_push_c_left(left_mul_s(j, sigma), k), j)
+            shorter, norm = _push_c_left(left_mul_s(j, sigma), k)
+            terms, growth = _lmul_T(shorter, j)
+            bound = growth * norm
+            cached = terms, sum(abs(a) for p in terms.values() for a in _unpack(p, bound))
         _PUSH_MEMO[key] = cached
     return cached
 
 
-def _rmul_c(terms: dict, k: int) -> dict:
+def _rmul_c(terms: dict, k: int) -> tuple:
+    """(terms times c_k, the factor that scales their l1 norm bound)."""
     # C_I c_m: the sign is the parity of the letters of I above m
     acc: dict = {}
+    growth = 0
     for (sigma, mask), p in terms.items():
-        for (tau, letter), s in _push_c_left(sigma, k).items():
-            val = _poly_mul(p, s)
+        push, norm = _push_c_left(sigma, k)
+        if norm > growth:
+            growth = norm
+        for (tau, letter), s in push.items():
+            val = p * s
             if (mask & -(letter << 1)).bit_count() & 1:
-                val = _poly_scale(val, -1)
-            _poly_acc(acc, (tau, mask ^ letter), val)
-    return acc
+                val = -val
+            _int_acc(acc, (tau, mask ^ letter), val)
+    return acc, growth
 
 
 def _by_coeff(terms) -> dict:
-    """Scalar terms as raw groups {c: {(sigma, mask): ints}}, read as the sum
-    over c of c times its group.  A coefficient in Z[v] joins the group of 1
-    as its int tuple; any other c heads a group of its own, at 1."""
+    """Scalar terms as raw groups {c: (raw terms, l1 norm bound)}, read as
+    the sum over c of c times its group.  A coefficient in Z[v] joins the
+    group of 1 as its packed int; any other c heads a group of its own, at
+    1, and so does an integer polynomial too long for the packing width."""
     groups: dict = {}
+    packed = None  # the group of 1, looked up once
+    norm = 0
+    roomy = 1 << (_W // 2)
     for (sigma, cliff), c in terms.items():
         key = (sigma, sum(1 << k for k in cliff))
         ints = c.v_ints()
-        if ints is None:
-            groups.setdefault(c, {})[key] = _ONE
-        elif ints:
-            groups.setdefault(ONE, {})[key] = ints
-    return groups
+        size = None if ints is None else sum(abs(a) for a in ints)
+        if size is None or size >= roomy:
+            groups.setdefault(c, {})[key] = 1
+        elif size:
+            if packed is None:
+                packed = groups[ONE] = {}
+            packed[key] = _pack(ints)
+            norm += size
+    return {c: (raw, norm if raw is packed else len(raw)) for c, raw in groups.items()}
 
 
 def _scalar_terms(groups: dict) -> dict:
-    """Public terms {(sigma, frozenset): Scalar} from raw groups {c: raw
-    terms}: the sum over c of c times each int polynomial in v, one product
-    per (c, key)."""
+    """Public terms {(sigma, frozenset): Scalar} from raw groups {c: (raw
+    terms, l1 norm bound)}: the sum over c of c times each decoded integer
+    polynomial in v, one product per (c, key)."""
     acc: dict = {}
-    for c, terms in groups.items():
+    for c, (terms, bound) in groups.items():
         for (sigma, mask), p in terms.items():
-            _acc(acc, (sigma, frozenset(_bits(mask))), c * Scalar.from_v_ints(p))
+            value = Scalar.from_v_ints(_unpack(p, bound))
+            _acc(acc, (sigma, frozenset(_bits(mask))), c * value)
     return acc
 
 
@@ -331,10 +371,15 @@ def from_word(n: int, word: Iterable, coeff: Scalar = ONE) -> AlgebraElement:
         coeff = sc_int(coeff)
     if coeff.is_zero():
         return zero(n)
-    terms = {(perm_identity(n), 0): _ONE}
+    terms = {(perm_identity(n), 0): 1}
+    bound = 1
     for kind, idx in reversed(letters):
-        terms = _lmul_T(terms, idx) if kind == "T" else _lmul_c(terms, idx)
-    return AlgebraElement(n, _scalar_terms({coeff: terms}))
+        if kind == "T":
+            terms, growth = _lmul_T(terms, idx)
+            bound = _tighten(terms.values(), growth * bound)
+        else:
+            terms = _lmul_c(terms, idx)
+    return AlgebraElement(n, _scalar_terms({coeff: (terms, bound)}))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -349,21 +394,27 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._check_rank(b)
     b_groups = _by_coeff(b.terms)
     groups: dict = {}
-    for a_coeff, a_terms in _by_coeff(a.terms).items():
+    for a_coeff, (a_terms, a_bound) in _by_coeff(a.terms).items():
         actions = [
             (reduced_word(sigma)[::-1], _bits(mask)[::-1], p)
             for (sigma, mask), p in a_terms.items()
         ]
-        for b_coeff, b_terms in b_groups.items():
-            into = groups.setdefault(a_coeff * b_coeff, {})
+        for b_coeff, (b_terms, b_bound) in b_groups.items():
+            c = a_coeff * b_coeff
+            into, bound = groups.get(c, ({}, 0))
+            top = 0
             for word, letters, p in actions:
-                cur = b_terms
+                cur, cur_bound = b_terms, b_bound
                 for j in word:
-                    cur = _lmul_T(cur, j)
+                    cur, growth = _lmul_T(cur, j)
+                    cur_bound = _tighten(cur.values(), growth * cur_bound)
                 for k in letters:
                     cur = _lmul_c(cur, k)
                 for key, q in cur.items():
-                    _poly_acc(into, key, _poly_mul(p, q))
+                    _int_acc(into, key, p * q)
+                top = max(top, cur_bound)
+            # the summed norm of the a-side values is at most a_bound
+            groups[c] = into, bound + a_bound * top
     return AlgebraElement(a.n, _scalar_terms(groups))
 
 

@@ -930,6 +930,70 @@ def _poly_acc(acc: dict, key, p: tuple) -> None:
         del acc[key]
 
 
+# Packed integer polynomials in v: sum_k a_k v^k stored as the one int
+# sum_k a_k 2^(k _W), its value at v = 2^_W.  That is a ring map from Z[v]
+# to Z, so sums, products, negation, dropping a key whose int is 0, and the
+# shifts (times v is << _W, times 2^e is << e) are exact with no condition.
+# Reading the digits back is exact when every |a_k| < 2^(_W - 1), so every
+# packed value carries a proven bound on its l1 norm (the sum of |a_k|):
+# ||p + q|| <= ||p|| + ||q|| and ||pq|| <= ||p|| ||q||.  A bound that passes
+# 2^(_W / 2) is replaced by the exact norm (`_tighten`), and _unpack refuses
+# a bound at or above 2^(_W - 1).
+
+_W = 128
+
+
+class WidthError(OverflowError):
+    """A packed value whose norm bound does not fit the packing width."""
+
+
+def _pack(ints) -> int:
+    """The packed int of the ascending coefficient sequence ints."""
+    w = _W
+    return sum(a << (k * w) for k, a in enumerate(ints))
+
+
+def _unpack(p: int, bound: int) -> tuple:
+    """The ascending int tuple (() for 0) of the packed p, whose coefficients
+    are at most bound in absolute value (as they are under a bound on the
+    l1 norm); WidthError when bound does not prove the balanced digits.
+
+    >>> _unpack(_pack((-1, 0, 2)), 3)
+    (-1, 0, 2)
+    """
+    w = _W
+    if bound >> (w - 1):
+        raise WidthError(
+            f"packed norm bound {bound} reaches 2^{w - 1}: "
+            f"a width of {w} bits cannot decode it"
+        )
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    out = []
+    while p:
+        a = ((p + half) & mask) - half
+        out.append(a)
+        p = (p - a) >> w
+    return tuple(out)
+
+
+def _tighten(values, bound: int) -> int:
+    """bound on the summed l1 norm of the packed values, or their exact
+    summed norm when bound has passed 2^(_W / 2)."""
+    if bound >> (_W // 2):
+        return sum(abs(a) for p in values for a in _unpack(p, bound))
+    return bound
+
+
+def _int_acc(acc: dict, key, p: int) -> None:
+    """acc[key] += p on packed ints; a key summing to 0 is dropped."""
+    total = acc.get(key, 0) + p
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
 def _acc(acc: dict, key, value: Scalar) -> None:
     cur = acc.get(key)
     total = value if cur is None else cur + value

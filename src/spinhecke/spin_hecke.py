@@ -28,6 +28,9 @@ those checks.
 The spin table is the int table of `characters` times these int vectors, over
 the Clifford-module dimension, multiplied out on int tuples in v once: both
 `spin_character_table` and the certificate of `spin_schur_elements` read it.
+An R-word's normal form is built on the packed raw terms of hecke_clifford,
+with a bound on their norms, and R_class_vector reduces those terms as they
+are.
 """
 
 from __future__ import annotations
@@ -59,8 +62,6 @@ from .combinatorics import (
     word_str,
 )
 from .hecke_clifford import (
-    _ONE,
-    _VM1,
     AlgebraElement,
     T_gen,
     _lmul_T,
@@ -74,9 +75,12 @@ from .scalars import (
     Scalar,
     V_MINUS_1,
     ZERO,
+    _W,
+    _int_acc,
     _poly_acc,
     _poly_mul,
     _poly_scale,
+    _tighten,
     half,
 )
 from .traces import ClassVector, _class_vector, _gimel_of, zero_vector
@@ -106,35 +110,41 @@ def _checked_word(word, n: int) -> tuple:
     return word
 
 
-def _R_terms(word, n: int) -> dict:
-    """Raw normal-form terms of R_{i_1} ... R_{i_r}, int coefficients in v.
+def _R_terms(word, n: int) -> tuple:
+    """Raw normal-form terms of R_{i_1} ... R_{i_r}, packed ints in v, with
+    a bound on their summed l1 norm.
 
     Built from the right end by left generator products: R_i h is
     c_i T_i h - c_{i+1} T_i h + (v-1) c_{i+1} h, taken in one pass over
     T_i h and one over h (c_k flips bit k, signed by the letters below k).
+    So a letter scales the norm bound by twice the growth of T_i, plus 2:
+    at most 2 * 7 + 2 = 16.
     """
-    terms = {(perm_identity(n), 0): _ONE}
+    w = _W
+    terms = {(perm_identity(n), 0): 1}
+    bound = 1
     for i in reversed(_checked_word(word, n)):
         low, high = 1 << i, 1 << (i + 1)
         out: dict = {}
-        for (sigma, mask), p in _lmul_T(terms, i).items():
+        lifted, growth = _lmul_T(terms, i)
+        for (sigma, mask), p in lifted.items():
             odd = (mask & (low - 1)).bit_count() & 1
             if mask & low:
                 # c_i and c_{i+1} see the same sign: -p is needed only when odd
-                val = _poly_scale(p, -1) if odd else p
-                _poly_acc(out, (sigma, mask ^ low), val)
-                _poly_acc(out, (sigma, mask ^ high), val)
+                val = -p if odd else p
+                _int_acc(out, (sigma, mask ^ low), val)
+                _int_acc(out, (sigma, mask ^ high), val)
             else:
-                neg = _poly_scale(p, -1)
-                _poly_acc(out, (sigma, mask ^ low), neg if odd else p)
-                _poly_acc(out, (sigma, mask ^ high), p if odd else neg)
+                _int_acc(out, (sigma, mask ^ low), -p if odd else p)
+                _int_acc(out, (sigma, mask ^ high), p if odd else -p)
         for (sigma, mask), p in terms.items():
-            q = _poly_mul(_VM1, p)
+            q = (p << w) - p
             if (mask & (high - 1)).bit_count() & 1:
-                q = _poly_scale(q, -1)
-            _poly_acc(out, (sigma, mask ^ high), q)
+                q = -q
+            _int_acc(out, (sigma, mask ^ high), q)
         terms = out
-    return terms
+        bound = _tighten(terms.values(), (2 * growth + 2) * bound)
+    return terms, bound
 
 
 def R_element(word, n: int) -> AlgebraElement:
@@ -143,7 +153,7 @@ def R_element(word, n: int) -> AlgebraElement:
 
 
 def R_class_vector(word, n: int) -> ClassVector:
-    """reduce(R_element(word, n)), reduced on the int terms of the word."""
+    """reduce(R_element(word, n)), reduced on the packed terms of the word."""
     return _class_vector(n, {ONE: _R_terms(word, n)})
 
 

@@ -375,6 +375,8 @@ def _trace_poly(h: AlgebraElement, m: int, memo: dict) -> SymPoly:
     for c, terms in _groups(h.terms):
         staircases, words = [], []
         for (sigma, cliff), p in terms.items():
+            if len(cliff) % 2:
+                continue  # an odd term flips the parity of the odd factors: no diagonal
             gamma = None if cliff else w_gamma_form(sigma)
             if gamma is None:
                 words.append((_word(sigma, cliff), p))

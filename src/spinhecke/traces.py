@@ -23,15 +23,20 @@ preserves the class vector.
 
 The reduction runs on the raw terms of hecke_clifford, keyed by (one-line
 permutation, bitmask of the Clifford indices) and with integer polynomials
-in v (ascending int tuples) as coefficients.  Its one division is
-the 1/2 of the even-block halving (6); by linearity it is taken after the
-halved terms are reduced, as one more power of 2 in a common denominator.
-So the memo maps a term to (e, {nu: ints}), each value read over 2^e with e
-as small as it can be, and a Scalar is built only at the public boundary:
-one product per (coefficient, nu), where the terms of h that share a
+in v, each packed into one int (scalars._pack), as coefficients.  Its one
+division is the 1/2 of the even-block halving (6); by linearity it is taken
+after the halved terms are reduced, as one more power of 2 in a common
+denominator.  So the memo maps a term to (e, {nu: packed}, h), each value
+read over 2^e and of l1 norm at most h.  The bound follows the reduction:
+the values of a term sum its rewritten terms' values, so h is the norm
+bound of those terms times the largest h among their entries, each brought
+to the common power of 2.  A value is
+decoded only when h passes 2^(W/2) (_lowest: h becomes the exact norm and e
+is made minimal) and at the public boundary, where a Scalar is built: one
+product per (coefficient, nu), where the terms of h that share a
 coefficient are reduced together.  Every coefficient in Z[v] joins the
-group of 1 as its int tuple (hecke_clifford._by_coeff), so an element over
-Z[v], such as an R-word in spin_hecke.R_class_vector, is one group.
+group of 1 as its packed int (hecke_clifford._by_coeff), so an element
+over Z[v], such as an R-word in spin_hecke.R_class_vector, is one group.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .combinatorics import (
     w_gamma_form,
 )
 from .hecke_clifford import (
-    _ONE,
     _PUSH_MEMO,
     AlgebraElement,
     _by_coeff,
@@ -56,7 +60,7 @@ from .hecke_clifford import (
     _lmul_T,
     _rmul_c,
 )
-from .scalars import HALF, Scalar, V_MINUS_1, ZERO, _acc, _poly_acc, _poly_mul, _poly_scale
+from .scalars import HALF, Scalar, V_MINUS_1, ZERO, _W, _acc, _int_acc, _unpack
 
 _GIMEL_BASE = V_MINUS_1 * HALF  # (v-1)/2
 
@@ -155,34 +159,49 @@ def _blocks(gamma):
         offset += part
 
 
-def _lowest(e: int, vec: dict) -> tuple:
-    """(e, vec) read as each value over 2^e, with e made minimal."""
-    if not e or not vec:
-        return (e if vec else 0), vec
-    g = _intgcd(*(a for val in vec.values() for a in val))
+def _lowest(e: int, vec: dict, h: int) -> tuple:
+    """(e, vec, h) read as each packed value over 2^e, each of l1 norm at
+    most h.  Once h passes 2^(_W / 2) the values are decoded: h becomes
+    their largest exact norm and e is made minimal."""
+    if not vec:
+        return 0, vec, 0
+    if not h >> (_W // 2):
+        return e, vec, h
+    ints = [_unpack(p, h) for p in vec.values()]
+    g = _intgcd(*(a for val in ints for a in val))
     t = min(e, (g & -g).bit_length() - 1)
+    h = max(sum(abs(a) for a in val) for val in ints) >> t
     if t:
-        vec = {nu: tuple(a >> t for a in val) for nu, val in vec.items()}
-    return e - t, vec
+        vec = {nu: p >> t for nu, p in vec.items()}
+    return e - t, vec, h
 
 
-def _reduce_terms(terms: dict, fuel: _Fuel) -> tuple:
-    """The class vector of raw terms with int coefficients, as
-    (e, {nu: ints}): each value an integer polynomial in v over 2^e."""
-    e = 0
+def _reduce_terms(terms: dict, bound: int, fuel: _Fuel) -> tuple:
+    """The class vector of raw terms whose packed values have summed l1
+    norm at most bound, as (e, {nu: packed}, h): each value an integer
+    polynomial in v over 2^e, of l1 norm at most h.  e is not made
+    minimal here; _lowest does that."""
+    e = top = 0
     acc: dict = {}
     for (sigma, mask), p in terms.items():
         if mask.bit_count() & 1:
             continue  # (1) odd terms carry no trace, and never enter the memo
-        f, vec = _reduce_term(sigma, mask, fuel)
+        f, vec, h = _reduce_term(sigma, mask, fuel)
+        if not vec:
+            continue
         if f > e:
-            acc = {nu: _poly_scale(val, 1 << (f - e)) for nu, val in acc.items()}
+            acc = {nu: val << (f - e) for nu, val in acc.items()}
+            top <<= f - e
             e = f
         elif f < e:
-            p = _poly_scale(p, 1 << (e - f))
+            p <<= e - f
+            h <<= e - f
+        if h > top:
+            top = h
         for nu, val in vec.items():
-            _poly_acc(acc, nu, _poly_mul(p, val))
-    return _lowest(e, acc)
+            _int_acc(acc, nu, p * val)
+    # each value sums p * val over the terms, and the p sum to at most bound
+    return e, acc, bound * top
 
 
 def _reduce_term(sigma, mask: int, fuel: _Fuel) -> tuple:
@@ -213,8 +232,8 @@ def _reduce_term_inner(sigma, mask: int, fuel: _Fuel) -> tuple:
             # minimality of i puts the value j after position i in sigma^{-1},
             # so sigma s_j is shorter and C_I T_sigma = (C_I T_{sigma s_j}) T_j
             # rotates to T_j (C_I T_{sigma s_j}) modulo commutators
-            moved = _lmul_T({(right_mul_s(sigma, j), mask): _ONE}, j)
-            return _reduce_terms(moved, fuel)
+            moved, growth = _lmul_T({(right_mul_s(sigma, j), mask): 1}, j)
+            return _lowest(*_reduce_terms(moved, growth, fuel))
 
     gamma = w_gamma_form(inv)
     if gamma is None:
@@ -224,13 +243,13 @@ def _reduce_term_inner(sigma, mask: int, fuel: _Fuel) -> tuple:
     block_list = list(_blocks(gamma))
     for block in block_list:
         if (mask & ((1 << block.stop) - (1 << block.start))).bit_count() & 1:
-            return 0, {}
+            return 0, {}, 0
 
     # (4) strip Clifford letters pairwise by conjugating with c_{min+1}
     if mask:
         k = (mask & -mask).bit_length()  # min(I) + 1
-        conj = _rmul_c(_lmul_c({(sigma, mask): _ONE}, k), k)
-        return _reduce_terms(conj, fuel)
+        conj, bound = _rmul_c(_lmul_c({(sigma, mask): 1}, k), k)
+        return _lowest(*_reduce_terms(conj, bound, fuel))
 
     # (5) sort the staircase blocks
     mu = tuple(sorted(gamma, reverse=True))
@@ -238,7 +257,7 @@ def _reduce_term_inner(sigma, mask: int, fuel: _Fuel) -> tuple:
         return _reduce_term(perm_inverse(w_gamma(mu)[0]), 0, fuel)
 
     if all(part % 2 for part in mu):
-        return 0, {mu: _ONE}
+        return 0, {mu: 1}, 1
 
     # (6) halve away the first even block via its Clifford volume element:
     # twice T_w_mu is congruent to the terms below, so by linearity they are
@@ -246,16 +265,18 @@ def _reduce_term_inner(sigma, mask: int, fuel: _Fuel) -> tuple:
     a = next(idx for idx, part in enumerate(mu) if part % 2 == 0)
     block = block_list[a]
     size = len(block)
-    cur = {(sigma, 0): (-1 if (size * (size - 1) // 2) % 2 else 1,)}
+    cur = {(sigma, 0): -1 if (size * (size - 1) // 2) % 2 else 1}
     for k in reversed(block):
         cur = _lmul_c(cur, k)
+    bound = 1
     for k in block:
-        cur = _rmul_c(cur, k)
-    _poly_acc(cur, (sigma, 0), _ONE)
+        cur, growth = _rmul_c(cur, k)
+        bound *= growth
+    _int_acc(cur, (sigma, 0), 1)
     if (sigma, 0) in cur:
         raise ReductionError(f"even-block halving left T_w_mu alive for mu={mu}")
-    e, vec = _reduce_terms(cur, fuel)
-    return _lowest(e + 1, vec)
+    e, vec, h = _reduce_terms(cur, bound + 1, fuel)
+    return _lowest(e + 1, vec, h)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +288,10 @@ def _class_vector(n: int, groups: dict) -> ClassVector:
     groups[c], with one Scalar product per (c, nu)."""
     fuel = _Fuel(_DEFAULT_FUEL)
     raw: dict = {}
-    for c, terms in groups.items():
-        e, vec = _reduce_terms(terms, fuel)
+    for c, (terms, bound) in groups.items():
+        e, vec, h = _reduce_terms(terms, bound, fuel)
         for nu, p in vec.items():
-            _acc(raw, nu, c * Scalar.from_v_ints(p, 1 << e))
+            _acc(raw, nu, c * Scalar.from_v_ints(_unpack(p, h), 1 << e))
     vec = {nu: ZERO for nu in odd_partitions(n)}
     for nu, val in raw.items():
         if nu not in vec:

@@ -360,6 +360,32 @@ _MIXED_DIGESTS = {
 }
 
 
+# sha256 of stdout, captured while the reduction route still held each
+# integer polynomial in v as an ascending int tuple
+_PACKED_DIGESTS = {
+    ("verify", "--suite", "core", "--n", "6"): (
+        "43c8085657423f6f21f6ffddc09a2083ba13c0cad681d4a147c0c49d273c8ab4"
+    ),
+    ("verify", "--suite", "spin", "--n", "6"): (
+        "1da94a6797403501c45d8551bf94471fd99817c8964496a2024fd2f45a926f92"
+    ),
+    ("class-poly", "--n", "7", "--element", "c1 c3 c4 c6 T2 T1 T3 T2 T4 T3 T5 T4 T6 T5 T1 T2"): (
+        "87dc80d978fd78b3bb2e9d3b20d261c9c98bca756231108107cb4e5f26e44819"
+    ),
+    ("gimel", "--spin", "--n", "7", "--word", "1,2,3,4,1,2,3,4"): (
+        "47555e529ead2b9ac988c05b770e90f101a47f3b26079453d6ad1a9879c6cc1f"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_PACKED_DIGESTS), ids=lambda argv: "-".join(argv[:3]))
+def test_packed_reduction_route_golden_stdout(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.strip() not in ("0", "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _PACKED_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("command, which", list(_MIXED_DIGESTS))
 def test_mixed_coefficient_element_golden_stdout(capsys, command, which):
     code, out, _ = invoke(capsys, command, "--n", "5", "--element", _MIXED[which])

@@ -1,18 +1,36 @@
-"""The int-tuple generator products and the (e, {nu: ints}) reduction memo
-against the Scalar-coefficient reference in `_scalar_kernels`.
+"""The packed-int generator products and the (e, {nu: packed}, h) reduction
+memo against the Scalar-coefficient reference in `_scalar_kernels`, and the
+width rule that guards every decode of a packed value.
 
 The kernels key a raw term by (sigma, bitmask) and the reference by
-(sigma, frozenset); the comparison converts keys at this boundary."""
+(sigma, frozenset); the comparison converts keys and decodes values at this
+boundary."""
 
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import _scalar_kernels as ref
-from spinhecke import hecke_clifford, traces
-from spinhecke.hecke_clifford import AlgebraElement, build_T_w
-from spinhecke.scalars import HALF, I, ONE, U, V, V_MINUS_1, Scalar, sc_int, sc_parse
+from spinhecke import hecke_clifford, scalars, traces
+from spinhecke.hecke_clifford import AlgebraElement, build_T_w, multiply
+from spinhecke.scalars import (
+    HALF,
+    I,
+    ONE,
+    U,
+    V,
+    V_MINUS_1,
+    Scalar,
+    WidthError,
+    _pack,
+    _unpack,
+    sc_int,
+    sc_parse,
+)
 from spinhecke.spin_hecke import R_class_vector, R_element
 from spinhecke.traces import clear_caches, odd_partitions, reduce
 
@@ -20,18 +38,35 @@ from spinhecke.traces import clear_caches, odd_partitions, reduce
 # for 1 would show
 _P = (2, -1, 3)
 
+# the largest coefficient every decode at the default width may meet
+_TOP = (1 << (scalars._W - 1)) - 1
+
+
+def _lmul_c(terms: dict, k: int) -> tuple:
+    # _lmul_c keeps the norm: its factor is 1
+    return hecke_clifford._lmul_c(terms, k), 1
+
+
+# the kernel as (product, factor that scales the l1 norm bound), the
+# reference, the generator kind, and the largest factor the kernel may
+# return (None: any exact push norm)
 _KERNELS = [
-    ("lmul_T", hecke_clifford._lmul_T, ref.lmul_T, "T"),
-    ("lmul_c", hecke_clifford._lmul_c, ref.lmul_c, "c"),
-    ("rmul_c", hecke_clifford._rmul_c, ref.rmul_c, "c"),
+    ("lmul_T", hecke_clifford._lmul_T, ref.lmul_T, "T", 7),
+    ("lmul_c", _lmul_c, ref.lmul_c, "c", 1),
+    ("rmul_c", hecke_clifford._rmul_c, ref.rmul_c, "c", None),
 ]
 
 
-def _as_scalars(raw: dict) -> dict:
-    """Raw {(sigma, mask): ints} as reference terms {(sigma, frozenset): Scalar}."""
+def _norm(ints) -> int:
+    return sum(abs(a) for a in ints)
+
+
+def _as_scalars(raw: dict, bound: int) -> dict:
+    """Raw {(sigma, mask): packed} of summed l1 norm at most bound, decoded
+    to reference terms {(sigma, frozenset): Scalar}."""
     return {
         (sigma, frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)):
-        Scalar.from_v_ints(p)
+        Scalar.from_v_ints(_unpack(p, bound))
         for (sigma, mask), p in raw.items()
     }
 
@@ -47,26 +82,32 @@ def _basis_keys(n):
                 yield sigma, frozenset(cliff)
 
 
-@pytest.mark.parametrize("name, fast, slow, kind", _KERNELS, ids=[k[0] for k in _KERNELS])
+@pytest.mark.parametrize("name, fast, slow, kind, most", _KERNELS, ids=[k[0] for k in _KERNELS])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_int_kernels_match_the_scalar_reference(n, name, fast, slow, kind):
+def test_int_kernels_match_the_scalar_reference(n, name, fast, slow, kind, most):
     gens = range(1, n) if kind == "T" else range(1, n + 1)
     for key in _basis_keys(n):
         for g in gens:
             for p in ((1,), _P):
-                got = fast({(key[0], _mask(key[1])): p}, g)
+                got, factor = fast({(key[0], _mask(key[1])): _pack(p)}, g)
+                assert most is None or factor <= most
                 assert all(got.values()), (key, g)  # no zero coefficient kept
+                # the returned factor bounds the exact norm of the product
+                bound = factor * _norm(p)
+                assert sum(_norm(_unpack(q, _TOP)) for q in got.values()) <= bound
                 want = slow({key: Scalar.from_v_ints(p)}, g)
-                assert _as_scalars(got) == want, (name, key, g, p)
+                assert _as_scalars(got, bound) == want, (name, key, g, p)
 
 
-def test_push_memo_holds_int_tuples():
+def test_push_memo_holds_packed_ints_with_exact_norms():
     clear_caches()
-    hecke_clifford._rmul_c({((3, 1, 4, 2), _mask((2,))): (1,)}, 3)
+    for key in _basis_keys(4):
+        for k in range(1, 5):
+            hecke_clifford._rmul_c({(key[0], _mask(key[1])): 1}, k)
     assert hecke_clifford._PUSH_MEMO
-    for terms in hecke_clifford._PUSH_MEMO.values():
-        for coeff in terms.values():
-            assert isinstance(coeff, tuple) and all(isinstance(a, int) for a in coeff)
+    for terms, norm in hecke_clifford._PUSH_MEMO.values():
+        assert all(type(p) is int and p for p in terms.values())
+        assert norm == sum(_norm(_unpack(p, _TOP)) for p in terms.values())
 
 
 def test_raw_keys_are_permutation_and_bitmask():
@@ -75,12 +116,90 @@ def test_raw_keys_are_permutation_and_bitmask():
         reduce(AlgebraElement(4, {key: ONE}))
     assert traces._MEMO and hecke_clifford._PUSH_MEMO
     keys = list(traces._MEMO)
-    keys += [key for terms in hecke_clifford._PUSH_MEMO.values() for key in terms]
+    keys += [key for terms, _ in hecke_clifford._PUSH_MEMO.values() for key in terms]
     for sigma, mask in keys:
         assert type(sigma) is tuple and type(mask) is int
     # a push through T_sigma leaves exactly one Clifford letter
-    for terms in hecke_clifford._PUSH_MEMO.values():
+    for terms, _ in hecke_clifford._PUSH_MEMO.values():
         assert all(mask.bit_count() == 1 for _, mask in terms)
+
+
+# ---------------------------------------------------------------------------
+# the packing width
+
+
+def _width(monkeypatch, width: int) -> None:
+    """Pack at `width` bits in every module of the package that binds the
+    width, with every cache emptied (a memo holds values packed at one
+    width only)."""
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("spinhecke") and hasattr(mod, "_W"):
+            monkeypatch.setattr(mod, "_W", width)
+    clear_caches()
+
+
+@pytest.fixture
+def width(monkeypatch):
+    yield lambda w: _width(monkeypatch, w)
+    clear_caches()
+
+
+@given(st.lists(st.integers(-_TOP, _TOP), max_size=12))
+def test_pack_and_unpack_round_trip_below_half_the_width(ints):
+    trimmed = list(ints)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    p = _pack(ints)
+    assert _unpack(p, max(map(abs, ints), default=0)) == tuple(trimmed)
+    assert _unpack(p, _TOP) == tuple(trimmed)
+    assert (p == 0) == (not trimmed)
+
+
+def test_unpack_refuses_a_bound_at_half_the_width():
+    with pytest.raises(WidthError):
+        _unpack(_pack((1, 2)), 1 << (scalars._W - 1))
+
+
+# R(1 2 3 4 1 2 3 4) at rank 5 has 400 v^3 in its (3, 1, 1) class polynomial
+_WIDE_WORD = (1, 2, 3, 4, 1, 2, 3, 4)
+
+
+def test_a_narrow_width_is_refused_never_decoded(width):
+    clear_caches()
+    vec = R_class_vector(_WIDE_WORD, 5)
+    assert max(_norm(val.v_ints()) for val in vec.coeffs.values()) >= 1 << 7
+    width(8)
+    with pytest.raises(WidthError):
+        R_class_vector(_WIDE_WORD, 5)
+    with pytest.raises(WidthError):
+        reduce(R_element(_WIDE_WORD, 5))
+
+
+def _rank_five_vectors() -> list:
+    words = [_WIDE_WORD, (2, 1, 3, 2, 3, 1), (4, 3, 2, 1, 4, 2)]
+    h = hecke_clifford.from_word(5, "c1 c2 T1 T2 T1 T3 T4 T3 c5".split())
+    g = hecke_clifford.from_word(5, "T2 T3 T4 T1 T2 c3 c4".split())
+    elements = [build_T_w((2, 2, 1)), build_T_w((4, 1)), h, multiply(h, g)]
+    return [R_class_vector(word, 5) for word in words] + [reduce(x) for x in elements]
+
+
+def test_a_narrow_width_that_fits_gives_the_same_vectors(width):
+    clear_caches()
+    wide = _rank_five_vectors()
+    width(48)
+    assert _rank_five_vectors() == wide
+
+
+def test_every_memo_bound_covers_the_exact_norm_at_rank_five():
+    clear_caches()
+    for sigma in itertools.permutations(range(1, 6)):
+        for cliff in ((), (1, 2), (2, 4), (1, 3, 4, 5)):
+            reduce(AlgebraElement(5, {(sigma, frozenset(cliff)): ONE}))
+    assert len(traces._MEMO) > 500
+    for e, vec, h in traces._MEMO.values():
+        assert e >= 0 and (vec or (e, h) == (0, 0))
+        for p in vec.values():
+            assert p and h >= _norm(_unpack(p, _TOP))
 
 
 @pytest.mark.parametrize("text", ["0", "1", "-3", "v", "2*v^2-1", "v^5-7*v^2+4"])
@@ -102,6 +221,7 @@ def test_v_ints_refuses_values_outside_integer_polynomials_in_v(value):
 
 def test_by_coeff_makes_one_group_for_every_integer_polynomial_coefficient():
     sigma = (2, 1, 3)
+    big = sc_int(1 << (scalars._W // 2))
     terms = {
         (sigma, frozenset()): ONE,
         (sigma, frozenset((1, 3))): V_MINUS_1,
@@ -109,15 +229,22 @@ def test_by_coeff_makes_one_group_for_every_integer_polynomial_coefficient():
         ((1, 3, 2), frozenset((1,))): HALF,
         ((3, 2, 1), frozenset()): HALF,
         ((1, 2, 3), frozenset()): I * U,
+        ((2, 3, 1), frozenset()): big,
     }
     groups = hecke_clifford._by_coeff(terms)
-    assert set(groups) == {ONE, HALF, I * U}
-    assert groups[ONE] == {
-        (sigma, 0): (1,),
-        (sigma, 0b1010): (-1, 1),
-        ((1, 2, 3), 0b100): (-3,),
-    }
-    assert groups[HALF] == {((1, 3, 2), 0b10): (1,), ((3, 2, 1), 0): (1,)}
+    assert set(groups) == {ONE, HALF, I * U, big}
+    # the group of 1 holds packed ints with their exact summed l1 norm
+    assert groups[ONE] == (
+        {
+            (sigma, 0): _pack((1,)),
+            (sigma, 0b1010): _pack((-1, 1)),
+            ((1, 2, 3), 0b100): _pack((-3,)),
+        },
+        6,
+    )
+    assert groups[HALF] == ({((1, 3, 2), 0b10): 1, ((3, 2, 1), 0): 1}, 2)
+    # an integer too long for the width heads a group of its own, at 1
+    assert groups[big] == ({((2, 3, 1), 0): 1}, 1)
     assert hecke_clifford._scalar_terms(groups) == terms
 
 
@@ -170,21 +297,36 @@ def test_reduce_matches_the_reference_on_every_even_halving_staircase():
         assert reduce(h).coeffs == _reference_reduce(h, {}, {})
 
 
-def test_memo_values_are_over_a_minimal_power_of_two():
-    # at rank 3 already, c1 c2 T_sigma for sigma = 231 sums halved terms
-    # whose values are all even
-    clear_caches()
+def test_memo_values_are_over_a_minimal_power_of_two(width, monkeypatch):
+    # at 16 bits a bound is decoded once it passes 2^8, so most entries at
+    # rank 4 are; at rank 3 already, c1 c2 T_sigma for sigma = 231 sums
+    # halved terms whose values are all even
+    width(16)
+    decoded = []
+    lowest = traces._lowest
+
+    def spy(e, vec, h):
+        out = lowest(e, vec, h)
+        if h >> 8:
+            decoded.append(out)
+        return out
+
+    monkeypatch.setattr(traces, "_lowest", spy)
     for key in _basis_keys(4):
         reduce(AlgebraElement(4, {key: ONE}))
+    decoded_ids = {id(out) for out in decoded}
     halved = 0
-    for e, vec in traces._MEMO.values():
-        assert all(isinstance(a, int) for val in vec.values() for a in val)
-        assert all(val and val[-1] for val in vec.values())  # no zeros kept
+    for entry in traces._MEMO.values():
+        e, vec, h = entry
+        assert all(type(p) is int and p for p in vec.values())  # no zeros kept
         if not vec:
-            assert e == 0
-        elif e:
-            halved += 1
-            assert any(a % 2 for val in vec.values() for a in val)
+            assert (e, h) == (0, 0)
+        elif id(entry) in decoded_ids:
+            ints = [_unpack(p, h) for p in vec.values()]
+            assert h == max(_norm(val) for val in ints)  # exact once decoded
+            if e:
+                halved += 1
+                assert any(a % 2 for val in ints for a in val)
     assert halved
 
 

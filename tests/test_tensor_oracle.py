@@ -6,7 +6,7 @@ import pytest
 import _tensor_reference as ref
 from _monomial_g_tilde import delta, g_tilde
 from _orbits import from_exponents
-from spinhecke import symfunc
+from spinhecke import symfunc, tensor_oracle
 from spinhecke.combinatorics import enumerate_partitions, reduced_word
 from spinhecke.hecke_clifford import build_T_w, from_word, one, parse_element
 from spinhecke.scalars import HALF, I, MINUS_ONE, ONE, TWO, U, V, ZERO, sc_parse
@@ -378,6 +378,19 @@ def test_trace_poly_full_cycle_monomial_coefficients():
             expected = expected * delta(part)
         expected = expected * V1 ** (len(mu) - 1)
         assert coeff == expected
+
+
+def test_odd_terms_trace_to_zero_without_the_per_tuple_sweep(monkeypatch):
+    # every term of c1 T1 T2 T3 T4 has one Clifford letter, and an odd term
+    # has no diagonal entry: no weight block is listed for it
+    def no_sweep(lam):
+        raise AssertionError(f"swept the block of weight {lam}")
+
+    monkeypatch.setattr(tensor_oracle, "_weight_block", no_sweep)
+    h = from_word(5, ["c1", "T1", "T2", "T3", "T4"])
+    assert h.parity() == 1
+    poly = trace_poly(h, 5)
+    assert all(coeff.is_zero() for coeff in poly.terms.values())
 
 
 def test_trace_poly_validates_input():
