@@ -67,6 +67,7 @@ from .scalars import (
     _W,
     _acc,
     _int_acc,
+    _norm,
     _pack,
     _tighten,
     _unpack,
@@ -186,12 +187,9 @@ def c_gen(n: int, k: int) -> AlgebraElement:
 
 # ---------------------------------------------------------------------------
 # generator multiplication on raw term dicts {(sigma, mask): packed int}, where
-# bit k of mask is set when c_k is in I and a value is an integer polynomial
-# in v packed by scalars._pack.  Each product scales the l1 norm of the terms
-# by at most a factor: 1 for _lmul_c; for _lmul_T and _rmul_c the largest
-# factor among the terms they read, which they return: at most 7 for
-# _lmul_T (2 + 2 + 3 when c_j and c_{j+1} meet a Hecke step that makes two
-# terms), and for _rmul_c the exact norm of a stored push.
+# bit k of mask is set when c_k is in I; a product scales the summed l1 norm
+# of the terms by at most a factor: 1 for _lmul_c, and the one that _lmul_T
+# and _rmul_c return
 
 
 def _bits(mask: int) -> list:
@@ -276,8 +274,7 @@ def _push_c_left(sigma, k: int) -> tuple:
         else:
             shorter, norm = _push_c_left(left_mul_s(j, sigma), k)
             terms, growth = _lmul_T(shorter, j)
-            bound = growth * norm
-            cached = terms, sum(abs(a) for p in terms.values() for a in _unpack(p, bound))
+            cached = terms, _norm(terms.values(), growth * norm)
         _PUSH_MEMO[key] = cached
     return cached
 

@@ -977,12 +977,16 @@ def _unpack(p: int, bound: int) -> tuple:
     return tuple(out)
 
 
+def _norm(values, bound: int) -> int:
+    """The exact summed l1 norm of packed values whose coefficients are at
+    most bound in absolute value."""
+    return sum(abs(a) for p in values for a in _unpack(p, bound))
+
+
 def _tighten(values, bound: int) -> int:
     """bound on the summed l1 norm of the packed values, or their exact
     summed norm when bound has passed 2^(_W / 2)."""
-    if bound >> (_W // 2):
-        return sum(abs(a) for p in values for a in _unpack(p, bound))
-    return bound
+    return _norm(values, bound) if bound >> (_W // 2) else bound
 
 
 def _int_acc(acc: dict, key, p: int) -> None:

@@ -225,6 +225,19 @@ def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
     _assert_imports_within("tensor_oracle.py", allowed)
 
 
+def test_tensor_oracle_imports_no_packed_helper():
+    # the packed form of Z[v] belongs to the route the oracle checks; the
+    # oracle's kernel keeps its own int tuples in u
+    tree = ast.parse((PACKAGE / "tensor_oracle.py").read_text())
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not names & {"_W", "_pack", "_unpack", "_tighten", "_int_acc", "WidthError"}
+
+
 def test_characters_reach_neither_the_normal_form_nor_the_reduction():
     # both trace decompositions are certified on the int table, so the
     # character module imports nothing of hecke_clifford and, of traces,
