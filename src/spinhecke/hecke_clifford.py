@@ -36,12 +36,24 @@ bound passes 2^(W/2), when the exact norm replaces it (`scalars._tighten`).
 A raw term is keyed by (one-line permutation, bitmask), bit k set for c_k,
 so a Clifford sign is the parity of a masked bit count and a letter flip is
 an xor; the memo of Clifford pushes holds raw terms too, each push with its
-exact norm.  The public key stays (permutation, frozenset).  A Scalar
-coefficient is applied only at the public boundary: one product per output
-term of from_word and multiply, whose action is linear over the terms of b
-that share a coefficient, and every coefficient in Z[v] rides in the group
+exact norm.  The public key stays (permutation, frozenset).
+
+An element holds raw groups {c: (raw terms, l1 norm bound)}, read as the
+sum over c of c times the terms of c, or public terms {(permutation,
+frozenset): Scalar}, or both: each form is built from the other when first
+read, and kept.  from_word, multiply and spin_hecke.R_element build
+elements from raw groups, and a Scalar per term is built only when .terms
+is first read (_scalar_terms: one product per (c, key)).  An element built
+from public terms gets its raw groups once, when a product or a reduction
+first reads them (_by_coeff): every coefficient in Z[v] rides in the group
 of 1 as its packed int (unless its norm reaches 2^(W/2): then it heads a
-group of its own, like any other Scalar).
+group of its own, like any other Scalar).  The action of multiply is linear
+over the terms of b that share a coefficient, so it runs group by group,
+and a product that is only reduced (traces.reduce) never builds a Scalar
+per term.  The bound of a product, a word or an R-word may be looser than
+the exact norm of its terms; where it would refuse a product, multiply
+retries on the groups of the decoded terms, so that no product is refused
+that those terms allow.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ from .scalars import (
     V_MINUS_1,
     Scalar,
     ScalarParseError,
+    WidthError,
     _W,
     _acc,
     _int_acc,
@@ -77,15 +90,39 @@ from .scalars import (
 
 
 class AlgebraElement:
-    """A sparse normal-form element; immutable after construction."""
+    """A sparse normal-form element; immutable after construction.
 
-    __slots__ = ("n", "terms")
+    .terms is a read-only mapping {(permutation, frozenset): Scalar}; an
+    element built from raw groups (_of_groups) decodes it on first read.
+    """
+
+    __slots__ = ("n", "_terms", "_raw")
 
     def __init__(self, n: int, terms: dict):
         if n < 1:
             raise ValueError("rank must be at least 1")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", MappingProxyType(dict(terms)))
+        object.__setattr__(self, "_terms", MappingProxyType(dict(terms)))
+        object.__setattr__(self, "_raw", None)
+
+    @classmethod
+    def _of_groups(cls, n: int, groups: dict) -> "AlgebraElement":
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "n", n)
+        object.__setattr__(elem, "_terms", None)
+        object.__setattr__(elem, "_raw", groups)
+        return elem
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            object.__setattr__(self, "_terms", MappingProxyType(_scalar_terms(self._raw)))
+        return self._terms
+
+    def _groups(self) -> dict:
+        if self._raw is None:
+            object.__setattr__(self, "_raw", _by_coeff(self._terms))
+        return self._raw
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -376,7 +413,7 @@ def from_word(n: int, word: Iterable, coeff: Scalar = ONE) -> AlgebraElement:
             bound = _tighten(terms.values(), growth * bound)
         else:
             terms = _lmul_c(terms, idx)
-    return AlgebraElement(n, _scalar_terms({coeff: (terms, bound)}))
+    return AlgebraElement._of_groups(n, {coeff: (terms, bound)})
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -385,13 +422,26 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     Each left term C_I T_sigma acts on b by left generator multiplications:
     the letters of a reduced word of sigma innermost first, then the Clifford
     indices of I from the largest down.  The action is linear, so it runs on
-    the raw groups of _by_coeff: a product of two elements with coefficients
-    in Z[v] is one group of int terms, and builds one Scalar per output term.
+    the raw groups of a and b: a product of two elements with coefficients
+    in Z[v] is one group of int terms.  The product keeps its groups, each
+    bound tightened, and builds Scalar terms only if .terms is read.
     """
     a._check_rank(b)
-    b_groups = _by_coeff(b.terms)
+    try:
+        groups = _product(a._groups(), b._groups())
+    except WidthError:
+        # the bound of a product, a word or an R-word may be looser than the
+        # exact norm of its terms: retry on the groups of its decoded terms,
+        # as an element built from them would have
+        groups = _product(_by_coeff(a.terms), _by_coeff(b.terms))
+    return AlgebraElement._of_groups(a.n, groups)
+
+
+def _product(a_groups: dict, b_groups: dict) -> dict:
+    """The raw groups of the product of the elements with raw groups
+    a_groups and b_groups, each bound tightened."""
     groups: dict = {}
-    for a_coeff, (a_terms, a_bound) in _by_coeff(a.terms).items():
+    for a_coeff, (a_terms, a_bound) in a_groups.items():
         actions = [
             (reduced_word(sigma)[::-1], _bits(mask)[::-1], p)
             for (sigma, mask), p in a_terms.items()
@@ -412,7 +462,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 top = max(top, cur_bound)
             # the summed norm of the a-side values is at most a_bound
             groups[c] = into, bound + a_bound * top
-    return AlgebraElement(a.n, _scalar_terms(groups))
+    return {c: (terms, _tighten(terms.values(), bound)) for c, (terms, bound) in groups.items()}
 
 
 def relations(n: int) -> list:

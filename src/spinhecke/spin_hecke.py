@@ -29,8 +29,9 @@ The spin table is the int table of `characters` times these int vectors, over
 the Clifford-module dimension, multiplied out on int tuples in v once: both
 `spin_character_table` and the certificate of `spin_schur_elements` read it.
 An R-word's normal form is built on the packed raw terms of hecke_clifford,
-with a bound on their norms, and R_class_vector reduces those terms as they
-are.
+with a bound on their norms.  R_element keeps them as its raw groups, and
+R_class_vector is the reduction of that element, which reads those terms as
+they are.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .hecke_clifford import (
     AlgebraElement,
     T_gen,
     _lmul_T,
-    _scalar_terms,
     c_gen,
     multiply,
     one,
@@ -83,7 +83,7 @@ from .scalars import (
     _tighten,
     half,
 )
-from .traces import ClassVector, _class_vector, _gimel_of, zero_vector
+from .traces import ClassVector, _gimel_of, reduce, zero_vector
 
 
 def dim_clifford_module(n: int) -> int:
@@ -149,12 +149,12 @@ def _R_terms(word, n: int) -> tuple:
 
 def R_element(word, n: int) -> AlgebraElement:
     """Normal form of R_{i_1} ... R_{i_r}; the word need not be reduced."""
-    return AlgebraElement(n, _scalar_terms({ONE: _R_terms(word, n)}))
+    return AlgebraElement._of_groups(n, {ONE: _R_terms(word, n)})
 
 
 def R_class_vector(word, n: int) -> ClassVector:
-    """reduce(R_element(word, n)), reduced on the packed terms of the word."""
-    return _class_vector(n, {ONE: _R_terms(word, n)})
+    """The class vector of the R-word, reduced on its packed terms."""
+    return reduce(R_element(word, n))
 
 
 # ---------------------------------------------------------------------------

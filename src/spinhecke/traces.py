@@ -32,11 +32,16 @@ the values of a term sum its rewritten terms' values, so h is the norm
 bound of those terms times the largest h among their entries, each brought
 to the common power of 2.  A value is
 decoded only when h passes 2^(W/2) (_lowest: h becomes the exact norm and e
-is made minimal) and at the public boundary, where a Scalar is built: one
-product per (coefficient, nu), where the terms of h that share a
-coefficient are reduced together.  Every coefficient in Z[v] joins the
-group of 1 as its packed int (hecke_clifford._by_coeff), so an element
-over Z[v], such as an R-word in spin_hecke.R_class_vector, is one group.
+is made minimal) and at the root of reduce, where a Scalar is built: one
+product per (coefficient, nu).  reduce reads the raw groups of its element
+(hecke_clifford.AlgebraElement), and reduces the terms of one group
+together: a product, a word or an R-word (spin_hecke.R_class_vector)
+arrives as the packed terms it was built from, with no Scalar per term,
+and an element over Z[v] is one group.  At the root a value is bounded by
+the group's bound times the largest h of the memo entries it sums.  A
+product's bound may be looser than the exact norm of its terms (multiply
+tightens it only past 2^(W/2)), so before a decode is refused the exact
+norm takes its place: the bound that the decoded terms, regrouped, carry.
 """
 
 from __future__ import annotations
@@ -55,12 +60,11 @@ from .combinatorics import (
 from .hecke_clifford import (
     _PUSH_MEMO,
     AlgebraElement,
-    _by_coeff,
     _lmul_c,
     _lmul_T,
     _rmul_c,
 )
-from .scalars import HALF, Scalar, V_MINUS_1, ZERO, _W, _acc, _int_acc, _unpack
+from .scalars import HALF, Scalar, V_MINUS_1, ZERO, _W, _acc, _int_acc, _norm, _unpack
 
 _GIMEL_BASE = V_MINUS_1 * HALF  # (v-1)/2
 
@@ -283,28 +287,27 @@ def _reduce_term_inner(sigma, mask: int, fuel: _Fuel) -> tuple:
 # public API
 
 
-def _class_vector(n: int, groups: dict) -> ClassVector:
-    """The class vector of the sum over c of c times the raw terms
-    groups[c], with one Scalar product per (c, nu)."""
+def reduce(h: AlgebraElement) -> ClassVector:
+    """Class polynomials: the coefficients of h on the T_{w_nu} basis
+    modulo commutators (odd terms contribute nothing).  The raw terms of
+    one coefficient are reduced together, with one Scalar product per
+    (coefficient, nu)."""
     fuel = _Fuel(_DEFAULT_FUEL)
     raw: dict = {}
-    for c, (terms, bound) in groups.items():
-        e, vec, h = _reduce_terms(terms, bound, fuel)
+    for c, (terms, bound) in h._groups().items():
+        e, vec, most = _reduce_terms(terms, bound, fuel)
+        if most >> (_W - 1):
+            # most is bound times the largest memo bound; a product's bound
+            # may be looser than the exact norm of its terms, so try that
+            most = most // bound * _norm(terms.values(), bound)
         for nu, p in vec.items():
-            _acc(raw, nu, c * Scalar.from_v_ints(_unpack(p, h), 1 << e))
-    vec = {nu: ZERO for nu in odd_partitions(n)}
+            _acc(raw, nu, c * Scalar.from_v_ints(_unpack(p, most), 1 << e))
+    vec = {nu: ZERO for nu in odd_partitions(h.n)}
     for nu, val in raw.items():
         if nu not in vec:
             raise ReductionError(f"reduction produced non-odd partition {nu}")
         vec[nu] = val
-    return ClassVector(n, vec)
-
-
-def reduce(h: AlgebraElement) -> ClassVector:
-    """Class polynomials: the coefficients of h on the T_{w_nu} basis
-    modulo commutators (odd terms contribute nothing).  The terms of one
-    coefficient are reduced together."""
-    return _class_vector(h.n, _by_coeff(h.terms))
+    return ClassVector(h.n, vec)
 
 
 def gimel_weight(n: int, nu) -> Scalar:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import _scalar_kernels as ref
 from spinhecke import hecke_clifford, scalars, traces
+from spinhecke.combinatorics import perm_length, reduced_word
 from spinhecke.hecke_clifford import AlgebraElement, build_T_w, multiply
 from spinhecke.scalars import (
     HALF,
@@ -188,6 +189,119 @@ def test_a_narrow_width_that_fits_gives_the_same_vectors(width):
     wide = _rank_five_vectors()
     width(48)
     assert _rank_five_vectors() == wide
+
+
+def _basis_pairs(count: int) -> list:
+    """Pairs of rank-5 basis keys (sigma, I), sigma of length at least 7."""
+    rng = random.Random(5)
+    longs = [s for s in itertools.permutations(range(1, 6)) if perm_length(s) >= 7]
+
+    def key():
+        return rng.choice(longs), frozenset(rng.sample(range(1, 6), rng.choice((0, 2, 3))))
+
+    return [(key(), key()) for _ in range(count)]
+
+
+def _basis(key) -> AlgebraElement:
+    return AlgebraElement(5, {key: ONE})
+
+
+def _rank_five_products() -> list:
+    """Products of basis terms and of R-words at rank 5, built at the
+    current width (raw groups are packed at one width only)."""
+    words = [
+        (_WIDE_WORD, (2, 1, 3, 2)),
+        ((2, 1, 3, 2, 3, 1), (4, 3, 2, 1, 4, 2)),
+        ((4, 3, 2, 1, 4, 2), (2, 1, 3, 2, 3, 1)),
+        ((1, 2, 3, 4), (1, 2, 3, 4)),
+    ]
+    pairs = [(_basis(a), _basis(b)) for a, b in _basis_pairs(20)]
+    pairs += [(R_element(x, 5), R_element(y, 5)) for x, y in words]
+    return [multiply(a, b) for a, b in pairs]
+
+
+def test_a_narrow_width_reduces_products_raw_as_decoded(width):
+    # a product reaches reduce with multiply's proven bound, not the exact
+    # norm of its decoded terms; at 48 bits that refuses none of them
+    clear_caches()
+    wide = [reduce(p) for p in _rank_five_products()]
+    width(48)
+    products = _rank_five_products()
+    raw = [reduce(p) for p in products]  # before any .terms is read
+    assert raw == [reduce(AlgebraElement(5, dict(p.terms))) for p in products]
+    assert raw == wide
+
+
+def test_a_loose_product_bound_gives_way_to_the_exact_norm(width, monkeypatch):
+    # at 36 bits this product's bound times the largest memo bound reaches
+    # 2^35, while the exact norm of its terms times that memo bound does not
+    a = ((5, 4, 3, 1, 2), frozenset((1, 4)))
+    b = ((4, 5, 2, 3, 1), frozenset((1, 5)))
+    clear_caches()
+    wide = reduce(multiply(_basis(a), _basis(b)))
+    width(36)
+    exact = []
+    monkeypatch.setattr(traces, "_norm", lambda values, bound: exact.append(bound) or
+                        scalars._norm(values, bound))
+    product = multiply(_basis(a), _basis(b))
+    assert reduce(product) == wide
+    assert exact
+    assert reduce(AlgebraElement(5, dict(product.terms))) == wide
+
+
+def test_a_loose_operand_bound_gives_way_to_the_regrouped_terms(width, monkeypatch):
+    # at 24 bits the product of R(2 1 3 2) with itself overflows under the
+    # word's own bound, but not under the exact norm of its decoded terms
+    word = (2, 1, 3, 2)
+    clear_caches()
+    wide = dict(multiply(R_element(word, 5), R_element(word, 5)).terms)
+    width(24)
+    regrouped = []
+    by_coeff = hecke_clifford._by_coeff
+    monkeypatch.setattr(hecke_clifford, "_by_coeff", lambda terms: regrouped.append(1) or
+                        by_coeff(terms))
+    r = R_element(word, 5)
+    assert dict(multiply(r, r).terms) == wide
+    assert regrouped
+
+
+def _reference_product(a, b) -> dict:
+    """C_I T_sigma times the basis key b on the Scalar reference kernels:
+    the letters of a act on b from the left, as in multiply."""
+    sigma, cliff = a
+    cur = {b: ONE}
+    for j in reversed(reduced_word(sigma)):
+        cur = ref.lmul_T(cur, j)
+    for k in sorted(cliff, reverse=True):
+        cur = ref.lmul_c(cur, k)
+    return cur
+
+
+def test_products_reach_the_reduction_with_no_scalar_term(monkeypatch):
+    clear_caches()
+    pairs = _basis_pairs(12)
+    words = [_WIDE_WORD, (2, 1, 3, 2, 3, 1)]
+
+    def refuse(groups):
+        raise AssertionError("a Scalar term was built")
+
+    monkeypatch.setattr(hecke_clifford, "_scalar_terms", refuse)
+    products = [multiply(_basis(a), _basis(b)) for a, b in pairs]
+    vectors = [reduce(p) for p in products]
+    spin = [R_class_vector(word, 5) for word in words]
+    monkeypatch.undo()
+    for (a, b), product, vec in zip(pairs, products, vectors):
+        want = _reference_product(a, b)
+        assert dict(product.terms) == want
+        assert vec == reduce(AlgebraElement(5, want))
+    for word, vec in zip(words, spin):
+        assert vec == reduce(AlgebraElement(5, dict(R_element(word, 5).terms)))
+    # an element built from raw groups and one built from Scalar terms
+    for a, b in pairs:
+        eager = AlgebraElement(5, _reference_product(a, b))
+        assert hash(multiply(_basis(a), _basis(b))) == hash(eager)
+        assert multiply(_basis(a), _basis(b)) == eager
+        assert eager == multiply(_basis(a), _basis(b))
 
 
 def test_every_memo_bound_covers_the_exact_norm_at_rank_five():
