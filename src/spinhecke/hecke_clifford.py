@@ -17,12 +17,18 @@ the normal form
     sum of  coeff * C_I * T_sigma,   C_I = c_{i_1} ... c_{i_k},  i_1 < ... < i_k,
 
 keyed by the pair (one-line permutation, frozen index set).  Products work
-on these terms through the left generator products _lmul_T and _lmul_c:
-from_word applies its letters right to left, and multiply lets each term of
-a act on b.  The relations that move T_j across c_j and c_{j+1} are written
-once, in _lmul_T.  The right product _rmul_c serves the trace reduction in
-traces.py only: it pushes c_k left through T_sigma by left-multiplying
-T_{s_j sigma} c_k by T_j, one left descent j of sigma at a time.
+on these terms through one word action, _act: its letters ("T", j),
+("c", k) and ("R", i) multiply from the left, the last letter first, by the
+left generator products _lmul_T, _lmul_c and _lmul_R, the last for the
+image (c_i - c_{i+1}) T_i + (v-1) c_{i+1} of the odd generator R_i of
+spin_hecke.  from_word runs its letters through it from 1, and so does
+spin_hecke.R_element with R letters; multiply runs the T-word of each
+permutation in a once on b, and the Clifford letters of each term of a on
+the image of its permutation.  The relations that move T_j across c_j and
+c_{j+1} are written once, in _lmul_T.  The right product _rmul_c serves
+the trace reduction in traces.py only: it pushes c_k left through T_sigma
+by left-multiplying T_{s_j sigma} c_k by T_j, one left descent j of sigma
+at a time.
 
 Every structure constant of these products lies in Z[v], so the generator
 products work on raw terms whose coefficients are integer polynomials in v,
@@ -225,8 +231,8 @@ def c_gen(n: int, k: int) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # generator multiplication on raw term dicts {(sigma, mask): packed int}, where
 # bit k of mask is set when c_k is in I; a product scales the summed l1 norm
-# of the terms by at most a factor: 1 for _lmul_c, and the one that _lmul_T
-# and _rmul_c return
+# of the terms by at most a factor: 1 for _lmul_c, and the one that _lmul_T,
+# _lmul_R and _rmul_c return
 
 
 def _bits(mask: int) -> list:
@@ -287,6 +293,37 @@ def _lmul_T(terms: dict, j: int) -> tuple:
         if grow > growth:
             growth = grow
     return acc, growth
+
+
+def _lmul_R(terms: dict, i: int) -> tuple:
+    """(R_i times terms, the factor that scales their l1 norm bound), for
+    the image R_i = (c_i - c_{i+1}) T_i + (v-1) c_{i+1} of the odd
+    generator: c_i T_i h - c_{i+1} T_i h + (v-1) c_{i+1} h.  The factor is
+    twice the growth of T_i, plus 2: at most 2 * 7 + 2 = 16."""
+    lifted, growth = _lmul_T(terms, i)
+    acc = _lmul_c(lifted, i)
+    for key, p in _lmul_c(lifted, i + 1).items():
+        _int_acc(acc, key, -p)
+    for key, p in _lmul_c(terms, i + 1).items():
+        _int_acc(acc, key, (p << _W) - p)
+    return acc, 2 * growth + 2
+
+
+def _act(letters, terms: dict, bound: int) -> tuple:
+    """(the product of letters times terms, a bound on its summed l1 norm),
+    for raw terms of summed l1 norm at most bound.  The letters ("T", j),
+    ("c", k) and ("R", i) multiply from the left, the last letter first;
+    the bound is tightened after each letter that scales it."""
+    for kind, idx in reversed(letters):
+        if kind == "T":
+            terms, growth = _lmul_T(terms, idx)
+        elif kind == "c":
+            terms = _lmul_c(terms, idx)
+            continue
+        else:
+            terms, growth = _lmul_R(terms, idx)
+        bound = _tighten(terms.values(), growth * bound)
+    return terms, bound
 
 
 # (sigma, k) -> (T_sigma * c_k, its exact l1 norm), emptied by
@@ -405,15 +442,13 @@ def from_word(n: int, word: Iterable, coeff: Scalar = ONE) -> AlgebraElement:
         coeff = sc_int(coeff)
     if coeff.is_zero():
         return zero(n)
-    terms = {(perm_identity(n), 0): 1}
-    bound = 1
-    for kind, idx in reversed(letters):
-        if kind == "T":
-            terms, growth = _lmul_T(terms, idx)
-            bound = _tighten(terms.values(), growth * bound)
-        else:
-            terms = _lmul_c(terms, idx)
-    return AlgebraElement._of_groups(n, {coeff: (terms, bound)})
+    return _of_letters(n, letters, coeff)
+
+
+def _of_letters(n: int, letters, coeff: Scalar = ONE) -> AlgebraElement:
+    """coeff * (the product of the letters, unchecked) as raw groups: the
+    letters act on 1 by _act."""
+    return AlgebraElement._of_groups(n, {coeff: _act(letters, {(perm_identity(n), 0): 1}, 1)})
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -439,28 +474,29 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def _product(a_groups: dict, b_groups: dict) -> dict:
     """The raw groups of the product of the elements with raw groups
-    a_groups and b_groups, each bound tightened."""
+    a_groups and b_groups, each bound tightened.  The left terms of a group
+    that share a permutation sigma share the image of T_sigma: its word
+    acts on b once, and each term's Clifford letters act on that image."""
     groups: dict = {}
     for a_coeff, (a_terms, a_bound) in a_groups.items():
+        by_perm: dict = {}
+        for (sigma, mask), p in a_terms.items():
+            by_perm.setdefault(sigma, []).append(([("c", k) for k in _bits(mask)], p))
         actions = [
-            (reduced_word(sigma)[::-1], _bits(mask)[::-1], p)
-            for (sigma, mask), p in a_terms.items()
+            ([("T", j) for j in reduced_word(sigma)], cliffs) for sigma, cliffs in by_perm.items()
         ]
         for b_coeff, (b_terms, b_bound) in b_groups.items():
             c = a_coeff * b_coeff
             into, bound = groups.get(c, ({}, 0))
             top = 0
-            for word, letters, p in actions:
-                cur, cur_bound = b_terms, b_bound
-                for j in word:
-                    cur, growth = _lmul_T(cur, j)
-                    cur_bound = _tighten(cur.values(), growth * cur_bound)
-                for k in letters:
-                    cur = _lmul_c(cur, k)
-                for key, q in cur.items():
-                    _int_acc(into, key, p * q)
-                top = max(top, cur_bound)
-            # the summed norm of the a-side values is at most a_bound
+            for word, cliffs in actions:
+                image, image_bound = _act(word, b_terms, b_bound)
+                for letters, p in cliffs:
+                    for key, q in _act(letters, image, image_bound)[0].items():
+                        _int_acc(into, key, p * q)
+                top = max(top, image_bound)
+            # the summed norm of the a-side values is at most a_bound, and
+            # a c letter keeps the norm
             groups[c] = into, bound + a_bound * top
     return {c: (terms, _tighten(terms.values(), bound)) for c, (terms, bound) in groups.items()}
 

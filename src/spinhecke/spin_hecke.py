@@ -28,10 +28,10 @@ those checks.
 The spin table is the int table of `characters` times these int vectors, over
 the Clifford-module dimension, multiplied out on int tuples in v once: both
 `spin_character_table` and the certificate of `spin_schur_elements` read it.
-An R-word's normal form is built on the packed raw terms of hecke_clifford,
-with a bound on their norms.  R_element keeps them as its raw groups, and
-R_class_vector is the reduction of that element, which reads those terms as
-they are.
+R_element hands its word to hecke_clifford as R letters, which the word
+action there multiplies out on raw terms with a bound on their norms; this
+module knows nothing of their packed form.  R_class_vector is the reduction
+of that element, which reads those raw terms as they are.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .combinatorics import (
     enumerate_partitions,
     min_length_class_representatives,
     partition_str,
-    perm_identity,
     reduced_word,
     w_gamma,
     word_str,
@@ -65,7 +64,7 @@ from .combinatorics import (
 from .hecke_clifford import (
     AlgebraElement,
     T_gen,
-    _lmul_T,
+    _of_letters,
     c_gen,
     multiply,
     one,
@@ -75,12 +74,9 @@ from .scalars import (
     Scalar,
     V_MINUS_1,
     ZERO,
-    _W,
-    _int_acc,
     _poly_acc,
     _poly_mul,
     _poly_scale,
-    _tighten,
     half,
 )
 from .traces import ClassVector, _gimel_of, reduce, zero_vector
@@ -110,46 +106,9 @@ def _checked_word(word, n: int) -> tuple:
     return word
 
 
-def _R_terms(word, n: int) -> tuple:
-    """Raw normal-form terms of R_{i_1} ... R_{i_r}, packed ints in v, with
-    a bound on their summed l1 norm.
-
-    Built from the right end by left generator products: R_i h is
-    c_i T_i h - c_{i+1} T_i h + (v-1) c_{i+1} h, taken in one pass over
-    T_i h and one over h (c_k flips bit k, signed by the letters below k).
-    So a letter scales the norm bound by twice the growth of T_i, plus 2:
-    at most 2 * 7 + 2 = 16.
-    """
-    w = _W
-    terms = {(perm_identity(n), 0): 1}
-    bound = 1
-    for i in reversed(_checked_word(word, n)):
-        low, high = 1 << i, 1 << (i + 1)
-        out: dict = {}
-        lifted, growth = _lmul_T(terms, i)
-        for (sigma, mask), p in lifted.items():
-            odd = (mask & (low - 1)).bit_count() & 1
-            if mask & low:
-                # c_i and c_{i+1} see the same sign: -p is needed only when odd
-                val = -p if odd else p
-                _int_acc(out, (sigma, mask ^ low), val)
-                _int_acc(out, (sigma, mask ^ high), val)
-            else:
-                _int_acc(out, (sigma, mask ^ low), -p if odd else p)
-                _int_acc(out, (sigma, mask ^ high), p if odd else -p)
-        for (sigma, mask), p in terms.items():
-            q = (p << w) - p
-            if (mask & (high - 1)).bit_count() & 1:
-                q = -q
-            _int_acc(out, (sigma, mask ^ high), q)
-        terms = out
-        bound = _tighten(terms.values(), (2 * growth + 2) * bound)
-    return terms, bound
-
-
 def R_element(word, n: int) -> AlgebraElement:
     """Normal form of R_{i_1} ... R_{i_r}; the word need not be reduced."""
-    return AlgebraElement._of_groups(n, {ONE: _R_terms(word, n)})
+    return _of_letters(n, [("R", i) for i in _checked_word(word, n)])
 
 
 def R_class_vector(word, n: int) -> ClassVector:

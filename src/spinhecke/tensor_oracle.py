@@ -202,17 +202,13 @@ def _groups(coeffs: dict) -> list:
     return groups + list(others.items())
 
 
-def _times(c: Scalar, value: Scalar) -> Scalar:
-    return value if c is ONE else c * value
-
-
 def _collect(out: dict, c: Scalar, re: dict, im: dict) -> None:
     """out[t] += c * (re[t] + i im[t]) for the int vectors re and im."""
     for tup, p in re.items():
-        _acc(out, tup, _times(c, Scalar.from_u_ints(p, im.get(tup, ()))))
+        _acc(out, tup, c * Scalar.from_u_ints(p, im.get(tup, ())))
     for tup, p in im.items():
         if tup not in re:
-            _acc(out, tup, _times(c, Scalar.from_u_ints((), p)))
+            _acc(out, tup, c * Scalar.from_u_ints((), p))
 
 
 def apply(space: TensorSpace, gen, vec: dict) -> dict:
@@ -243,7 +239,7 @@ def apply_element(space: TensorSpace, h: AlgebraElement, vec: dict) -> dict:
     for a, group in _groups(vec):
         images = {(): group}
         for b, words in terms:
-            _collect(total, _times(a, b), *_element_ints(words.items(), images))
+            _collect(total, a * b, *_element_ints(words.items(), images))
     return total
 
 
@@ -398,7 +394,7 @@ def _trace_poly(h: AlgebraElement, m: int, memo: dict) -> SymPoly:
                 for tup in _weight_block(lam):
                     real = _element_ints(words, {(): {tup: (1,)}})[0]
                     diag = _poly_add(diag, real.get(tup, ()))
-            total = total + _times(c, Scalar.from_u_ints(diag))
+            total = total + c * Scalar.from_u_ints(diag)
         terms[lam] = total
     return SymPoly(m, h.n, terms)
 

@@ -80,17 +80,6 @@ class ClassVector(Record):
     def is_zero(self) -> bool:
         return all(val.is_zero() for val in self.coeffs.values())
 
-    def add(self, other: "ClassVector") -> "ClassVector":
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        return ClassVector(
-            self.n,
-            {nu: val + other.coeffs[nu] for nu, val in self.coeffs.items()},
-        )
-
-    def scale(self, s: Scalar) -> "ClassVector":
-        return ClassVector(self.n, {nu: val * s for nu, val in self.coeffs.items()})
-
     def to_json(self) -> str:
         return json.dumps(
             {",".join(map(str, nu)): val.render() for nu, val in self.coeffs.items()}

@@ -64,6 +64,17 @@ def lmul_T(terms: dict, j: int) -> dict:
     return acc
 
 
+def lmul_R(terms: dict, i: int) -> dict:
+    """R_i h = c_i T_i h - c_{i+1} T_i h + (v-1) c_{i+1} h."""
+    lifted = lmul_T(terms, i)
+    acc = lmul_c(lifted, i)
+    for key, coeff in lmul_c(lifted, i + 1).items():
+        _acc(acc, key, -coeff)
+    for key, coeff in lmul_c(terms, i + 1).items():
+        _acc(acc, key, coeff * V_MINUS_1)
+    return acc
+
+
 def _push_c_left(sigma, k: int) -> dict:
     """T_sigma * c_k, through the first left descent of sigma."""
     j = next(left_descents(sigma), None)

@@ -53,6 +53,7 @@ def _lmul_c(terms: dict, k: int) -> tuple:
 # return (None: any exact push norm)
 _KERNELS = [
     ("lmul_T", hecke_clifford._lmul_T, ref.lmul_T, "T", 7),
+    ("lmul_R", hecke_clifford._lmul_R, ref.lmul_R, "T", 16),
     ("lmul_c", _lmul_c, ref.lmul_c, "c", 1),
     ("rmul_c", hecke_clifford._rmul_c, ref.rmul_c, "c", None),
 ]
@@ -268,8 +269,13 @@ def test_a_loose_operand_bound_gives_way_to_the_regrouped_terms(width, monkeypat
 def _reference_product(a, b) -> dict:
     """C_I T_sigma times the basis key b on the Scalar reference kernels:
     the letters of a act on b from the left, as in multiply."""
+    return _reference_action(a, {b: ONE})
+
+
+def _reference_action(a, terms: dict) -> dict:
+    """C_I T_sigma times the reference terms {(sigma, frozenset): Scalar}."""
     sigma, cliff = a
-    cur = {b: ONE}
+    cur = terms
     for j in reversed(reduced_word(sigma)):
         cur = ref.lmul_T(cur, j)
     for k in sorted(cliff, reverse=True):
@@ -302,6 +308,28 @@ def test_products_reach_the_reduction_with_no_scalar_term(monkeypatch):
         assert hash(multiply(_basis(a), _basis(b))) == hash(eager)
         assert multiply(_basis(a), _basis(b)) == eager
         assert eager == multiply(_basis(a), _basis(b))
+
+
+def test_a_product_runs_each_left_permutation_word_once(monkeypatch):
+    # the left terms of R(2 1 3 2) that share a permutation share the image
+    # of its T-word: _lmul_T runs once per letter of each distinct
+    # permutation, not once per left term
+    clear_caches()
+    r = R_element((2, 1, 3, 2), 5)
+    terms = dict(r.terms)
+    perms = {sigma for sigma, _ in terms}
+    assert len(perms) < len(terms)
+    calls = []
+    lmul_T = hecke_clifford._lmul_T
+    monkeypatch.setattr(hecke_clifford, "_lmul_T", lambda t, j: calls.append(j) or lmul_T(t, j))
+    product = multiply(r, r)
+    assert len(calls) == sum(perm_length(sigma) for sigma in perms)
+    monkeypatch.undo()
+    want: dict = {}
+    for key, coeff in terms.items():
+        for k, val in _reference_action(key, terms).items():
+            scalars._acc(want, k, coeff * val)
+    assert dict(product.terms) == want
 
 
 def test_every_memo_bound_covers_the_exact_norm_at_rank_five():

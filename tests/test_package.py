@@ -225,17 +225,23 @@ def test_tensor_oracle_borrows_nothing_from_the_route_it_checks():
     _assert_imports_within("tensor_oracle.py", allowed)
 
 
-def test_tensor_oracle_imports_no_packed_helper():
-    # the packed form of Z[v] belongs to the route the oracle checks; the
-    # oracle's kernel keeps its own int tuples in u
-    tree = ast.parse((PACKAGE / "tensor_oracle.py").read_text())
+@pytest.mark.parametrize("filename", ["tensor_oracle.py", "spin_hecke.py"])
+def test_imports_no_packed_helper(filename):
+    # the packed form of Z[v] and its generator kernels belong to the
+    # normal form and the reduction: the oracle's kernel keeps its own int
+    # tuples in u, and the spin side reaches the normal form through the
+    # letters of hecke_clifford
+    tree = ast.parse((PACKAGE / filename).read_text())
     names = {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert not names & {"_W", "_pack", "_unpack", "_tighten", "_int_acc", "WidthError"}
+    assert not names & {
+        "_W", "_pack", "_unpack", "_tighten", "_norm", "_int_acc", "WidthError",
+        "_lmul_T", "_lmul_c", "_rmul_c",
+    }
 
 
 def test_characters_reach_neither_the_normal_form_nor_the_reduction():

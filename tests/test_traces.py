@@ -27,7 +27,6 @@ from spinhecke.traces import (
     gimel_weight,
     odd_partitions,
     reduce,
-    zero_vector,
 )
 
 
@@ -98,7 +97,8 @@ def test_linearity_random():
         y = random_basis_term(rng, n)
         a, b = sc_parse("(v-1)/2"), sc_parse("v+1")
         combo = x.scale(a) + y.scale(b)
-        assert reduce(combo) == reduce(x).scale(a).add(reduce(y).scale(b))
+        rx, ry = reduce(x).coeffs, reduce(y).coeffs
+        assert reduce(combo) == ClassVector(n, {nu: rx[nu] * a + ry[nu] * b for nu in rx})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -189,8 +189,6 @@ def test_class_vector_json():
 def test_vector_plumbing_errors():
     with pytest.raises(KeyError):
         unit_vector(3, (2, 1))
-    with pytest.raises(ValueError):
-        zero_vector(2).add(zero_vector(3))
 
 
 # sha256 of the class vectors of every basis term C_I T_sigma with n <= 5, one
