@@ -276,12 +276,15 @@ class ShiftedData(Record):
     """Hooks and contents attached to a strict partition.
 
     contents: per-cell j-1 in row-local coordinates (row i holds 0..lam_i-1).
-    hooks: per-cell hook lengths read off the doubled diagram, row by row.
+    hooks: per-cell hook lengths of the shifted diagram, row by row; row i
+        holds {1..lam_i} with lam_i + lam_j added and lam_i - lam_j removed
+        for each j > i (Macdonald, Symmetric Functions, III.8), decreasing
+        along the row.
     n_stat: sum of (i-1)*lam_i.
     delta: parity of the number of parts.
     """
 
-    __slots__ = ("lam", "contents", "hooks", "n_stat", "delta")
+    __slots__ = ("contents", "hooks", "n_stat", "delta")
 
     def all_hooks(self) -> list:
         return [h for row in self.hooks for h in row]
@@ -290,39 +293,8 @@ class ShiftedData(Record):
         return [c for row in self.contents for c in row]
 
 
-def double_partition(lam: tuple) -> tuple:
-    """The symmetric double of a strict partition.
-
-    Rows 1..len(lam) are lam_i + i; the remaining rows transpose the shifted
-    diagram below the diagonal.
-
-    >>> double_partition((4, 3, 1))
-    (5, 5, 4, 2)
-    >>> double_partition((2,))
-    (3, 1)
-    >>> double_partition((1,))
-    (2,)
-    """
-    if not is_strict(lam):
-        raise ValueError(f"{lam} is not a strict partition")
-    ell = len(lam)
-    rows = [lam[i] + (i + 1) for i in range(ell)]
-    i = ell + 1
-    while True:
-        row = sum(1 for k in range(ell) if lam[k] + (k + 1) - 1 >= i)
-        if row == 0:
-            break
-        rows.append(row)
-        i += 1
-    return tuple(rows)
-
-
 def shifted_data(lam: tuple) -> ShiftedData:
-    """Contents, doubled-diagram hooks, n(lam) and delta for strict lam.
-
-    The shifted diagram's row i occupies columns i..lam_i+i-1; shifting one
-    column right identifies it with the part of the double strictly above
-    the diagonal, and each cell inherits the double's hook length there.
+    """Contents, shifted hook lengths, n(lam) and delta for strict lam.
 
     >>> shifted_data((4, 3, 1)).hooks
     ((7, 5, 4, 2), (4, 3, 1), (1,))
@@ -333,33 +305,15 @@ def shifted_data(lam: tuple) -> ShiftedData:
     """
     if not is_strict(lam):
         raise ValueError(f"{lam} is not a strict partition")
-    tilde = double_partition(lam)
-    conj = _conjugate(tilde)
     hooks = []
-    contents = []
-    for i0, part in enumerate(lam):
-        i = i0 + 1
-        hook_row = []
-        content_row = []
-        for j_local in range(1, part + 1):
-            jj = i + j_local  # column in the double, after the shift
-            hook_row.append(tilde[i - 1] - jj + conj[jj - 1] - i + 1)
-            content_row.append(j_local - 1)
-        hooks.append(tuple(hook_row))
-        contents.append(tuple(content_row))
-    n_stat = sum(i0 * part for i0, part in enumerate(lam))
+    for i, part in enumerate(lam):
+        rest = lam[i + 1 :]
+        row = set(range(1, part + 1)).difference(part - p for p in rest)
+        row.update(part + p for p in rest)
+        hooks.append(tuple(sorted(row, reverse=True)))
     return ShiftedData(
-        lam=lam,
-        contents=tuple(contents),
+        contents=tuple(tuple(range(part)) for part in lam),
         hooks=tuple(hooks),
-        n_stat=n_stat,
+        n_stat=sum(i * part for i, part in enumerate(lam)),
         delta=delta_stat(lam),
-    )
-
-
-def _conjugate(parts: tuple) -> tuple:
-    if not parts:
-        return ()
-    return tuple(
-        sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)
     )

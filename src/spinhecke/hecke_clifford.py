@@ -169,13 +169,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def parity(self) -> Optional[int]:
-        """0 or 1 for homogeneous elements, None for mixed ones."""
-        seen = {len(I) % 2 for (_, I) in self.terms}
-        if not seen:
-            return 0
-        return seen.pop() if len(seen) == 1 else None
-
     def _check_rank(self, other: "AlgebraElement") -> None:
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")

@@ -226,6 +226,11 @@ def _reduce_term_inner(sigma, mask: int, fuel: _Fuel) -> tuple:
             # so sigma s_j is shorter and C_I T_sigma = (C_I T_{sigma s_j}) T_j
             # rotates to T_j (C_I T_{sigma s_j}) modulo commutators
             moved, growth = _lmul_T({(right_mul_s(sigma, j), mask): 1}, j)
+            if growth == 1:
+                # a pass-through: one term with coefficient 1, whose entry
+                # is already _lowest and is shared rather than copied
+                (key,) = moved
+                return _reduce_term(*key, fuel)
             return _lowest(*_reduce_terms(moved, growth, fuel))
 
     gamma = w_gamma_form(inv)

@@ -10,7 +10,6 @@ from spinhecke.combinatorics import (
     all_reduced_words,
     cycle_type,
     delta_stat,
-    double_partition,
     enumerate_partitions,
     is_partition,
     is_strict,
@@ -226,36 +225,38 @@ def test_w_gamma_rejects_bad_composition():
 # shifted data
 
 
-def test_double_partition_examples():
-    assert double_partition((4, 3, 1)) == (5, 5, 4, 2)
-    assert double_partition((2,)) == (3, 1)
-    assert double_partition((1,)) == (2,)
-    assert double_partition((2, 1)) == (3, 3)
-    assert double_partition((3,)) == (4, 1, 1)
-
-
-def test_double_partition_size_and_gluing():
-    # the double's diagram is the shifted diagram pushed one column right,
-    # glued disjointly with the transpose of the shifted diagram
-    for n in range(1, 11):
+def test_hooks_match_the_doubled_diagram():
+    # reference: the double of lam glues the shifted diagram, pushed one
+    # column right, disjointly to its transpose, and is an ordinary Young
+    # diagram; shifted cell (i, j) takes the ordinary hook length of cell
+    # (i, j + 1) of the double
+    for n in range(1, 15):
         for lam in enumerate_partitions(n, "strict"):
-            tilde = double_partition(lam)
-            assert sum(tilde) == 2 * n
             shifted = {
                 (i + 1, j)
                 for i, part in enumerate(lam)
                 for j in range(i + 1, part + i + 1)
             }
-            glued = {(i, j + 1) for i, j in shifted} | {
+            double = {(i, j + 1) for i, j in shifted} | {
                 (j, i) for i, j in shifted
             }
-            cells = {
-                (i + 1, j)
-                for i, part in enumerate(tilde)
-                for j in range(1, part + 1)
-            }
-            assert glued == cells
-            assert len(shifted) * 2 == len(cells)
+            assert len(double) == 2 * n
+            assert all(
+                (i == 1 or (i - 1, j) in double) and (j == 1 or (i, j - 1) in double)
+                for i, j in double
+            )
+            hooks = tuple(
+                tuple(
+                    sum(
+                        1
+                        for a, b in double
+                        if (a == i and b > j) or (b == j + 1 and a > i)
+                    )
+                    for j in range(i, part + i)
+                )
+                for i, part in enumerate(lam, start=1)
+            )
+            assert shifted_data(lam).hooks == hooks, lam
 
 
 def test_shifted_data_hook_example():

@@ -207,7 +207,7 @@ def test_parity_of_products():
         J = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
         prod = multiply(term(n, sigma, I), term(n, tau, J))
         if not prod.is_zero():
-            assert prod.parity() == (len(I) + len(J)) % 2
+            assert {len(K) % 2 for _, K in prod.terms} == {(len(I) + len(J)) % 2}
 
 
 # ---------------------------------------------------------------------------

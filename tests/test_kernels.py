@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import _scalar_kernels as ref
 from spinhecke import hecke_clifford, scalars, traces
-from spinhecke.combinatorics import perm_length, reduced_word
+from spinhecke.combinatorics import perm_inverse, perm_length, reduced_word, right_mul_s
 from spinhecke.hecke_clifford import AlgebraElement, build_T_w, multiply
 from spinhecke.scalars import (
     HALF,
@@ -342,6 +342,29 @@ def test_every_memo_bound_covers_the_exact_norm_at_rank_five():
         assert e >= 0 and (vec or (e, h) == (0, 0))
         for p in vec.values():
             assert p and h >= _norm(_unpack(p, _TOP))
+
+
+def test_pass_through_rotations_share_their_image_entry():
+    # a rotation whose moved term is one term with coefficient 1 (growth 1)
+    # memoizes its image's entry itself, not a copy of its dict and ints
+    clear_caches()
+    for sigma in ((5, 4, 3, 2, 1), (2, 3, 4, 5, 1), (3, 5, 1, 4, 2)):
+        for cliff in ((), (1, 2), (2, 3, 4, 5)):
+            reduce(AlgebraElement(5, {(sigma, frozenset(cliff)): ONE}))
+    passes = 0
+    for (sigma, mask), entry in traces._MEMO.items():
+        inv = perm_inverse(sigma)
+        i = next((i for i in range(1, 6) if inv[i - 1] > i + 1), None)
+        if i is None:
+            continue  # no rotation: a staircase or a sorted block form
+        j = inv[i - 1] - 1
+        moved, growth = hecke_clifford._lmul_T({(right_mul_s(sigma, j), mask): 1}, j)
+        if growth == 1:
+            (image,) = moved
+            assert entry is traces._MEMO[image]
+            passes += 1
+    assert passes
+    assert len({id(entry) for entry in traces._MEMO.values()}) < len(traces._MEMO)
 
 
 @pytest.mark.parametrize("text", ["0", "1", "-3", "v", "2*v^2-1", "v^5-7*v^2+4"])

@@ -75,9 +75,9 @@ def _names(tree) -> set:
     return names
 
 
-def test_every_defined_function_is_named_elsewhere():
-    # a def that nothing names is dead code; dunder methods are called by
-    # the interpreter
+def _defined_functions() -> dict:
+    """{name: file} of every function or method the package defines, bar
+    the dunder methods, which the interpreter calls."""
     defined = {}
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -85,10 +85,52 @@ def test_every_defined_function_is_named_elsewhere():
                 node.name.startswith("__") and node.name.endswith("__")
             ):
                 defined.setdefault(node.name, path.name)
+    return defined
+
+
+def test_every_defined_function_is_named_elsewhere():
+    # a def that nothing names is dead code
+    defined = _defined_functions()
     named = set()
     for path in SOURCES + TESTS + PERFBENCH:
         named |= _names(ast.parse(path.read_text()))
     assert {name: where for name, where in defined.items() if name not in named} == {}
+
+
+# public functions that nothing in the package or the benchmark calls, each
+# kept for a caller outside them
+_PUBLIC_FOR_OTHERS = {
+    "specialize": "acceptance criteria 6 and 7 evaluate at points",
+    "membership": "acceptance criterion 3 checks ring membership",
+    "principal_specialization_g_tilde": "acceptance criterion 5",
+    "basis_tuples": "acceptance criterion 9 enumerates the tensor basis",
+    "apply": "acceptance criterion 9 applies generators to tensors",
+    "apply_element": "the tests' per-tuple reference for the factored traces",
+    "spin_character_table": "a spin char-table command is planned to call it",
+    "clear_caches": "every cache can be cleared",
+}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # no public API that only its own tests call
+    named = set()
+    for path in SOURCES:
+        named |= _names(ast.parse(path.read_text()))
+    for path in PERFBENCH:
+        tree = ast.parse(path.read_text())
+        named |= _names(tree)
+        # the tracer wraps methods named by strings, such as Scalar.inverse
+        named |= {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+    uncalled = {
+        name: where
+        for name, where in _defined_functions().items()
+        if not name.startswith("_") and name not in named
+    }
+    assert set(uncalled) == set(_PUBLIC_FOR_OTHERS), uncalled
 
 
 def _perfbench(*argv) -> str:

@@ -66,7 +66,7 @@ def test_index_range_checked():
 def test_images_are_odd_elements():
     for n in (2, 3, 4):
         for i in range(1, n):
-            assert R_element([i], n).parity() == 1
+            assert {len(I) % 2 for _, I in R_element([i], n).terms} == {1}
 
 
 # -- isomorphism checks --------------------------------------------------------
