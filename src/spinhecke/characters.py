@@ -11,8 +11,8 @@ back-substitution.  Its coefficients are integer polynomials in v, and so
 are the values: each rank caches them once as int tuples, the one table that
 both `character_table` and the spin table are read from.  The Schur elements
 and generic degrees are hook-content products on the shifted diagram; every
-factor is a product of cyclotomic polynomials Phi_d(v), so they are computed
-as Phi_d exponents and multiplied out once, already in lowest terms.  Both
+factor is a ratio of polynomials v^k - 1, so they are kept as Phi_d(v)
+exponents and multiplied out once through v^k - 1, in lowest terms.  Both
 trace decompositions, the ordinary one here and the spin one, are certified
 on int tables with those factored weights: no element is reduced.
 """
@@ -23,7 +23,9 @@ import io
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import sub
 
 from ._record import Record
 from .combinatorics import (
@@ -131,7 +133,7 @@ def character_table(n: int) -> CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# Schur elements and degrees, in cyclotomic form
+# Schur elements and degrees, as products of v^k - 1
 #
 # Each value below is a triple (const, a, exps) standing for
 # const * v^a * prod_d Phi_d(v)^exps[d], read straight off hooks and contents:
@@ -141,7 +143,7 @@ def character_table(n: int) -> CharacterTable:
 #
 # A partition of n has n hooks, so the signs of the n factors 1 - v^h cancel
 # against those of (1 - v)^n.  Quotients subtract exponents, and a value is
-# multiplied out into a Scalar once, at the end.
+# multiplied out into a Scalar once, at the end, through v^k - 1 alone.
 
 
 def _divisors(k: int) -> list:
@@ -177,45 +179,34 @@ def _quotient(x: tuple, y: tuple) -> tuple:
     return c1 / c2, a1 - a2, exps
 
 
-def _poly_div_exact(p: list, q: list) -> list:
-    """p / q for a monic q that divides p."""
-    rest = list(p)
-    shift = len(q) - 1
-    out = [0] * (len(p) - shift)
-    for i in range(len(out) - 1, -1, -1):
-        c = out[i] = rest[i + shift]
-        if c:
-            for j, b in enumerate(q):
-                rest[i + j] -= c * b
-    return out
-
-
-# Phi_d(v) for d = 1, 2, ..., as ascending int lists, grown on demand
-_PHI: dict = register_cache({})
-
-
-def _cyclotomic(top: int) -> dict:
-    """The table of Phi_d(v), holding at least d <= top: each new Phi_d by
-    exact division of v^d - 1 by the Phi_e with e | d, e < d."""
-    for d in range(len(_PHI) + 1, top + 1):
-        poly = [-1] + [0] * (d - 1) + [1]
-        for e in _divisors(d)[:-1]:
-            poly = _poly_div_exact(poly, _PHI[e])
-        _PHI[d] = poly
-    return _PHI
-
-
 def _phi_products(exps) -> tuple:
     """(prod_d Phi_d^e_d over e_d > 0, prod_d Phi_d^-e_d over e_d < 0) for
-    the exponents {d: e_d}, as ascending int tuples in v."""
-    phi = _cyclotomic(max((d for d, e in exps.items() if e), default=1))
-    top, bottom = (1,), (1,)
-    for d, e in exps.items():
-        for _ in range(e):
-            top = _poly_mul(top, phi[d])
-        for _ in range(-e):
-            bottom = _poly_mul(bottom, phi[d])
-    return top, bottom
+    the exponents {d: e_d}, as ascending int tuples in v.
+
+    v^k - 1 = prod_{d | k} Phi_d, so each side is prod_k (v^k - 1)^b_k, with
+    b_d = e_d - sum_{j >= 2} b_jd from the top down, and as it is monic, it
+    is prod_k (1 - v^k)^b_k up to the sign of its top coefficient.  The
+    b_k > 0 multiply in first, each a shift and a subtraction; each b_k < 0
+    then divides exactly, as what is left is a polynomial, by the running sum
+    q_i = p_i + q_(i-k) with stride k.
+    """
+    sides = []
+    for sign in (1, -1):
+        side = {d: sign * e for d, e in exps.items() if sign * e > 0}
+        b = [0] * (max(side, default=0) + 1)
+        for d in range(len(b) - 1, 0, -1):
+            b[d] = side.get(d, 0) - sum(b[2 * d :: d])
+        p = [1]
+        for k in range(1, len(b)):
+            for _ in range(b[k]):
+                p = list(map(sub, p + [0] * k, [0] * k + p))
+        for k in range(1, len(b)):
+            for _ in range(-b[k]):
+                for r in range(k):
+                    p[r::k] = accumulate(p[r::k])
+                del p[-k:]
+        sides.append(tuple(p) if p[-1] > 0 else tuple(-c for c in p))
+    return tuple(sides)
 
 
 def _expand(factored: tuple) -> Scalar:
@@ -239,16 +230,16 @@ def schur_element(lam) -> Scalar:
     / (v^n(lambda) (1 - v)^n prod_c (1 + v^c)) over the n hooks h and contents
     c of the shifted diagram.
 
-    Every factor is a product of cyclotomic polynomials Phi_d(v), so the
-    value is assembled as exponents of Phi_d and multiplied out once; the
-    result is already in lowest terms, and no polynomial gcd is taken.
+    Every factor is a ratio of polynomials v^k - 1, so the value is kept as
+    Phi_d exponents and multiplied out once through v^k - 1: it is already
+    in lowest terms, and no polynomial gcd is taken.
     """
     return _expand(_schur_factors(tuple(lam)))
 
 
 def generic_degree(lam) -> Scalar:
     """D^lambda = 2^n P_n / c^lambda, the spin fake degree: a subtraction of
-    cyclotomic exponents, multiplied out once with no polynomial gcd."""
+    cyclotomic exponents, multiplied out through v^k - 1 with no gcd."""
     n = sum(lam)
     total = (Fraction(2) ** n, 0, _ratio_exponents(range(1, n + 1), n))
     return _expand(_quotient(total, _schur_factors(tuple(lam))))
@@ -271,7 +262,7 @@ def _failing_column(table: dict, weights: dict, targets: dict):
 
     Every denominator is cleared first, the constants by their lcm, the power
     of v by a shift and the Phi_d by one common multiple prod_d Phi_d^(E_d),
-    so each column is summed and compared on integer polynomials in v.
+    so each value is multiplied out through v^k - 1 and compared in Z[v].
     """
     values = [*weights.values(), *targets.values()]
     scale = lcm(*(r.denominator for r, _, _ in values))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -11,7 +12,11 @@ from spinhecke._linalg import column_rank
 from spinhecke.characters import (
     CharacterTable,
     _expand,
+    _phi_products,
+    _quotient,
     _ratio_exponents,
+    _schur_factors,
+    _u_factors,
     character_table,
     generic_degree,
     schur_element,
@@ -26,7 +31,7 @@ from spinhecke.hecke_clifford import build_T_w, from_word, one
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, ZERO, _poly_mul, sc_int
 from spinhecke import characters
 from spinhecke.symfunc import expand_in_Q
-from spinhecke.traces import clear_caches, gimel, reduce
+from spinhecke.traces import gimel, reduce
 
 
 def character_value(lam, h):
@@ -202,24 +207,73 @@ def _hook_content_product(lam):
     return num / den
 
 
-def test_cyclotomic_table_grows_on_demand_and_is_cleared():
-    clear_caches()
-    assert not characters._PHI
-    small = schur_element((3, 1))
-    size = len(characters._PHI)
-    assert size
-    generic_degree((9, 4))  # hooks up to 13, contents up to 8
-    top = len(characters._PHI)
-    assert top >= 13 > size and set(characters._PHI) == set(range(1, top + 1))
-    assert schur_element((3, 1)) == small
-    for k in range(1, top + 1):
-        prod = (1,)
-        for d in range(1, k + 1):
-            if k % d == 0:
-                prod = _poly_mul(prod, characters._PHI[d])
-        assert prod == (-1,) + (0,) * (k - 1) + (1,)  # v^k - 1
-    clear_caches()
-    assert not characters._PHI
+def _cyclotomic_reference(top):
+    """Phi_d for d <= top, each by long division of v^d - 1 by the Phi_e
+    with e | d, e < d: the table that products of v^k - 1 replaced."""
+    phi = {}
+    for d in range(1, top + 1):
+        poly = [-1] + [0] * (d - 1) + [1]
+        for e in range(1, d):
+            if d % e == 0:
+                monic = phi[e]
+                quotient = [0] * (len(poly) - len(monic) + 1)
+                for i in reversed(range(len(quotient))):
+                    c = quotient[i] = poly[i + len(monic) - 1]
+                    for j, a in enumerate(monic):
+                        poly[i + j] -= c * a
+                assert not any(poly)
+                poly = quotient
+        phi[d] = tuple(poly)
+    return phi
+
+
+_PHI_REFERENCE = _cyclotomic_reference(60)
+
+
+def _reference_products(exps):
+    top, bottom = (1,), (1,)
+    for d, e in exps.items():
+        for _ in range(max(e, 0)):
+            top = _poly_mul(top, _PHI_REFERENCE[d])
+        for _ in range(max(-e, 0)):
+            bottom = _poly_mul(bottom, _PHI_REFERENCE[d])
+    return top, bottom
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_phi_products_match_the_cyclotomic_table_on_hook_content_exponents(n):
+    total = (Fraction(2) ** n, 0, _ratio_exponents(range(1, n + 1), n))
+    for lam in enumerate_partitions(n, "strict"):
+        schur = _schur_factors(lam)
+        for _, _, exps in (schur, _quotient(total, schur), _u_factors(lam)):
+            assert _phi_products(exps) == _reference_products(exps)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_phi_products_match_the_cyclotomic_table_on_cleared_certificate_exponents(n):
+    # the weights and targets of verify_gimel_decomposition, cleared by the
+    # common multiple that _failing_column forms
+    values = [_u_factors(lam) for lam in enumerate_partitions(n, "strict")]
+    values += [
+        (Fraction(1, 2 ** (n - len(nu))), 0, Counter({1: n - len(nu)}))
+        for nu in enumerate_partitions(n, "odd")
+    ]
+    common = Counter()
+    for _, _, exps in values:
+        common |= -exps
+    for _, _, exps in values:
+        assert _phi_products(common + exps) == _reference_products(common + exps)
+
+
+@pytest.mark.parametrize("top", [12, 30, 60])
+def test_phi_products_match_the_cyclotomic_table_on_mixed_signs(top):
+    divisors = [d for d in range(1, top + 1) if top % d == 0]
+    v_top_minus_one = (-1,) + (0,) * (top - 1) + (1,)
+    assert _phi_products(Counter(dict.fromkeys(divisors, 1))) == (v_top_minus_one, (1,))
+    assert _phi_products(Counter({top: -1})) == ((1,), _PHI_REFERENCE[top])
+    for offset in range(5):
+        exps = Counter({d: (i + offset) % 5 - 2 for i, d in enumerate(divisors)})
+        assert _phi_products(exps) == _reference_products(exps)
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -264,6 +264,11 @@ _DEGREE_DIGESTS = {
     "generic-degrees --n 13": "5d7b1ae870b4bf20fbe1f0f6e2b12fc275aeef66ff408e08cddb8a37a3ee0f01",
     "schur-elements --n 13": "f931f8755e9f433becd30f116b2e18dd72b970e0f626af13d4461b741218abcf",
     "schur-elements --n 6 --spin": "2e812124998acab997418fa1f9d9e599cf97fd12f745130f16514d78f599ef2c",
+    # captured with the Phi_d multiplied out from a table of cyclotomic
+    # polynomials, before the products of v^k - 1: factors up to v^48 - 1
+    "generic-degrees --n 24": "f28f7d05341771786cf5d113f90fb05f6a2450c8dd480f0842c8e68e25c633e9",
+    "schur-elements --n 24": "2296ae2ee8feb494045235d2aa35ca3bb2fff941a98a001f72f9e2beaf4c11ad",
+    "schur-elements --n 16 --spin": "f23583b076904a9a19d602b95c4c29f10d6675a65b172812a5bd3783d1507d2a",
 }
 
 
