@@ -7,7 +7,11 @@ the machine format of record; output bytes are deterministic for fixed flags
 and seed.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on usage, parse, or domain errors.
+2 on usage, parse, or domain errors, and on a value whose norm bound the
+packing width of the reduction route cannot decode (scalars.WidthError).
+
+Every verification check returns "" when it holds and otherwise the text of
+its failure; a suite yields (name, failure) pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .characters import (
 from ._linalg import column_rank
 from .combinatorics import enumerate_partitions, partition_str, parse_word, reduced_word
 from .hecke_clifford import build_T_w, from_word, multiply, parse_element, relations, zero
-from .scalars import ZERO
+from .scalars import ZERO, WidthError
 from .spin_hecke import (
     R_class_vector,
     R_element,
@@ -85,25 +89,29 @@ def _cmd_gimel(args) -> int:
     return 0
 
 
+def _print_json_object(entries) -> None:
+    """Print the (key, value) string pairs as json.dumps prints their dict,
+    one entry at a time."""
+    print("{", end="")
+    for k, (key, value) in enumerate(entries):
+        print(f"{', ' if k else ''}{json.dumps(key)}: {json.dumps(value)}", end="")
+    print("}")
+
+
 def _cmd_schur_elements(args) -> int:
     if args.spin:
-        values = spin_schur_elements(args.n)
-        payload = {partition_str(lam): values[lam].render() for lam in values}
+        values = spin_schur_elements(args.n).items()
     else:
-        payload = {
-            partition_str(lam): schur_element(lam).render()
-            for lam in enumerate_partitions(args.n, "strict")
-        }
-    print(json.dumps(payload))
+        values = ((lam, schur_element(lam)) for lam in enumerate_partitions(args.n, "strict"))
+    _print_json_object((partition_str(lam), value.render()) for lam, value in values)
     return 0
 
 
 def _cmd_generic_degrees(args) -> int:
-    payload = {
-        partition_str(lam): generic_degree(lam).render()
+    _print_json_object(
+        (partition_str(lam), generic_degree(lam).render())
         for lam in enumerate_partitions(args.n, "strict")
-    }
-    print(json.dumps(payload))
+    )
     return 0
 
 
@@ -127,38 +135,27 @@ def _random_basis_term(n: int, rng: random.Random):
 
 
 def _suite_core(args):
-    checks = []
-    broken = _broken_relation(args.n)
-    checks.append(("normal-form relations", not broken, broken))
+    n = args.n
+    yield "normal-form relations", _broken_relation(n)
     rng = random.Random(args.seed)
-    bad = ""
-    for _ in range(25):
-        a = _random_basis_term(args.n, rng)
-        b = _random_basis_term(args.n, rng)
-        if reduce(multiply(a, b)) != reduce(multiply(b, a)):
-            bad = "a trace function separated hh' from h'h"
-            break
-    checks.append(("trace property on random pairs", not bad, bad))
-    closed = all(
-        gimel(build_T_w(mu)) == gimel_weight(args.n, mu)
-        for mu in enumerate_partitions(args.n)
+    pairs = ((_random_basis_term(n, rng), _random_basis_term(n, rng)) for _ in range(25))
+    separated = any(reduce(multiply(a, b)) != reduce(multiply(b, a)) for a, b in pairs)
+    yield "trace property on random pairs", (
+        "a trace function separated hh' from h'h" if separated else ""
     )
-    checks.append(("gimel closed form on all classes", closed, ""))
-    report = verify_gimel_decomposition(args.n)
-    checks.append(
-        ("gimel decomposition", report.passed, report.counterexample or "")
+    wrong = [mu for mu in enumerate_partitions(n) if gimel(build_T_w(mu)) != gimel_weight(n, mu)]
+    yield "gimel closed form on all classes", (
+        f"T_w_mu for mu={partition_str(wrong[0])}: gimel != ((v-1)/2)^(n-len(mu))" if wrong else ""
     )
-    return checks
+    yield "gimel decomposition", verify_gimel_decomposition(n)
 
 
 def _suite_oracle(args):
-    checks = []
-    report = cross_check(args.n)
-    checks.append(("character table cross-check", report.passed, report.mismatch or ""))
-    space = TensorSpace(m=args.n, n=args.n) if args.n >= 2 else None
-    if space is None:
-        checks.append(("tensor relations on random vectors", True, "no generators"))
-        return checks
+    yield "character table cross-check", cross_check(args.n)
+    if args.n < 2:
+        yield "tensor relations on random vectors", ""
+        return
+    space = TensorSpace(m=args.n, n=args.n)
     rng = random.Random(args.seed)
     size = len(space.indices)
     # ten draws of rng.sample(list(space.basis_tuples()), 3), unlisted
@@ -169,22 +166,12 @@ def _suite_oracle(args):
         ]
         for _ in range(10)
     ]
-    failure = relation_failure(space, picks)
-    checks.append(("tensor relations on random vectors", not failure, failure))
-    return checks
+    yield "tensor relations on random vectors", relation_failure(space, picks)
 
 
 def _suite_spin(args):
-    checks = []
-    if args.n >= 2:
-        report = verify_iso(args.n)
-        checks.append(("embedding relations", report.passed, report.failure or ""))
-    else:
-        checks.append(("embedding relations", True, "no generators"))
-    vanishing = verify_trace_vanishing(args.n)
-    checks.append(
-        ("spin trace vanishing", vanishing.passed, vanishing.failure or "")
-    )
+    yield "embedding relations", verify_iso(args.n) if args.n >= 2 else ""
+    yield "spin trace vanishing", verify_trace_vanishing(args.n)
     # the closed-form cycle vectors are observed, not proved: recheck them by
     # reduction up to p = 9 (p = 11 takes minutes and gigabytes)
     bad = [
@@ -192,21 +179,23 @@ def _suite_spin(args):
         for p in range(1, min(args.n, 9) + 1, 2)
         if class_word_vector((p,)) != R_class_vector(canonical_class_word((p,)), p)
     ]
-    detail = f"differs from the reduction at p={bad[0]}" if bad else ""
-    checks.append(("spin closed-form cycle vectors", not bad, detail))
+    yield "spin closed-form cycle vectors", (
+        f"differs from the reduction at p={bad[0]}" if bad else ""
+    )
     try:
         spin_schur_elements(args.n)
-        checks.append(("spin Schur halving", True, ""))
+        failure = ""
     except RuntimeError as err:
-        checks.append(("spin Schur halving", False, str(err)))
+        failure = str(err)
+    yield "spin Schur halving", failure
     if args.n <= 4:
         perms = list(itertools.permutations(range(1, args.n + 1)))
         images = [R_element(reduced_word(p), args.n) for p in perms]
         keys = sorted({key for img in images for key in img.terms})
         rows = [[img.terms.get(key, ZERO) for key in keys] for img in images]
-        ok = column_rank(rows) == len(perms)
-        checks.append(("spin basis rank", ok, f"expected rank {len(perms)}"))
-    return checks
+        yield "spin basis rank", (
+            "" if column_rank(rows) == len(perms) else f"expected rank {len(perms)}"
+        )
 
 
 _SUITES = {"core": [_suite_core], "oracle": [_suite_oracle], "spin": [_suite_spin]}
@@ -217,13 +206,13 @@ def _cmd_verify(args) -> int:
     failed = 0
     total = 0
     for suite in _SUITES[args.suite]:
-        for name, ok, detail in suite(args):
+        for name, failure in suite(args):
             total += 1
-            if ok:
-                print(f"ok - {name}")
-            else:
+            if failure:
                 failed += 1
-                print(f"FAIL - {name}: {detail}")
+                print(f"FAIL - {name}: {failure}")
+            else:
+                print(f"ok - {name}")
     if failed:
         print(f"{failed} of {total} checks failed")
         return 1
@@ -302,7 +291,7 @@ def run(argv=None) -> int:
         if args.n < 1:
             raise ValueError("--n must be at least 1")
         return args.handler(args)
-    except (ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError, WidthError) as err:
         # ElementParseError and ScalarParseError carry positions in their text
         print(f"error: {err}", file=sys.stderr)
         return 2

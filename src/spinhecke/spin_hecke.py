@@ -6,7 +6,7 @@ induced trace is the restriction of gimel, and the spin character table is
 read off the ordinary one.  No native rewriting on
 R-words is attempted — the deformed braid relation makes confluence unclear,
 whereas the embedding is exact and its relations are *verified* rather than
-assumed (see verify_iso).
+assumed (verify_iso returns the first that fails).
 
 The class vectors of the canonical class words are taken in closed form.
 For odd p and an odd partition nu of p with l = len(nu) = 2k + 1 parts, the
@@ -41,7 +41,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from ._linalg import column_rank, solve_triangular
-from ._record import Record
 from .characters import (
     CharacterTable,
     _expand,
@@ -112,7 +111,12 @@ def R_element(word, n: int) -> AlgebraElement:
 
 
 def R_class_vector(word, n: int) -> ClassVector:
-    """The class vector of the R-word, reduced on its packed terms."""
+    """The class vector of the R-word, reduced on its packed terms.  Every R_i
+    is odd, so an odd-length word is an odd element, whose every term reduce
+    drops: it is the zero vector, and nothing is built."""
+    word = _checked_word(word, n)
+    if len(word) % 2:
+        return zero_vector(n)
     return reduce(R_element(word, n))
 
 
@@ -120,45 +124,35 @@ def R_class_vector(word, n: int) -> ClassVector:
 # the embedding is an isomorphism: relations one way, generators back
 
 
-class IsoReport(Record):
-    __slots__ = ("n", "passed", "checked", "failure")
-
-
-def verify_iso(n: int) -> IsoReport:
+def verify_iso(n: int) -> str:
+    """Check R_i^2 = -(v^2+1), the round trip from R_i back to T_i, the
+    deformed braid relation and the anticommuting of distant R_i, on the
+    normal forms of the images: "" when all hold, else the first that fails."""
     if n < 2:
         raise ValueError("need n >= 2 for at least one generator")
-    checked = 0
     minus_v2_plus_1 = -(Scalar.v_power(2) + ONE)
-
-    def fail(msg):
-        return IsoReport(n=n, passed=False, checked=checked, failure=msg)
-
     images = {i: R_element((i,), n) for i in range(1, n)}
     for i, r in images.items():
-        checked += 1
         if multiply(r, r) != one(n).scale(minus_v2_plus_1):
-            return fail(f"R_{i}^2 != -(v^2+1)")
-        checked += 1
+            return f"R_{i}^2 != -(v^2+1)"
         back = multiply(r, c_gen(n, i) - c_gen(n, i + 1)).scale(-half(ONE)) + (
             one(n) - multiply(c_gen(n, i), c_gen(n, i + 1))
         ).scale(half(V_MINUS_1))
         if back != T_gen(n, i):
-            return fail(f"round trip failed on T_{i}")
+            return f"round trip failed on T_{i}"
     for i in range(1, n - 1):
-        checked += 1
         lhs = multiply(multiply(images[i], images[i + 1]), images[i]) - multiply(
             multiply(images[i + 1], images[i]), images[i + 1]
         )
         rhs = (images[i + 1] - images[i]).scale(V_MINUS_1 * V_MINUS_1)
         if lhs != rhs:
-            return fail(f"deformed braid failed at i={i}")
+            return f"deformed braid failed at i={i}"
     for i in range(1, n):
         for j in range(i + 2, n):
-            checked += 1
             anti = multiply(images[i], images[j]) + multiply(images[j], images[i])
             if not anti.is_zero():
-                return fail(f"R_{i} R_{j} + R_{j} R_{i} != 0")
-    return IsoReport(n=n, passed=True, checked=checked, failure=None)
+                return f"R_{i} R_{j} + R_{j} R_{i} != 0"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +234,14 @@ def spin_character_table(n: int) -> CharacterTable:
 def spin_class_polynomials(word, n: int) -> ClassVector:
     """Coordinates of the R-word in the R_{w_nu} class basis.
 
-    Odd-length words lie in the kernel of every trace function and return the
-    zero vector outright.  An even-length word is resolved by back-substitution
+    An odd-length word has the zero vector (R_class_vector), and so the zero
+    coordinates.  Otherwise the class vector is resolved by back-substitution
     against the basis B whose column nu is the closed-form class vector of the
     canonical class word of nu: that column is supported on the refinements
     of nu, which are lexicographically at most nu, and its entry at nu itself
     is 2^(n - len(nu)), so B is triangular.  Only the word itself is reduced,
     and no character table is built.
     """
-    word = _checked_word(word, n)
-    if len(word) % 2 == 1:
-        return zero_vector(n)
     columns = enumerate_partitions(n, "odd")
     basis = {nu: class_word_vector(nu).coeffs for nu in columns}
     solution = solve_triangular(basis, R_class_vector(word, n).coeffs)
@@ -298,30 +289,21 @@ def spin_schur_elements(n: int) -> dict:
 # vanishing sweep used by the verification suite
 
 
-class VanishingReport(Record):
-    __slots__ = ("n", "passed", "words_checked", "failure")
-
-
-def verify_trace_vanishing(n: int) -> VanishingReport:
+def verify_trace_vanishing(n: int) -> str:
     """gimel-minus is 1 on the empty word and 0 for every reduced word of
-    every minimal-length representative of every other conjugacy class."""
-    checked = 0
+    every minimal-length representative of every other conjugacy class: ""
+    when it is, else the first word where it is not."""
     if gimel_minus((), n) != ONE:
-        return VanishingReport(n, False, 1, "empty word does not trace to 1")
-    checked += 1
+        return "empty word does not trace to 1"
     for mu in enumerate_partitions(n):
         if mu == (1,) * n:
             continue
         for rep in min_length_class_representatives(n, mu):
             for word in all_reduced_words(rep):
-                checked += 1
                 val = gimel_minus(word, n)
                 if not val.is_zero():
-                    return VanishingReport(
-                        n,
-                        False,
-                        checked,
+                    return (
                         f"word {word_str(word)} (class {partition_str(mu)}) "
-                        f"traces to {val.render()}",
+                        f"traces to {val.render()}"
                     )
-    return VanishingReport(n, True, checked, None)
+    return ""

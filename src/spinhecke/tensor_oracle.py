@@ -431,12 +431,9 @@ def oracle_characters(n: int) -> CharacterTable:
     return CharacterTable(n=n, rows=rows, columns=columns, entries=entries)
 
 
-class OracleReport(Record):
-    __slots__ = ("n", "passed", "mismatch")
-
-
-def cross_check(n: int) -> OracleReport:
-    """Compare the tensor-trace table against the symmetric-function table."""
+def cross_check(n: int) -> str:
+    """Compare the tensor-trace table against the symmetric-function table:
+    "" when they agree, else the first differing entry."""
     direct = character_table(n)
     oracle = oracle_characters(n)
     for lam in direct.rows:
@@ -444,12 +441,8 @@ def cross_check(n: int) -> OracleReport:
             lhs = direct.entry(lam, nu)
             rhs = oracle.entry(lam, nu)
             if lhs != rhs:
-                return OracleReport(
-                    n=n,
-                    passed=False,
-                    mismatch=(
-                        f"lambda={partition_str(lam)} nu={partition_str(nu)}: "
-                        f"table={lhs.render()} oracle={rhs.render()}"
-                    ),
+                return (
+                    f"lambda={partition_str(lam)} nu={partition_str(nu)}: "
+                    f"table={lhs.render()} oracle={rhs.render()}"
                 )
-    return OracleReport(n=n, passed=True, mismatch=None)
+    return ""

@@ -28,7 +28,7 @@ from spinhecke.combinatorics import (
     shifted_data,
 )
 from spinhecke.hecke_clifford import build_T_w, from_word, one
-from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, ZERO, _poly_mul, sc_int
+from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V, ZERO, _poly_add, _poly_mul, sc_int
 from spinhecke import characters
 from spinhecke.symfunc import expand_in_Q
 from spinhecke.traces import gimel, reduce
@@ -337,10 +337,19 @@ def test_character_degree_equals_generic_degree_at_one(n):
 
 @pytest.mark.parametrize("n", [*range(1, 6), 12, 16])
 def test_gimel_decomposition_verifies(n):
-    report = verify_gimel_decomposition(n)
-    assert report.passed, report.counterexample
-    assert report.counterexample is None
-    assert report.checked == len(enumerate_partitions(n, "odd"))
+    assert verify_gimel_decomposition(n) == ""
+
+
+def test_gimel_decomposition_reaches_the_last_column(monkeypatch):
+    # an entry bumped in the last odd column, 1^5, must fail the certificate
+    # there: every column is checked
+    table = {nu: dict(column) for nu, column in characters._table_ints(5).items()}
+    assert list(table)[-1] == (1,) * 5
+    table[(1,) * 5][(3, 2)] = _poly_add(table[(1,) * 5][(3, 2)], (1,))
+    monkeypatch.setattr(characters, "_table_ints", lambda n: table)
+    assert verify_gimel_decomposition(5) == (
+        "T_w_nu for nu=1,1,1,1,1: gimel != sum_lambda u_lambda zeta^lambda"
+    )
 
 
 def test_decomposition_on_a_mixed_element():

@@ -10,7 +10,7 @@ import pytest
 import spinhecke
 from spinhecke import characters, cli, hecke_clifford, spin_hecke, tensor_oracle
 from spinhecke.cli import run
-from spinhecke.scalars import MINUS_ONE, _poly_add
+from spinhecke.scalars import MINUS_ONE, ONE, _poly_add
 
 
 def invoke(capsys, *argv):
@@ -228,6 +228,20 @@ def test_core_suite_reports_a_failed_gimel_decomposition(capsys, monkeypatch):
     assert line.startswith("FAIL - gimel decomposition: T_w_nu for nu=3,1,1: ")
 
 
+def test_core_suite_names_the_class_a_closed_form_misses(capsys, monkeypatch):
+    # a closed form planted wrong on the last class, 1^3, must fail there
+    exact = cli.gimel_weight
+    monkeypatch.setattr(
+        cli, "gimel_weight", lambda n, mu: exact(n, mu) + ONE if mu == (1,) * n else exact(n, mu)
+    )
+    code, out, _ = invoke(capsys, "verify", "--n", "3", "--suite", "core")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL - gimel closed form on all classes: "
+        "T_w_mu for mu=1,1,1: gimel != ((v-1)/2)^(n-len(mu))"
+    ]
+
+
 def test_verify_output_is_deterministic(capsys):
     first = invoke(capsys, "verify", "--n", "2", "--suite", "core", "--seed", "5")
     second = invoke(capsys, "verify", "--n", "2", "--suite", "core", "--seed", "5")
@@ -391,6 +405,28 @@ def test_packed_reduction_route_golden_stdout(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _PACKED_DIGESTS[argv]
 
 
+# sha256 of stdout, captured while each check still returned its own report
+# record with a passed flag
+_VERIFY_DIGESTS = {
+    ("verify", "--suite", "all", "--n", "4"): (
+        "21bad1beb0f8ac7355728564f04ee3abab7c561e5e086bfc0f44c305f3cd1436"
+    ),
+    ("verify", "--suite", "all", "--n", "5"): (
+        "63b6cb316fa2b2f3fe0f968335183d14dd82058a41ffc6ed4b685a4ae9406ecb"
+    ),
+    ("verify", "--suite", "oracle", "--n", "5"): (
+        "ee62bf537a526b7756d3e86908530260e83e09f10fe14259420b62863faa1efe"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_VERIFY_DIGESTS), ids=lambda argv: "-".join(argv[2:]))
+def test_verify_golden_stdout(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("command, which", list(_MIXED_DIGESTS))
 def test_mixed_coefficient_element_golden_stdout(capsys, command, which):
     code, out, _ = invoke(capsys, command, "--n", "5", "--element", _MIXED[which])
@@ -440,6 +476,16 @@ def test_out_of_range_odd_word_rejected(capsys, word):
     code, out, err = invoke(capsys, "spin-class-poly", "--n", "3", "--word", word)
     assert code == 2 and out == ""
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("command", ["gimel --spin", "spin-class-poly"])
+def test_packing_width_refusal_exits_two(capsys, command):
+    # the product of 240 letters has a norm bound past 2^127: a clean error,
+    # not a traceback under the exit code of a failed verification
+    word = ",".join(["1,2"] * 120)
+    code, out, err = invoke(capsys, *command.split(), "--n", "3", "--word", word)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "a width of 128 bits" in err
 
 
 def test_usage_errors_exit_two():

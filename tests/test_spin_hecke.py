@@ -12,6 +12,7 @@ from spinhecke.combinatorics import enumerate_partitions, reduced_word, w_gamma
 from spinhecke.hecke_clifford import T_gen, c_gen, multiply, one
 from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO, _poly_add, sc_int
 from spinhecke.spin_hecke import (
+    R_class_vector,
     R_element,
     canonical_class_word,
     class_word_vector,
@@ -74,14 +75,36 @@ def test_images_are_odd_elements():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_verify_iso(n):
-    report = verify_iso(n)
-    assert report.passed, report.failure
-    assert report.failure is None
+    assert verify_iso(n) == ""
 
 
-def test_verify_iso_counts_all_relations():
-    # n=4: four squares + four round trips + two braids + one distant pair
-    assert verify_iso(4).checked == 9
+def test_verify_iso_reaches_every_relation(monkeypatch):
+    # a failure planted at the last generator, the last braid and the last
+    # distant pair must be found and named: each loop runs to its end
+    exact_image = spin_hecke.R_element
+
+    def negated_last(word, n):
+        image = exact_image(word, n)
+        return image.scale(MINUS_ONE) if tuple(word) == (n - 1,) else image
+
+    with monkeypatch.context() as patch:
+        # -R_4 still squares to -(v^2+1), but does not map back to T_4
+        patch.setattr(spin_hecke, "R_element", negated_last)
+        assert verify_iso(5) == "round trip failed on T_4"
+    exact_product = spin_hecke.multiply
+    for (i, j), failure in [
+        ((4, 3), "deformed braid failed at i=3"),
+        ((4, 2), "R_2 R_4 + R_4 R_2 != 0"),
+    ]:
+        pair = (R_element((i,), 5), R_element((j,), 5))
+
+        def doubled(a, b, pair=pair):
+            product = exact_product(a, b)
+            return product + product if (a, b) == pair else product
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spin_hecke, "multiply", doubled)
+            assert verify_iso(5) == failure
 
 
 def test_verify_iso_needs_a_generator():
@@ -138,9 +161,33 @@ def test_odd_words_trace_to_zero():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_vanishing_on_minimal_class_words(n):
-    report = verify_trace_vanishing(n)
-    assert report.passed, report.failure
-    assert report.words_checked > 1
+    assert verify_trace_vanishing(n) == ""
+
+
+def test_vanishing_sweep_reaches_its_last_word(monkeypatch):
+    # at n = 4 the sweep ends on the word 1 of class 2,1,1; a value planted
+    # there must be found and named
+    exact = spin_hecke.gimel_minus
+    monkeypatch.setattr(
+        spin_hecke, "gimel_minus", lambda word, n: ONE if tuple(word) == (1,) else exact(word, n)
+    )
+    assert verify_trace_vanishing(4) == "word 1 (class 2,1,1) traces to 1"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_odd_words_have_the_zero_class_vector(n):
+    # an odd-length R-word is odd, so its class vector is zero without
+    # building it; the built route agrees
+    rng = random.Random(n)
+    for length in (1, 3, 5):
+        word = [rng.randrange(1, n) for _ in range(length)]
+        assert R_class_vector(word, n) == reduce(R_element(word, n)) == zero_vector(n), word
+
+
+@pytest.mark.parametrize("word", [(0,), (1, 2, 3), (3,)])
+def test_odd_words_are_checked_before_the_zero_vector(word):
+    with pytest.raises(ValueError, match="out of range"):
+        R_class_vector(word, 3)
 
 
 # -- spin class polynomials ------------------------------------------------------
