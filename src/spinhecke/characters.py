@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import io
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import sub
 
-from ._record import Record
 from .combinatorics import (
     delta_stat,
     enumerate_partitions,
@@ -39,11 +38,11 @@ from .symfunc import _g_tilde_vector
 from .traces import register_cache
 
 
-class CharacterTable(Record):
+class CharacterTable(namedtuple("CharacterTable", "n rows columns entries")):
     """Rows: strict partitions; columns: odd partitions; both reverse-lex.
     `entries` maps (lambda, nu) to a Scalar."""
 
-    __slots__ = ("n", "rows", "columns", "entries")
+    __slots__ = ()
 
     def entry(self, lam, nu) -> Scalar:
         return self.entries[(tuple(lam), tuple(nu))]

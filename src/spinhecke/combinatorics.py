@@ -24,9 +24,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from typing import Iterator, Optional
-
-from ._record import Record
 
 Partition = tuple
 Composition = tuple
@@ -195,13 +194,15 @@ def cycle_type(a: Permutation) -> Partition:
     return tuple(sorted(lengths, reverse=True))
 
 
-def min_length_class_representatives(n: int, mu: Partition) -> list:
-    """All permutations of cycle type mu with the minimal length n - len(mu)."""
-    target = n - len(mu)
-    reps = []
+def min_length_class_representatives(n: int) -> dict:
+    """{mu: every permutation of cycle type mu with the minimal length
+    n - len(mu)}, each list in `itertools.permutations` order, from one pass
+    over S_n."""
+    reps: dict = {}
     for line in itertools.permutations(range(1, n + 1)):
-        if perm_length(line) == target and cycle_type(line) == mu:
-            reps.append(line)
+        mu = cycle_type(line)
+        if perm_length(line) == n - len(mu):
+            reps.setdefault(mu, []).append(line)
     return reps
 
 
@@ -224,13 +225,14 @@ def parse_word(text: str) -> list:
 
 
 def w_gamma(gamma: Composition):
-    """The block-staircase permutation of a composition and its unique word.
+    """The block-staircase permutation of a composition and a reduced word.
 
     Block k covers positions b+1, ..., b+gamma_k and carries the ascending
     cycle (b+1, ..., b+gamma_k); the word concatenates s_{b+1}...s_{b+gamma_k-1}
-    over the blocks.  Its length is n - len(gamma), and the reduced word is
-    unique because distinct letters are never adjacent transpositions of a
-    common value chain across blocks.
+    over the blocks.  Its length is n - len(gamma).  The reduced word need
+    not be unique ((2, 2) has both [1, 3] and [3, 1]), but this one is the
+    lexicographically smallest: letters of different blocks commute, and
+    each block's letters ascend.
     """
     if any(p < 1 for p in gamma):
         raise ValueError("composition parts must be positive")
@@ -272,7 +274,7 @@ def w_gamma_form(a: Permutation) -> Optional[Composition]:
 # shifted diagrams
 
 
-class ShiftedData(Record):
+class ShiftedData(namedtuple("ShiftedData", "contents hooks n_stat delta")):
     """Hooks and contents attached to a strict partition.
 
     contents: per-cell j-1 in row-local coordinates (row i holds 0..lam_i-1).
@@ -284,7 +286,7 @@ class ShiftedData(Record):
     delta: parity of the number of parts.
     """
 
-    __slots__ = ("contents", "hooks", "n_stat", "delta")
+    __slots__ = ()
 
     def all_hooks(self) -> list:
         return [h for row in self.hooks for h in row]

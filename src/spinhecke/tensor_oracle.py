@@ -31,13 +31,13 @@ Z[u] (v = u^2), and c_k sends a tuple to one tuple with a sign and one factor
 of i.  So a vector is {tuple: ints}, each value an ascending int tuple in u,
 and a word acting on a real vector carries one power of i for the whole
 vector, the number of its c letters.  No Gaussian arithmetic runs inside the
-kernel.  One evaluator, _element_ints, runs a sum of words for
-apply_element, the per-tuple traces and the relation check, keeping the
-image of every suffix so that a suffix shared by several words acts once.
-`apply` and `apply_element` keep {tuple: Scalar} at their boundary:
-they group the input by coefficient (a real coefficient in Z[u] joins the
-int group of 1, any other `Scalar` heads a group of its own), run the
-kernel on each group, and build one `Scalar` per output entry.
+kernel.  One evaluator, _element_ints, runs a sum of words for the
+per-tuple traces and the relation check, keeping the image of every suffix
+so that a suffix shared by several words acts once.  `apply` keeps
+{tuple: Scalar} at its boundary: it groups the input by coefficient (a real
+coefficient in Z[u] joins the int group of 1, any other `Scalar` heads a
+group of its own), runs the kernel on each group, and builds one `Scalar`
+per output entry.
 
 Operators are never materialized.  A Clifford-free staircase term T_{w_gamma}
 (every class column is one) acts as a tensor product of one-block operators,
@@ -58,9 +58,9 @@ transfer and against that per-tuple sum.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache
 
-from ._record import Record
 from .characters import CharacterTable, character_table
 from .combinatorics import (
     delta_stat,
@@ -81,15 +81,15 @@ _U = (0, 1)
 _MINUS_U = (0, -1)
 
 
-class TensorSpace(Record):
+class TensorSpace(namedtuple("TensorSpace", "m n")):
     """n-fold tensor power of the 2m-dimensional superspace."""
 
-    __slots__ = ("m", "n")
+    __slots__ = ()
 
-    def __init__(self, m: int, n: int):
+    def __new__(cls, m: int, n: int):
         if m < 1 or n < 1:
             raise ValueError("tensor space needs m >= 1 and n >= 1")
-        super().__init__(m, n)
+        return super().__new__(cls, m, n)
 
     @property
     def indices(self) -> tuple:
@@ -227,20 +227,6 @@ def apply(space: TensorSpace, gen, vec: dict) -> dict:
         else:
             _collect(out, c, {}, _c_ints(group, idx))
     return out
-
-
-def apply_element(space: TensorSpace, h: AlgebraElement, vec: dict) -> dict:
-    """Whole-element action: each stored term is a Clifford word times T_sigma,
-    so the T word acts first (right to left), then the Clifford letters."""
-    if h.n != space.n:
-        raise ValueError(f"element rank {h.n} does not match tensor rank {space.n}")
-    total: dict = {}
-    terms = _groups({_word(sigma, cliff): c for (sigma, cliff), c in h.terms.items()})
-    for a, group in _groups(vec):
-        images = {(): group}
-        for b, words in terms:
-            _collect(total, a * b, *_element_ints(words.items(), images))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,9 @@ norm takes its place: the bound that the decoded terms, regrouped, carry.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from math import gcd as _intgcd
 
-from ._record import Record
 from .combinatorics import (
     enumerate_partitions,
     perm_inverse,
@@ -69,10 +69,10 @@ from .scalars import HALF, Scalar, V_MINUS_1, ZERO, _W, _acc, _int_acc, _norm, _
 _GIMEL_BASE = V_MINUS_1 * HALF  # (v-1)/2
 
 
-class ClassVector(Record):
+class ClassVector(namedtuple("ClassVector", "n coeffs")):
     """Coefficients of an element modulo commutators, one per odd partition."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ()
 
     def __getitem__(self, nu) -> Scalar:
         return self.coeffs[tuple(nu)]

@@ -158,14 +158,18 @@ def test_cycle_type():
 
 def test_min_length_class_representatives():
     for n in (2, 3, 4):
+        by_class = min_length_class_representatives(n)
+        assert sorted(by_class) == sorted(enumerate_partitions(n))
         for mu in enumerate_partitions(n):
-            reps = min_length_class_representatives(n, mu)
+            reps = by_class[mu]
             assert w_gamma(mu)[0] in reps
-            for rep in reps:
-                assert cycle_type(rep) == mu
-                assert perm_length(rep) == n - len(mu)
+            assert reps == [
+                line
+                for line in itertools.permutations(range(1, n + 1))
+                if cycle_type(line) == mu and perm_length(line) == n - len(mu)
+            ]
     # the full cycle class at n=3 has exactly two minimal-length members
-    assert len(min_length_class_representatives(3, (3,))) == 2
+    assert len(min_length_class_representatives(3)[(3,)]) == 2
 
 
 def test_word_strings():
@@ -200,6 +204,16 @@ def test_w_gamma_length_and_type():
             assert len(word) == n - len(mu)
             assert cycle_type(perm) == mu
             assert w_gamma_form(perm) == mu
+
+
+def test_w_gamma_word_is_the_smallest_reduced_word():
+    # the reduced word of a staircase need not be unique, but w_gamma's is
+    # the lexicographically smallest, on every composition
+    assert sorted(all_reduced_words(w_gamma((2, 2))[0])) == [[1, 3], [3, 1]]
+    for n in range(1, 7):
+        for gamma in {g for mu in enumerate_partitions(n) for g in itertools.permutations(mu)}:
+            perm, word = w_gamma(gamma)
+            assert word == reduced_word(perm) == min(all_reduced_words(perm))
 
 
 def test_w_gamma_form_characterization():

@@ -16,6 +16,8 @@ import sys
 import pytest
 
 import spinhecke
+from spinhecke.characters import CharacterTable
+from spinhecke.combinatorics import ShiftedData
 from spinhecke.tensor_oracle import TensorSpace
 from spinhecke.traces import ClassVector
 
@@ -105,7 +107,6 @@ _PUBLIC_FOR_OTHERS = {
     "principal_specialization_g_tilde": "acceptance criterion 5",
     "basis_tuples": "acceptance criterion 9 enumerates the tensor basis",
     "apply": "acceptance criterion 9 applies generators to tensors",
-    "apply_element": "the tests' per-tuple reference for the factored traces",
     "spin_character_table": "a spin char-table command is planned to call it",
     "clear_caches": "every cache can be cleared",
 }
@@ -328,3 +329,17 @@ def test_records_are_frozen_values():
     vec = ClassVector(n=2, coeffs={})
     assert vec == ClassVector(2, {}) and vec != space
     assert repr(vec) == "ClassVector(n=2, coeffs={})"
+    table = CharacterTable(n=1, rows=((1,),), columns=((1,),), entries={})
+    assert table == CharacterTable(1, ((1,),), ((1,),), {})
+    assert table != CharacterTable(2, ((1,),), ((1,),), {})
+    with pytest.raises(AttributeError):
+        table.entries = {}
+    with pytest.raises(TypeError):
+        CharacterTable(1, (), ())
+    data = ShiftedData(contents=((0,),), hooks=((1,),), n_stat=0, delta=1)
+    assert data == ShiftedData(((0,),), ((1,),), 0, 1) != ShiftedData(((0,),), ((1,),), 0, 0)
+    assert hash(data) == hash(ShiftedData(((0,),), ((1,),), 0, 1))
+    with pytest.raises(AttributeError):
+        data.delta = 0
+    with pytest.raises(TypeError):
+        ShiftedData(((0,),), ((1,),), n_stat=0)

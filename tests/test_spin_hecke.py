@@ -107,9 +107,8 @@ def test_verify_iso_reaches_every_relation(monkeypatch):
             assert verify_iso(5) == failure
 
 
-def test_verify_iso_needs_a_generator():
-    with pytest.raises(ValueError):
-        verify_iso(1)
+def test_verify_iso_holds_without_a_generator():
+    assert verify_iso(1) == ""
 
 
 def test_deformed_braid_explicit():
@@ -411,3 +410,7 @@ def test_canonical_class_word_examples():
     assert canonical_class_word((1, 1, 1)) == ()
     perm, _ = w_gamma((3, 1))
     assert canonical_class_word((3, 1)) == tuple(reduced_word(perm))
+    # the staircase's own word is the smallest reduced word of its permutation
+    for n in range(1, 11):
+        for nu in enumerate_partitions(n, "odd"):
+            assert canonical_class_word(nu) == tuple(reduced_word(w_gamma(nu)[0]))
