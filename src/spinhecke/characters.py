@@ -22,9 +22,7 @@ from __future__ import annotations
 import io
 import json
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import sub
 
 from .combinatorics import (
@@ -134,8 +132,8 @@ def character_table(n: int) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # Schur elements and degrees, as products of v^k - 1
 #
-# Each value below is a triple (const, a, exps) standing for
-# const * v^a * prod_d Phi_d(v)^exps[d], read straight off hooks and contents:
+# Each value below is a triple of ints (k, a, exps) standing for
+# 2^k * v^a * prod_d Phi_d(v)^exps[d], read straight off hooks and contents:
 #
 #     1 - v^k = -prod_{d | k} Phi_d,
 #     1 + v^c = prod_{d | 2c, d not dividing c} Phi_d  for c >= 1,  1 + v^0 = 2.
@@ -161,21 +159,18 @@ def _ratio_exponents(ks, n: int) -> Counter:
 def _schur_factors(lam: tuple) -> tuple:
     data = shifted_data(lam)
     n = sum(lam)
-    const = Fraction(2) ** (n + (len(lam) - data.delta) // 2)
     exps = _ratio_exponents(data.all_hooks(), n)
     for c in data.all_contents():
-        if c:
-            exps.subtract(d for d in _divisors(2 * c) if c % d)
-        else:
-            const /= 2
-    return const, -data.n_stat, exps
+        exps.subtract(d for d in _divisors(2 * c) if c % d)
+    # each row has one content 0 (no divisors): its 1 + v^0 = 2 is the - len(lam)
+    return n + (len(lam) - data.delta) // 2 - len(lam), -data.n_stat, exps
 
 
 def _quotient(x: tuple, y: tuple) -> tuple:
-    (c1, a1, e1), (c2, a2, e2) = x, y
+    (k1, a1, e1), (k2, a2, e2) = x, y
     exps = Counter(e1)
     exps.subtract(e2)
-    return c1 / c2, a1 - a2, exps
+    return k1 - k2, a1 - a2, exps
 
 
 def _phi_products(exps) -> tuple:
@@ -213,14 +208,14 @@ def _expand(factored: tuple) -> Scalar:
 
     The Phi_d are distinct monic irreducibles prime to v, so positive
     exponents over negative ones is already a coprime pair of primitive
-    integer polynomials, the denominator monic.  The rational constant p/q
-    puts p on the numerator and q on the denominator; gcd(p, q) = 1 is then
-    the content condition of the canonical form of `Scalar`.
+    integer polynomials, the denominator monic.  Like v^a, 2^k goes to the
+    numerator for k >= 0 and to the denominator otherwise, so one side is
+    free of 2: the content condition of the canonical form of `Scalar`.
     """
-    const, a, exps = factored
+    k, a, exps = factored
     top, bottom = _phi_products(exps)
-    num = _v_poly(top, max(a, 0), const.numerator)
-    den = _v_poly(bottom, max(-a, 0), const.denominator)
+    num = _v_poly(top, max(a, 0), 1 << max(k, 0))
+    den = _v_poly(bottom, max(-a, 0), 1 << max(-k, 0))
     return Scalar(num, den, _canonical=True)
 
 
@@ -240,14 +235,14 @@ def generic_degree(lam) -> Scalar:
     """D^lambda = 2^n P_n / c^lambda, the spin fake degree: a subtraction of
     cyclotomic exponents, multiplied out through v^k - 1 with no gcd."""
     n = sum(lam)
-    total = (Fraction(2) ** n, 0, _ratio_exponents(range(1, n + 1), n))
+    total = (n, 0, _ratio_exponents(range(1, n + 1), n))
     return _expand(_quotient(total, _schur_factors(tuple(lam))))
 
 
 def _u_factors(lam) -> tuple:
     """The factored coefficient of zeta^lambda in the trace decomposition,
     1 / (2^delta c^lambda)."""
-    return _quotient((Fraction(1, 2 ** delta_stat(lam)), 0, Counter()), _schur_factors(lam))
+    return _quotient((-delta_stat(lam), 0, Counter()), _schur_factors(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +254,21 @@ def _failing_column(table: dict, weights: dict, targets: dict):
     sum_lambda weights[lambda] table[nu][lambda] != targets[nu] (a missing
     target is 0), or None.  Weights and targets are factored values.
 
-    Every denominator is cleared first, the constants by their lcm, the power
-    of v by a shift and the Phi_d by one common multiple prod_d Phi_d^(E_d),
-    so each value is multiplied out through v^k - 1 and compared in Z[v].
+    Every denominator is cleared first, the powers of 2 and of v by shifts
+    and the Phi_d by one common multiple prod_d Phi_d^(E_d), so each value
+    is multiplied out through v^k - 1 and compared in Z[v].
     """
     values = [*weights.values(), *targets.values()]
-    scale = lcm(*(r.denominator for r, _, _ in values))
+    twos = max(0, *(-k for k, _, _ in values))
     shift = max(0, *(-a for _, a, _ in values))
     common = Counter()
     for _, _, exps in values:
         common |= -exps
 
     def cleared(factored):
-        r, a, exps = factored
+        k, a, exps = factored
         top = _phi_products(common + exps)[0]
-        return (0,) * (a + shift) + _poly_scale(top, r.numerator * scale // r.denominator)
+        return (0,) * (a + shift) + _poly_scale(top, 1 << (k + twos))
 
     weight_ints = {lam: cleared(w) for lam, w in weights.items()}
     for nu, column in table.items():
@@ -296,9 +291,7 @@ def verify_gimel_decomposition(n: int) -> str:
     """
     table = _table_ints(n)
     weights = {lam: _u_factors(lam) for lam in enumerate_partitions(n, "strict")}
-    targets = {
-        nu: (Fraction(1, 2 ** (n - len(nu))), 0, Counter({1: n - len(nu)})) for nu in table
-    }
+    targets = {nu: (len(nu) - n, 0, Counter({1: n - len(nu)})) for nu in table}
     nu = _failing_column(table, weights, targets)
     if nu is None:
         return ""

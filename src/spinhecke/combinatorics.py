@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 Partition = tuple
 Composition = tuple
@@ -245,7 +245,7 @@ def w_gamma(gamma: Composition):
     return perm_from_word(word, n), word
 
 
-def w_gamma_form(a: Permutation) -> Optional[Composition]:
+def w_gamma_form(a: Permutation) -> Composition | None:
     """The composition gamma with a == w_gamma(gamma)[0], or None.
 
     These are exactly the permutations with a(p) <= p+1 for every p.

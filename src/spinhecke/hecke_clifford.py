@@ -27,8 +27,8 @@ permutation in a once on b, and the Clifford letters of each term of a on
 the image of its permutation.  The relations that move T_j across c_j and
 c_{j+1} are written once, in _lmul_T.  The right product _rmul_c serves
 the trace reduction in traces.py only: it pushes c_k left through T_sigma
-by left-multiplying T_{s_j sigma} c_k by T_j, one left descent j of sigma
-at a time.
+by letting the reduced word of sigma act on c_k through _act, memoized per
+(sigma, k).
 
 Every structure constant of these products lies in Z[v], so the generator
 products work on raw terms whose coefficients are integer polynomials in v,
@@ -65,16 +65,10 @@ that those terms allow.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from types import MappingProxyType
-from typing import Iterable, Optional
 
-from .combinatorics import (
-    left_descents,
-    left_mul_s,
-    perm_identity,
-    reduced_word,
-    w_gamma,
-)
+from .combinatorics import perm_identity, reduced_word, w_gamma
 from .scalars import (
     MINUS_ONE,
     ONE,
@@ -326,23 +320,16 @@ _PUSH_MEMO: dict = {}
 
 def _push_c_left(sigma, k: int) -> tuple:
     """T_sigma * c_k as normal-form terms {(tau, 1 << m): packed}, with the
-    exact l1 norm of those terms.
-
-    For the first left descent j of sigma, T_sigma = T_j T_{s_j sigma}, so the
-    push is _lmul_T of the push through the shorter s_j sigma; _lmul_T keeps
-    every term at exactly one Clifford letter.  Memoized per (sigma, k).
+    exact l1 norm of those terms: the reduced word of sigma acts on c_k
+    through _act, and _lmul_T keeps every term at exactly one Clifford
+    letter.  Memoized per (sigma, k).
     """
     key = (sigma, k)
     cached = _PUSH_MEMO.get(key)
     if cached is None:
-        j = next(left_descents(sigma), None)
-        if j is None:
-            cached = {(sigma, 1 << k): 1}, 1
-        else:
-            shorter, norm = _push_c_left(left_mul_s(j, sigma), k)
-            terms, growth = _lmul_T(shorter, j)
-            cached = terms, _norm(terms.values(), growth * norm)
-        _PUSH_MEMO[key] = cached
+        word = [("T", j) for j in reduced_word(sigma)]
+        terms, bound = _act(word, {(perm_identity(len(sigma)), 1 << k): 1}, 1)
+        cached = _PUSH_MEMO[key] = terms, _norm(terms.values(), bound)
     return cached
 
 
@@ -532,7 +519,7 @@ def relations(n: int) -> list:
     return rels
 
 
-def build_T_w(mu, n: Optional[int] = None) -> AlgebraElement:
+def build_T_w(mu, n: int | None = None) -> AlgebraElement:
     """The basis element T_{w_mu} for a composition mu of n."""
     total = sum(mu)
     if n is None:

@@ -50,9 +50,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _intgcd
-from typing import Union
-
-Rat = Union[int, Fraction]
 
 
 class GaussianRational:
@@ -67,7 +64,7 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Rat = 0, im: Rat = 0):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         self.re = _part(re)
         self.im = _part(im)
 
@@ -129,7 +126,7 @@ class GaussianRational:
 _new = object.__new__
 
 
-def _part(x: Rat) -> Rat:
+def _part(x: int | Fraction) -> int | Fraction:
     """x as a canonical part; only ints and Fractions are exact rationals."""
     if isinstance(x, int):
         return int(x)
@@ -138,7 +135,7 @@ def _part(x: Rat) -> Rat:
     raise TypeError(f"expected an int or a Fraction, not {type(x).__name__}")
 
 
-def _gr(re: Rat, im: Rat) -> GaussianRational:
+def _gr(re: int | Fraction, im: int | Fraction) -> GaussianRational:
     """Slot-filling constructor for arithmetic results: ints pass through,
     a Fraction with denominator 1 is stored as its int."""
     if re.__class__ is not int and re.denominator == 1:
@@ -427,7 +424,7 @@ class Scalar:
         return Scalar(UPoly({0: GaussianRational(k)}), UP_ONE, _canonical=True)
 
     @staticmethod
-    def from_rational(q: Rat) -> "Scalar":
+    def from_rational(q: int | Fraction) -> "Scalar":
         """The int or Fraction q as its numerator over its denominator."""
         q = _part(q)
         return _over(UPoly({0: GaussianRational(q.numerator)}), q.denominator)

@@ -37,7 +37,6 @@ of that element, which reads those raw terms as they are.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb, factorial
 
 from ._linalg import column_rank, solve_triangular
@@ -247,8 +246,8 @@ def spin_class_polynomials(word, n: int) -> ClassVector:
 
 def spin_schur_elements(n: int) -> dict:
     """c-minus for every strict partition: the ordinary Schur element halved
-    (2^-k at rank 2k or 2k + 1, once more at odd rank when delta-minus is 1),
-    certified against the trace decomposition.
+    floor(n/2) + (n mod 2) delta-minus times, certified against the trace
+    decomposition.
 
     The weights w_lambda = 1 / (2^delta-minus c-minus) must solve T^t w = e
     for the spin table T, e the indicator of the empty word: gimel-minus is 1
@@ -257,16 +256,18 @@ def spin_schur_elements(n: int) -> dict:
     d T, d = dim_clifford_module(n), by the certificate that also checks the
     ordinary decomposition (`characters._failing_column`), with target d on
     the empty word.  Then T is shown nonsingular by its full rank at a point
-    modulo a prime (`column_rank`), so the weights are the only solution.  Raises RuntimeError naming the first failing class
-    word, or saying that T is singular.
+    modulo a prime (`column_rank`), so the weights are the only solution.
+    Raises RuntimeError naming the first failing class word, or saying that
+    T is singular.
     """
     table = _spin_table_ints(n)
     rows = enumerate_partitions(n, "strict")
-    weights = {}
+    halved = {}
     for lam in rows:
-        power = n // 2 + (n % 2 - 1) * delta_minus(lam, n)
-        weights[lam] = _quotient((Fraction(2) ** power, 0, Counter()), _schur_factors(lam))
-    target = (Fraction(dim_clifford_module(n)), 0, Counter())
+        k, a, exps = _schur_factors(lam)
+        halved[lam] = (k - n // 2 - (n % 2) * delta_minus(lam, n), a, exps)
+    weights = {lam: _quotient((-delta_minus(lam, n), 0, Counter()), c) for lam, c in halved.items()}
+    target = (dim_clifford_module(n).bit_length() - 1, 0, Counter())
     nu = _failing_column(table, weights, {(1,) * n: target})
     if nu is not None:
         raise RuntimeError(
@@ -276,10 +277,7 @@ def spin_schur_elements(n: int) -> dict:
     matrix = [[Scalar.from_v_ints(col.get(lam, ())) for lam in rows] for col in table.values()]
     if column_rank(matrix) < len(rows):
         raise RuntimeError("the spin character table is singular")
-    return {
-        lam: _expand(_quotient((Fraction(1, 2 ** delta_minus(lam, n)), 0, Counter()), w))
-        for lam, w in weights.items()
-    }
+    return {lam: _expand(c) for lam, c in halved.items()}
 
 
 # ---------------------------------------------------------------------------

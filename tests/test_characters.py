@@ -42,7 +42,7 @@ def character_value(lam, h):
 
 def poincare(n):
     """prod_{k<=n} (1-v^k)/(1-v)^n, multiplied out from its cyclotomic form."""
-    return _expand((Fraction(1), 0, _ratio_exponents(range(1, n + 1), n)))
+    return _expand((0, 0, _ratio_exponents(range(1, n + 1), n)))
 
 
 def _is_v_polynomial(s: Scalar) -> bool:
@@ -240,9 +240,21 @@ def _reference_products(exps):
     return top, bottom
 
 
+def test_schur_factors_hold_the_power_of_two_as_an_int_exponent():
+    # the constant 2^(n + (len - delta)/2) of the hook-content formula over
+    # 1 + v^0 = 2 for the content 0 of each row, formed in Fractions
+    for n in range(1, 21):
+        for lam in enumerate_partitions(n, "strict"):
+            k, a, exps = _schur_factors(lam)
+            assert all(type(x) is int for x in (k, a, *exps.values())), lam
+            ell = len(lam)
+            const = Fraction(2) ** (n + (ell - delta_stat(lam)) // 2) / Fraction(2) ** ell
+            assert Fraction(2) ** k == const, lam
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_phi_products_match_the_cyclotomic_table_on_hook_content_exponents(n):
-    total = (Fraction(2) ** n, 0, _ratio_exponents(range(1, n + 1), n))
+    total = (n, 0, _ratio_exponents(range(1, n + 1), n))
     for lam in enumerate_partitions(n, "strict"):
         schur = _schur_factors(lam)
         for _, _, exps in (schur, _quotient(total, schur), _u_factors(lam)):
@@ -255,7 +267,7 @@ def test_phi_products_match_the_cyclotomic_table_on_cleared_certificate_exponent
     # common multiple that _failing_column forms
     values = [_u_factors(lam) for lam in enumerate_partitions(n, "strict")]
     values += [
-        (Fraction(1, 2 ** (n - len(nu))), 0, Counter({1: n - len(nu)}))
+        (len(nu) - n, 0, Counter({1: n - len(nu)}))
         for nu in enumerate_partitions(n, "odd")
     ]
     common = Counter()

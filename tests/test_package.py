@@ -311,6 +311,31 @@ def test_cli_import_leaves_out_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False False"
+    # without site, which imports typing itself, the package must not load it:
+    # its annotations are never evaluated
+    code = "import sys, spinhecke.cli; print('typing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("filename", ["characters.py", "spin_hecke.py"])
+def test_factored_values_need_no_rationals(filename):
+    # a factored value holds the exponent k of 2^k as an int, cleared by a
+    # shift like the power of v, so no Fraction and no lcm is needed
+    tree = ast.parse((PACKAGE / filename).read_text())
+    modules = set()
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            names.update(alias.name for alias in node.names)
+    assert "fractions" not in modules
+    assert not names & {"Fraction", "lcm"}
 
 
 def test_records_are_frozen_values():
