@@ -6,7 +6,8 @@ each odd partition nu the deformed product function expands as
     g-tilde_nu = sum over strict lambda of 2^(-(len+delta)/2) Q_lambda zeta^lambda(T_w_nu),
 
 and `symfunc._g_tilde_vector` builds that expansion directly in the Q basis,
-one Pieri product per part, so a column is read off with no monomials and no
+a deformation M(v) of products of power sums whose Q-vectors come from the
+bar rule, so a column is read off with no monomials and no
 back-substitution.  Its coefficients are integer polynomials in v, and so
 are the values: each rank caches them once as int tuples, the one table that
 both `character_table` and the spin table are read from.  The Schur elements
@@ -101,7 +102,7 @@ def _table_ints(n: int) -> dict:
         raise ValueError("rank must be at least 1")
     table = _TABLE_CACHE.get(n)
     if table is None:
-        memo: dict = {}
+        memo = ({}, {})
         table = {}
         for nu in enumerate_partitions(n, "odd"):
             column = table[nu] = {}
@@ -125,7 +126,7 @@ def _table_of(n: int, table: dict, den: int = 1) -> CharacterTable:
 
 def character_table(n: int) -> CharacterTable:
     """The table zeta^lambda(T_w_nu), column nu the Q-expansion of
-    g-tilde_nu built by the Pieri rule, read off the cached int table."""
+    g-tilde_nu built by the bar rule, read off the cached int table."""
     return _table_of(n, _table_ints(n))
 
 

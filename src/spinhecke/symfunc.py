@@ -11,11 +11,22 @@ one per dominant weight, are already m_lambda coefficients, and
 back-substitution.  Degree-n linear algebra only ever needs m = n
 variables; larger m exists for the truncation cross-checks.
 
-The deformed family never touches monomials.  Each one-part function
-g-tilde_(r) is a combination of two-row Q-functions, and those are quadratic
-in the q_r, so g-tilde_mu = prod_i g-tilde_(mu_i) is built as a vector over
-strict partitions by Pieri steps Q_mu q_r, with integer polynomials in v as
-coefficients: s(n) entries per column, where the monomial form had p(n).
+The deformed family never touches monomials.  As Q(t) = sum_k q_k t^k =
+exp(2 sum_(k odd) p_k t^k / k) (Macdonald III.8), a one-part function is
+
+    g-tilde_(r) = (-1)^(r-1) sum over the partitions sigma of r into odd
+                  parts of z_sigma^-1 (1 - v)^(len-1) prod_i [sigma_i]_v 2 p_(sigma_i),
+
+[k]_v = 1 + ... + v^(k-1); the sign is +1 for odd r, but even parts need
+it.  So g-tilde_mu = prod_r g-tilde_(r) is a triangular deformation M(v) of
+the products of the 2 p_r, the spin analogue of Ram's q-power sums, and
+their Q-coefficients come from the bar rule (Macdonald III.8 Ex. 11): for
+odd r, Q_mu 2 p_r is the sum of 2 s Q_lambda for each part m of mu with
+m + r not in mu (m raised to m + r), s Q_lambda if r is not in mu (r
+appended) and (-1)^b s Q_lambda for 0 < b < r/2 with r - b and b not in mu
+(both appended, in that order), s the sign of the sort into decreasing
+order.  Scaled by prod_r r!, every weight of M is in Z[v], so a column is
+sum_rho M_mu,rho(v) times an int vector, on int tuples, divided once.
 """
 
 from __future__ import annotations
@@ -23,12 +34,13 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from ._linalg import solve_triangular
 from .combinatorics import enumerate_partitions, is_strict, shifted_data
-from .scalars import MINUS_ONE, ONE, Scalar, TWO, ZERO, _poly_add, _poly_mul, sc_int
+from .scalars import MINUS_ONE, ONE, Scalar, TWO, ZERO, sc_int
+from .scalars import _int_acc, _poly_acc, _poly_mul, _poly_scale
 from .traces import register_cache
 
 
@@ -167,116 +179,82 @@ def product(f: SymPoly, g: SymPoly) -> SymPoly:
 
 
 # ---------------------------------------------------------------------------
-# the deformed family in the Q basis
-#
-# A vector {strict lambda: a} stands for sum a Q_lambda, each a an integer
-# polynomial in v held as an ascending list of ints.
+# the deformed family in the Q basis: {strict lambda: coefficient}, an int at
+# v = 1, else an integer polynomial in v as an ascending int tuple
 
 
-def _strips(mu: tuple, r: int) -> list:
-    """(lambda, e) with Q_mu q_r = sum 2^e Q_lambda (Macdonald III (8.15)).
+def _times_2p(vec: dict, r: int) -> dict:
+    """vec * 2 p_r for odd r, by the bar rule of the module docstring.
 
-    lambda runs over the strict partitions with lambda_1 >= mu_1 >= lambda_2
-    >= mu_2 >= ... and r more boxes, i.e. lambda/mu is a horizontal strip, and
-    e = a(lambda/mu) + len(mu) - len(lambda), where a(lambda/mu) counts the
-    columns i of the unshifted diagrams that hold a box of the strip while
-    column i + 1 holds none.  Row i of the strip fills the columns
-    mu_i + 1 .. lambda_i, so a counts its runs: one per non-empty row, less
-    one wherever lambda_i = mu_(i-1) joins row i to a non-empty row above.
-
-    >>> _strips((2,), 2)
-    [((3, 1), 1), ((4,), 1)]
+    >>> _times_2p({(): 1}, 3) == {(3,): 1, (2, 1): -1}
+    True
+    >>> _times_2p({(2, 1): 1}, 3) == {(5, 1): 2, (4, 2): -2, (3, 2, 1): 1}
+    True
     """
-    low = mu + (0,)
-    out = []
-
-    def grow(i, left, parts, runs):
-        if i == len(low):
-            if not left:
-                lam = parts if parts[-1] else parts[:-1]
-                out.append((lam, runs + len(mu) - len(lam)))
-            return
-        top = low[i] + left if i == 0 else min(low[i - 1], low[i] + left)
-        for part in range(low[i], top + 1):
-            if i and part == parts[-1]:
-                continue  # lambda_i = lambda_(i-1) = mu_(i-1): not strict
-            joined = i and part == low[i - 1] and parts[-1] > low[i - 1]
-            run = part > low[i] and not joined
-            grow(i + 1, left - part + low[i], parts + (part,), runs + run)
-
-    grow(0, r, (), 0)
+    out: dict = {}
+    for mu, c in vec.items():
+        terms = [(mu[:i] + (m + r,) + mu[i + 1 :], 2 * c) for i, m in enumerate(mu)]
+        terms.append((mu + (r,), c))
+        terms += [(mu + (r - b, b), (-1) ** b * c) for b in range(1, (r + 1) // 2)]
+        for seq, coeff in terms:
+            lam = tuple(sorted(seq, reverse=True))
+            if len(set(lam)) == len(lam):
+                swaps = sum(x < y for i, x in enumerate(seq) for y in seq[i + 1 :])
+                _int_acc(out, lam, -coeff if swaps % 2 else coeff)
     return out
 
 
-def _times_q(vec: dict, r: int) -> dict:
-    """vec * q_r by the Pieri rule; q_0 = 1."""
-    if not r:
-        return vec
-    out: dict = {}
-    for mu, coeff in vec.items():
-        for lam, e in _strips(mu, r):
-            term = [c << e for c in coeff] if e else coeff
-            cur = out.get(lam)
-            out[lam] = term if cur is None else _poly_add(cur, term)
-    return out
-
-
-def _one_part_pairs(r: int) -> list:
-    """(y, d_y) with g-tilde_(r) = sum_y d_y q_(r-y) q_y.
-
-    g-tilde_(r) = sum over a > b >= 0, a + b = r of
-    c_b Q_(a,b), c_b = (-1)^(r-1) (-v)^b [a-b]_(-v), where
-    [k]_x = 1 + x + ... + x^(k-1); substituting
-    Q_(a,b) = q_a q_b + 2 sum_{k=1..b} (-1)^k q_(a+k) q_(b-k) (Macdonald
-    III (8.2')) gives d_y = c_y + 2 sum_{b>y} (-1)^(b-y) c_b.
-    """
-    top = (r - 1) // 2
-    c = []
-    for b in range(top + 1):
-        poly = [0] * (r - b)
-        for j in range(r - 2 * b):
-            poly[b + j] = -1 if (r - 1 + b + j) % 2 else 1
-        c.append(poly)
-    pairs = []
-    for y in range(top + 1):
-        d = c[y]
-        for b in range(y + 1, top + 1):
-            factor = -2 if (b - y) % 2 else 2
-            d = _poly_add(d, [factor * x for x in c[b]])
-        pairs.append((y, d))
-    return pairs
-
-
-def _times_g_tilde_one_part(vec: dict, r: int) -> dict:
-    out: dict = {}
-    for y, d in _one_part_pairs(r):
-        for lam, coeff in _times_q(_times_q(vec, y), r - y).items():
-            term = _poly_mul(d, coeff)
-            cur = out.get(lam)
-            out[lam] = term if cur is None else _poly_add(cur, term)
-    return {lam: coeff for lam, coeff in out.items() if any(coeff)}
-
-
-def _g_tilde_vector(mu: tuple, memo: dict) -> dict:
-    vec = memo.get(mu)
+def _power_vector(rho: tuple, memo: dict) -> dict:
+    """The Q-vector of prod_j 2 p_(rho_j), memoized on the suffixes of rho."""
+    vec = memo.get(rho)
     if vec is None:
-        if mu:
-            vec = _times_g_tilde_one_part(_g_tilde_vector(mu[1:], memo), mu[0])
-        else:
-            vec = {(): [1]}
-        memo[mu] = vec
+        vec = memo[rho] = _times_2p(_power_vector(rho[1:], memo), rho[0]) if rho else {(): 1}
     return vec
+
+
+def _deformation_row(mu: tuple, memo: dict) -> dict:
+    """{rho: M} with prod_r r! g-tilde_mu = sum M prod_j 2 p_(rho_j), the
+    product of the one-part rows of the module docstring, each scaled by r!;
+    memoized on the suffixes of mu."""
+    if not mu:
+        return {(): (1,)}
+    row = memo.get(mu)
+    if row is None:
+        row = memo[mu] = {}
+        r, rest = mu[0], _deformation_row(mu[1:], memo)
+        for sigma in enumerate_partitions(r, "odd"):
+            z = prod(part**count * factorial(count) for part, count in Counter(sigma).items())
+            # (1 - v)^(len-1) prod_i [sigma_i]_v = [sigma_1]_v prod_(i>=2) (1 - v^sigma_i)
+            w = ((-1) ** (r - 1) * factorial(r) // z,) * sigma[0]
+            for part in sigma[1:]:
+                w = _poly_mul(w, (1,) + (0,) * (part - 1) + (-1,))
+            for tau, x in rest.items():
+                _poly_acc(row, tuple(sorted(sigma + tau, reverse=True)), _poly_mul(w, x))
+    return row
+
+
+def _g_tilde_vector(mu: tuple, memo: tuple) -> dict:
+    """The Q-coefficients of g-tilde_mu, sum_rho M_mu,rho(v) times the power
+    vector of rho, divided by prod_r r!; memo is a pair of dicts, for the
+    power vectors and the rows."""
+    powers, rows = memo
+    column: dict = {}
+    for rho, weight in _deformation_row(mu, rows).items():
+        for lam, c in _power_vector(rho, powers).items():
+            _poly_acc(column, lam, _poly_scale(weight, c))
+    scale = prod(map(factorial, mu))
+    return {lam: tuple(c // scale for c in coeff) for lam, coeff in column.items()}
 
 
 def g_tilde_in_Q(mu) -> dict:
     """The coefficients a_lambda of g-tilde_mu = sum a_lambda Q_lambda, the
     product over the parts r of mu of the one-part functions g-tilde_(r),
-    multiplied out by the Pieri rule with no monomials; zeros are left out.
+    by the bar rule and the deformation rows; zeros are left out.
 
     >>> {lam: a.render() for lam, a in g_tilde_in_Q((3,)).items()}
     {(3,): 'v^2-v+1', (2, 1): '-v'}
     """
-    vec = _g_tilde_vector(tuple(mu), {})
+    vec = _g_tilde_vector(tuple(mu), ({}, {}))
     return {lam: Scalar.from_v_ints(coeff) for lam, coeff in vec.items()}
 
 

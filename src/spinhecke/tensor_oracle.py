@@ -16,9 +16,9 @@ defining relations that the normal form is checked against too), the
 CharacterTable container, and `symfunc.expand_in_Q`, the one Q-expansion.
 Only the oracle expands monomials in Q-functions: oracle_characters
 back-substitutes its traces against the Q basis and reads zeta off the
-Q-coefficients itself, while the g-tilde columns are Pieri products built
-in the Q basis.  Independent of it: the columns, from the tensor action and
-trace_poly here against the Pieri products of g-tilde there.  An element's
+Q-coefficients itself, while the g-tilde columns are built in the Q basis
+by the bar rule.  Independent of it: the columns, from the tensor action and
+trace_poly here against the bar-rule columns of g-tilde there.  An element's
 normal-form terms are read but never multiplied or reduced, and the weight
 blocks are enumerated here, not borrowed from symfunc; that is what makes
 the comparison a genuine cross-check: the oracle reads the algebra's

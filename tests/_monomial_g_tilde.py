@@ -1,4 +1,4 @@
-"""The deformed family on monomials: the reference that the Pieri-rule
+"""The deformed family on monomials: the reference that the bar-rule
 columns of `symfunc.g_tilde_in_Q` are checked against, and the monomial
 m_mu that the tests build symmetric polynomials from.
 

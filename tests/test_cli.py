@@ -427,6 +427,28 @@ def test_verify_golden_stdout(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]
 
 
+# sha256 of stdout, captured while the columns were still Pieri products of
+# the one-part functions
+_TABLE_DIGESTS = {
+    "char-table --n 12 --format latex": (
+        "0f325f6aef1c380a28541bc27826ab7b89bbc44eff047f6845242d12338055b9"
+    ),
+    "char-table --n 16": (
+        "37f03022ca0961c8f0575741e48d61d2ddf6bedbd9f847bc407d98bd71b5d9c3"
+    ),
+    "char-table --n 20 --format csv": (
+        "839f0957a9fdbdb4a5489219ace06a248447456c2c6f49a9173ffc04c1b98d86"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_TABLE_DIGESTS))
+def test_char_table_golden_stdout_at_rank(capsys, command):
+    code, out, _ = invoke(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[command]
+
+
 @pytest.mark.parametrize("command, which", list(_MIXED_DIGESTS))
 def test_mixed_coefficient_element_golden_stdout(capsys, command, which):
     code, out, _ = invoke(capsys, command, "--n", "5", "--element", _MIXED[which])

@@ -290,8 +290,8 @@ def test_imports_no_packed_helper(filename):
 def test_characters_reach_neither_the_normal_form_nor_the_reduction():
     # both trace decompositions are certified on the int table, so the
     # character module imports nothing of hecke_clifford and, of traces,
-    # only the cache registry; its columns are Pieri products, so of symfunc
-    # it takes only those and it solves no linear system
+    # only the cache registry; its columns are built in the Q basis, so of
+    # symfunc it takes only those and it solves no linear system
     allowed = {
         "hecke_clifford": set(),
         "traces": {"register_cache"},

@@ -9,13 +9,15 @@ import pytest
 
 from _monomial_g_tilde import delta, g_tilde, g_tilde_one_part, monomial
 from _orbits import from_exponents
+import _pieri_reference
 from _bareiss_reference import solve_exact
 from spinhecke._linalg import column_rank, solve_triangular
 from spinhecke.characters import _table_ints
 from spinhecke.combinatorics import delta_stat, enumerate_partitions
 from spinhecke.scalars import MINUS_ONE, ONE, Scalar, TWO, V_MINUS_1, ZERO, sc_int, sc_parse
 from spinhecke.symfunc import (
-    _strips,
+    SymPoly,
+    _times_2p,
     expand_in_Q,
     g_tilde_in_Q,
     one_poly,
@@ -194,8 +196,45 @@ def test_pieri_strips_match_monomial_products(total):
         for mu in enumerate_partitions(size, "strict"):
             r = total - size
             expected = expand_in_Q(schur_q(mu, total) * q_whole(r, total))
-            got = {lam: sc_int(2**e) for lam, e in _strips(mu, r)}
+            got = {lam: sc_int(2**e) for lam, e in _pieri_reference._strips(mu, r)}
             assert got == expected, (mu, r)
+
+
+@pytest.mark.parametrize("total", range(1, 8))
+def test_bar_rule_matches_monomial_products(total):
+    # Q_mu 2 p_r for odd r, checked against the Q-expansion of the monomial
+    # product, 2 p_r = 2 m_(r), for every strict mu with |mu| + r = total
+    for r in range(1, total + 1, 2):
+        for mu in enumerate_partitions(total - r, "strict"):
+            two_p = SymPoly(total, r, {(r,): TWO})
+            expected = expand_in_Q(schur_q(mu, total) * two_p)
+            got = {lam: sc_int(c) for lam, c in _times_2p({mu: 1}, r).items()}
+            assert got == expected, (mu, r)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_columns_match_the_pieri_reference(n):
+    # every column of the int table equals 2^((len+delta)/2) times the
+    # Q-vector of g-tilde_nu built by Pieri products of the one-part factors
+    table = _table_ints(n)
+    memo: dict = {}
+    for nu in enumerate_partitions(n, "odd"):
+        expected = {
+            lam: tuple(c << ((len(lam) + delta_stat(lam)) // 2) for c in coeff)
+            for lam, coeff in _pieri_reference._g_tilde_vector(nu, memo).items()
+        }
+        assert table[nu] == expected, nu
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_g_tilde_of_any_partition_matches_the_pieri_reference(n):
+    # even parts included, as the principal specialization uses them
+    for mu in enumerate_partitions(n):
+        expected = {
+            lam: Scalar.from_v_ints(coeff)
+            for lam, coeff in _pieri_reference._g_tilde_vector(mu, {}).items()
+        }
+        assert g_tilde_in_Q(mu) == expected, mu
 
 
 @pytest.mark.parametrize("n", range(1, 10))
