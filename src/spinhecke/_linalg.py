@@ -41,8 +41,8 @@ def column_rank(rows) -> int:
     A rank at a point never exceeds the rank over Q(i)(u), so full rank here
     proves full rank there, which is all that every caller asks: the `spin
     basis rank` check of `verify --suite spin`, and the proof in
-    `spin_schur_elements` that the spin table is nonsingular.  Below full
-    rank the value is a lower bound only.
+    `spin_schur_elements` that the ordinary table, and so the spin table, is
+    nonsingular.  Below full rank the value is a lower bound only.
     """
     if not rows:
         return 0

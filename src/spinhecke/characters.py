@@ -15,7 +15,7 @@ and generic degrees are hook-content products on the shifted diagram; every
 factor is a ratio of polynomials v^k - 1, so they are kept as Phi_d(v)
 exponents and multiplied out once through v^k - 1, in lowest terms.  Both
 trace decompositions, the ordinary one here and the spin one, are certified
-on int tables with those factored weights: no element is reduced.
+on one weighted pass over the int table: no element is reduced.
 """
 
 from __future__ import annotations
@@ -250,15 +250,17 @@ def _u_factors(lam) -> tuple:
 # the trace decomposition, certified on the int table
 
 
-def _failing_column(table: dict, weights: dict, targets: dict):
-    """The first column nu of table = {nu: {lambda: ints}} where
-    sum_lambda weights[lambda] table[nu][lambda] != targets[nu] (a missing
-    target is 0), or None.  Weights and targets are factored values.
-
-    Every denominator is cleared first, the powers of 2 and of v by shifts
-    and the Phi_d by one common multiple prod_d Phi_d^(E_d), so each value
-    is multiplied out through v^k - 1 and compared in Z[v].
+def _gimel_sums(n: int) -> tuple:
+    """(y, g) with y[nu] = sum_lambda u_lambda zeta^lambda(T_w_nu), u_lambda =
+    1 / (2^delta c^lambda), and g[nu] = gimel(T_w_nu) = ((v-1)/2)^(n - len(nu))
+    for every odd nu: the one weighted pass over the int table that certifies
+    both trace decompositions.  All are int tuples in v times one common
+    multiple of every denominator, the powers of 2 and of v cleared by shifts
+    and the Phi_d by prod_d Phi_d^(E_d), each multiplied out through v^k - 1.
     """
+    table = _table_ints(n)
+    weights = {lam: _u_factors(lam) for lam in enumerate_partitions(n, "strict")}
+    targets = {nu: (len(nu) - n, 0, Counter({1: n - len(nu)})) for nu in table}
     values = [*weights.values(), *targets.values()]
     twos = max(0, *(-k for k, _, _ in values))
     shift = max(0, *(-a for _, a, _ in values))
@@ -272,13 +274,11 @@ def _failing_column(table: dict, weights: dict, targets: dict):
         return (0,) * (a + shift) + _poly_scale(top, 1 << (k + twos))
 
     weight_ints = {lam: cleared(w) for lam, w in weights.items()}
+    sums = dict.fromkeys(table, ())
     for nu, column in table.items():
-        total = ()
         for lam, ints in column.items():
-            total = _poly_add(total, _poly_mul(ints, weight_ints[lam]))
-        if total != (cleared(targets[nu]) if nu in targets else ()):
-            return nu
-    return None
+            sums[nu] = _poly_add(sums[nu], _poly_mul(ints, weight_ints[lam]))
+    return sums, {nu: cleared(g) for nu, g in targets.items()}
 
 
 def verify_gimel_decomposition(n: int) -> str:
@@ -290,10 +290,6 @@ def verify_gimel_decomposition(n: int) -> str:
     its values on the T_w_nu, so this is the whole identity gimel = sum_lambda
     u_lambda zeta^lambda.
     """
-    table = _table_ints(n)
-    weights = {lam: _u_factors(lam) for lam in enumerate_partitions(n, "strict")}
-    targets = {nu: (len(nu) - n, 0, Counter({1: n - len(nu)})) for nu in table}
-    nu = _failing_column(table, weights, targets)
-    if nu is None:
-        return ""
-    return f"T_w_nu for nu={partition_str(nu)}: gimel != sum_lambda u_lambda zeta^lambda"
+    sums, targets = _gimel_sums(n)
+    bad = [partition_str(nu) for nu in sums if sums[nu] != targets[nu]]
+    return f"T_w_nu for nu={bad[0]}: gimel != sum_lambda u_lambda zeta^lambda" if bad else ""

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _intgcd
+from operator import add
 
 
 class GaussianRational:
@@ -885,18 +886,20 @@ def _poly_add(p, q) -> tuple:
     trailing zeros are dropped, so the zero polynomial is ()."""
     if len(p) < len(q):
         p, q = q, p
-    out = [a + b for a, b in zip(p, q)]
-    if len(p) > len(q):
-        return (*out, *p[len(q):])
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    out = (*map(add, p, q), *p[len(q):])
+    k = len(out)
+    while k and not out[k - 1]:
+        k -= 1
+    return out[:k]
 
 
 def _poly_mul(p, q) -> tuple:
-    """Product of integer polynomials given as ascending coefficient sequences."""
+    """Product of integer polynomials given as ascending coefficient sequences;
+    a zero factor, (), gives ()."""
     if len(p) > len(q):
         p, q = q, p
+    if not p:
+        return ()
     if len(p) == 1:
         a = p[0]
         return tuple(q) if a == 1 else tuple(a * b for b in q)

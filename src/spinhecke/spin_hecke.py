@@ -19,15 +19,15 @@ parts' vectors, partitions concatenated (even elements of disjoint parabolic
 blocks commute, so a commutator times an even element of the other block is
 a commutator).  Both identities are observed, not proved: the first was
 checked against the reduction for p = 1, 3, ..., 11 (p = 11 took 138 s and
-3 GB), the product rule for every odd nu with n <= 8, and the spin table
-built on them passes the certificate of `spin_schur_elements` at every
-n <= 18.  `verify --suite spin` rechecks the p-cycles up to p = min(n, 9) at
-run time, and the reduction of R-images is left for arbitrary words and for
-those checks.
+3 GB), the product rule for every odd nu with n <= 8, and the certificate of
+`spin_schur_elements`, which reads them, passes at every n <= 24.
+`verify --suite spin` rechecks the p-cycles up to p = min(n, 9) at run time,
+and the reduction of R-images is left for arbitrary words and for those checks.
 
 The spin table is the int table of `characters` times these int vectors, over
-the Clifford-module dimension, multiplied out on int tuples in v once: both
-`spin_character_table` and the certificate of `spin_schur_elements` read it.
+the Clifford-module dimension, multiplied out on int tuples in v once for
+`spin_character_table`; the certificate pairs the vectors with the weighted
+sums of the ordinary table instead.
 R_element hands its word to hecke_clifford as R letters, which the word
 action there multiplies out on raw terms with a bound on their norms; this
 module knows nothing of their packed form.  R_class_vector is the reduction
@@ -43,11 +43,11 @@ from ._linalg import column_rank, solve_triangular
 from .characters import (
     CharacterTable,
     _expand,
-    _failing_column,
+    _gimel_sums,
     _quotient,
-    _schur_factors,
     _table_ints,
     _table_of,
+    _u_factors,
 )
 from .combinatorics import (
     all_reduced_words,
@@ -72,6 +72,7 @@ from .scalars import (
     V_MINUS_1,
     ZERO,
     _poly_acc,
+    _poly_add,
     _poly_mul,
     _poly_scale,
     half,
@@ -245,39 +246,39 @@ def spin_class_polynomials(word, n: int) -> ClassVector:
 
 
 def spin_schur_elements(n: int) -> dict:
-    """c-minus for every strict partition: the ordinary Schur element halved
-    floor(n/2) + (n mod 2) delta-minus times, certified against the trace
-    decomposition.
+    """c-minus for every strict partition, the ordinary Schur element halved
+    floor(n/2) + (n mod 2) delta-minus times, certified.
 
-    The weights w_lambda = 1 / (2^delta-minus c-minus) must solve T^t w = e
-    for the spin table T, e the indicator of the empty word: gimel-minus is 1
-    there and 0 on every other canonical class word.  The closed-form weights
-    are checked instead of solved for, on the integer polynomials in v of
-    d T, d = dim_clifford_module(n), by the certificate that also checks the
-    ordinary decomposition (`characters._failing_column`), with target d on
-    the empty word.  Then T is shown nonsingular by its full rank at a point
-    modulo a prime (`column_rank`), so the weights are the only solution.
-    Raises RuntimeError naming the first failing class word, or saying that
-    T is singular.
+    T-minus = B T diag(2^gamma) / d, with B the closed-form class vectors
+    (`_class_word_ints`), T the ordinary table and d = dim_clifford_module(n).
+    The weights w = 1 / (2^delta-minus c-minus) must solve T-minus^t w = e, e
+    the indicator of the empty word (gimel-minus is 1 there, 0 elsewhere).
+    c-minus = 2^(gamma - delta-minus) / (d u), u the ordinary weights, makes
+    w = d 2^(-gamma) u, so T-minus^t w = B y for y of `characters._gimel_sums`,
+    and B y = e is checked with no spin table built.  B is triangular with
+    diagonal 2^(n - len(nu)), so rank T-minus = rank T, and T of full rank at
+    a point modulo a prime (`column_rank`) makes w the only solution.  Raises
+    RuntimeError naming the first failing class word, or saying that the
+    spin table is singular.
     """
-    table = _spin_table_ints(n)
+    sums, targets = _gimel_sums(n)
+    basis, empty = {nu: _class_word_ints(nu) for nu in sums}, (1,) * n
+    for nu, vector in basis.items():
+        total = ()
+        for mu, b in vector.items():
+            total = _poly_add(total, _poly_mul(b, sums[mu]))
+        if total != (targets[empty] if nu == empty else ()):
+            raise RuntimeError(
+                "the closed-form spin Schur weights fail the trace decomposition "
+                f"on the class word of {partition_str(nu)}"
+            )
     rows = enumerate_partitions(n, "strict")
-    halved = {}
-    for lam in rows:
-        k, a, exps = _schur_factors(lam)
-        halved[lam] = (k - n // 2 - (n % 2) * delta_minus(lam, n), a, exps)
-    weights = {lam: _quotient((-delta_minus(lam, n), 0, Counter()), c) for lam, c in halved.items()}
-    target = (dim_clifford_module(n).bit_length() - 1, 0, Counter())
-    nu = _failing_column(table, weights, {(1,) * n: target})
-    if nu is not None:
-        raise RuntimeError(
-            "the closed-form spin Schur weights fail the trace decomposition "
-            f"on the class word of {partition_str(nu)}"
-        )
-    matrix = [[Scalar.from_v_ints(col.get(lam, ())) for lam in rows] for col in table.values()]
-    if column_rank(matrix) < len(rows):
+    matrix = [[Scalar.from_v_ints(c.get(lam, ())) for lam in rows] for c in _table_ints(n).values()]
+    if any(max(vec) != nu for nu, vec in basis.items()) or column_rank(matrix) < len(rows):
         raise RuntimeError("the spin character table is singular")
-    return {lam: _expand(c) for lam, c in halved.items()}
+    log_d = dim_clifford_module(n).bit_length() - 1
+    twos = {lam: _gamma_exponent(lam, n) - delta_minus(lam, n) - log_d for lam in rows}
+    return {lam: _expand(_quotient((k, 0, Counter()), _u_factors(lam))) for lam, k in twos.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,7 @@ def test_phi_products_match_the_cyclotomic_table_on_hook_content_exponents(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_phi_products_match_the_cyclotomic_table_on_cleared_certificate_exponents(n):
     # the weights and targets of verify_gimel_decomposition, cleared by the
-    # common multiple that _failing_column forms
+    # common multiple that _gimel_sums forms
     values = [_u_factors(lam) for lam in enumerate_partitions(n, "strict")]
     values += [
         (len(nu) - n, 0, Counter({1: n - len(nu)}))

@@ -203,12 +203,12 @@ def test_spin_suite_rechecks_the_closed_form(capsys, monkeypatch):
 
 
 def test_spin_suite_reports_a_failed_certificate(capsys, monkeypatch):
-    # one altered entry of the int spin table (dim_clifford_module(4) times
-    # the spin table) must fail the certificate of the spin Schur elements,
+    # one altered entry of the ordinary int table, which the certificate of
+    # the spin Schur elements reads through the class words, must fail it,
     # and the suite must report it
-    table = {nu: dict(column) for nu, column in spin_hecke._spin_table_ints(4).items()}
+    table = {nu: dict(column) for nu, column in characters._table_ints(4).items()}
     table[(3, 1)][(4,)] = _poly_add(table[(3, 1)].get((4,), ()), (1,))
-    monkeypatch.setattr(spin_hecke, "_spin_table_ints", lambda n: table)
+    monkeypatch.setattr(characters, "_table_ints", lambda n: table)
     code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "spin")
     assert code == 1
     (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -343,6 +343,13 @@ _SPIN_DIGESTS = {
     # each class vector in Scalars
     "schur-elements --n 16 --spin": (
         "f23583b076904a9a19d602b95c4c29f10d6675a65b172812a5bd3783d1507d2a"
+    ),
+    # captured while the certificate still multiplied out the spin table
+    "schur-elements --n 19 --spin": (
+        "d006d49f275d1640dea8313b6e3f60d6864886b71fa1eef4333b3bea15e4e5e5"
+    ),
+    "schur-elements --n 20 --spin": (
+        "3aa58963b280c53060ce00d797f3c0e4aaf294a3cf79a6345ae8583613a620fb"
     ),
     "spin-class-poly --n 8 --word 2,1,3,2,3,1,5,4,5,4": (
         "541b85ddcd786dd8d47ca002bdfe8ce214543a03294c590e676cbb48233da589"

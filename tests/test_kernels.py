@@ -378,6 +378,37 @@ def test_v_ints_round_trips_on_integer_polynomials_in_v(text):
 
 
 @pytest.mark.parametrize(
+    "p, q, total",
+    [
+        ((1, 0), (-1,), ()),
+        ((), (1, 0), (1,)),
+        ((), (1, 2, 3), (1, 2, 3)),
+        ((1,), (1, 2, 0), (2, 2)),
+        ((1, 2, 3), (-1, -2, -3), ()),
+        ((0, 1), (0, -1, 5), (0, 0, 5)),
+    ],
+)
+def test_int_polynomial_sums_are_trimmed(p, q, total):
+    # certificates compare these tuples with !=, so zero must be () and a
+    # sum never ends in 0, whatever its operands end in
+    assert scalars._poly_add(p, q) == scalars._poly_add(q, p) == total
+
+
+@pytest.mark.parametrize(
+    "p, q, product",
+    [
+        ((), (1, 2, 3), ()),
+        ((), (), ()),
+        ((2,), (0, 3), (0, 6)),
+        ((0, 1), (0, -1, 5), (0, 0, -1, 5)),
+        ((1, 2, 3), (-1, -2, -3), (-1, -4, -10, -12, -9)),
+    ],
+)
+def test_int_polynomial_products_by_zero_are_empty(p, q, product):
+    assert scalars._poly_mul(p, q) == scalars._poly_mul(q, p) == product
+
+
+@pytest.mark.parametrize(
     "value", [HALF * V_MINUS_1, I * U, U, sc_parse("1/(v+1)")], ids=["half", "iu", "u", "inverse"]
 )
 def test_v_ints_refuses_values_outside_integer_polynomials_in_v(value):

@@ -6,8 +6,9 @@ import pytest
 
 from _bareiss_reference import solve_exact
 from _class_values import values_on_class_vector
-from spinhecke import spin_hecke
+from spinhecke import characters, spin_hecke
 from spinhecke._linalg import column_rank
+from spinhecke.characters import schur_element
 from spinhecke.combinatorics import enumerate_partitions, reduced_word, w_gamma
 from spinhecke.hecke_clifford import T_gen, c_gen, multiply, one
 from spinhecke.scalars import MINUS_ONE, ONE, TWO, V, ZERO, _poly_add, sc_int
@@ -338,35 +339,45 @@ def test_certified_schur_elements_match_the_bareiss_solve(n):
     assert spin_schur_elements(n) == solved
 
 
-def _patch_table(monkeypatch, n, change):
-    """Make spin_schur_elements read the int spin table of rank n, {nu:
-    {lambda: ints}} = dim_clifford_module(n) times the spin table, with
-    change(table) applied to a copy of it."""
-    table = {nu: dict(column) for nu, column in spin_hecke._spin_table_ints(n).items()}
-    change(table)
-    monkeypatch.setattr(spin_hecke, "_spin_table_ints", lambda m: table)
-
-
 def test_certificate_rejects_an_altered_entry(monkeypatch):
-    def bump(table):
-        # the spin entry at ((4,), (3,1)) plus 1
-        column = table[(3, 1)]
-        column[(4,)] = _poly_add(column.get((4,), ()), (dim_clifford_module(4),))
-
-    _patch_table(monkeypatch, 4, bump)
+    # the ordinary entry at ((4,), (3,1)) plus 1: the certificate reads the
+    # ordinary table through the class words, so the spin entries at (3,1)
+    # move with it
+    table = {nu: dict(column) for nu, column in characters._table_ints(4).items()}
+    table[(3, 1)][(4,)] = _poly_add(table[(3, 1)].get((4,), ()), (1,))
+    monkeypatch.setattr(characters, "_table_ints", lambda m: table)
     with pytest.raises(RuntimeError, match="on the class word of 3,1$"):
         spin_schur_elements(4)
 
 
 def test_certificate_rejects_a_singular_table(monkeypatch):
-    # column (3,1,1) a copy of column (5): the weights still pass the product
-    # check, since both columns must give 0, but no longer uniquely
-    def copy(table):
-        table[(3, 1, 1)] = table[(5,)]
-
-    _patch_table(monkeypatch, 5, copy)
+    # the class vector of (3,1,1) a copy of that of (5): the weights still
+    # pass the product check, since both words must give 0, but B is no
+    # longer triangular, so the spin table is singular
+    exact = spin_hecke._class_word_ints
+    monkeypatch.setattr(
+        spin_hecke, "_class_word_ints", lambda nu: exact((5,) if nu == (3, 1, 1) else nu)
+    )
     with pytest.raises(RuntimeError, match="^the spin character table is singular$"):
         spin_schur_elements(5)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_spin_schur_elements_never_build_the_spin_table(monkeypatch, n):
+    def refuse(m):
+        raise AssertionError("the spin table was multiplied out")
+
+    monkeypatch.setattr(spin_hecke, "_spin_table_ints", refuse)
+    assert set(spin_schur_elements(n)) == set(enumerate_partitions(n, "strict"))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_spin_schur_elements_halve_the_ordinary_ones(n):
+    # c-minus = 2^(gamma - delta-minus) / (d u) is the ordinary Schur element
+    # halved floor(n/2) + (n mod 2) delta-minus times
+    for lam, c_minus in spin_schur_elements(n).items():
+        halvings = n // 2 + n % 2 * delta_minus(lam, n)
+        assert c_minus == schur_element(lam) / TWO**halvings, lam
 
 
 @pytest.mark.parametrize("n", range(1, 10))
