@@ -32,9 +32,8 @@ from .combinatorics import (
     partition_str,
     shifted_data,
 )
-from .scalars import Scalar, _poly_add, _poly_mul, _poly_scale, _v_poly
+from .scalars import Scalar, _poly_add, _poly_mul, _poly_scale, _v_poly, register_cache
 from .symfunc import _g_tilde_vector
-from .traces import register_cache
 
 
 class CharacterTable(namedtuple("CharacterTable", "n rows columns entries")):

@@ -6,6 +6,12 @@ generic degrees, and a verification driver with selectable suites.  JSON is
 the machine format of record; output bytes are deterministic for fixed flags
 and seed.
 
+One table, `_COMMANDS`, gives each command its help, handler and options
+besides --n.  A launch whose first argument names a command builds that
+command's subparser only, and each handler and suite imports its route when
+it runs: `import spinhecke.cli` loads only the shared layers, scalars and
+combinatorics, and a `char-table` launch never loads the reduction.
+
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage, parse, or domain errors, and on a value whose norm bound the
 packing width of the reduction route cannot decode (scalars.WidthError).
@@ -22,29 +28,8 @@ import json
 import random
 import sys
 
-from .characters import (
-    character_table,
-    generic_degree,
-    schur_element,
-    verify_gimel_decomposition,
-)
-from ._linalg import column_rank
 from .combinatorics import enumerate_partitions, partition_str, parse_word, reduced_word
-from .hecke_clifford import build_T_w, from_word, multiply, parse_element, relations, zero
 from .scalars import ZERO, WidthError
-from .spin_hecke import (
-    R_class_vector,
-    R_element,
-    canonical_class_word,
-    class_word_vector,
-    gimel_minus,
-    spin_class_polynomials,
-    spin_schur_elements,
-    verify_iso,
-    verify_trace_vanishing,
-)
-from .tensor_oracle import TensorSpace, cross_check, relation_failure
-from .traces import gimel, gimel_weight, reduce
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +37,7 @@ from .traces import gimel, gimel_weight, reduce
 
 
 def _cmd_char_table(args) -> int:
+    from .characters import character_table
     table = character_table(args.n)
     if args.format == "json":
         print(table.to_json())
@@ -63,12 +49,15 @@ def _cmd_char_table(args) -> int:
 
 
 def _cmd_class_poly(args) -> int:
+    from .hecke_clifford import parse_element
+    from .traces import reduce
     element = parse_element(args.n, args.element)
     print(reduce(element).to_json())
     return 0
 
 
 def _cmd_spin_class_poly(args) -> int:
+    from .spin_hecke import spin_class_polynomials
     print(spin_class_polynomials(parse_word(args.word), args.n).to_json())
     return 0
 
@@ -79,12 +68,15 @@ def _cmd_gimel(args) -> int:
             raise ValueError("--spin takes --word, not --element")
         if args.word is None:
             raise ValueError("--spin requires --word")
+        from .spin_hecke import gimel_minus
         print(gimel_minus(parse_word(args.word), args.n).render())
         return 0
     if args.element is None:
         raise ValueError("need --element (or --spin with --word)")
     if args.word is not None:
         raise ValueError("--word only applies with --spin")
+    from .hecke_clifford import parse_element
+    from .traces import gimel
     print(gimel(parse_element(args.n, args.element)).render())
     return 0
 
@@ -99,7 +91,9 @@ def _print_json_object(entries) -> None:
 
 
 def _cmd_schur_elements(args) -> int:
+    from .characters import schur_element
     if args.spin:
+        from .spin_hecke import spin_schur_elements
         values = spin_schur_elements(args.n).items()
     else:
         values = ((lam, schur_element(lam)) for lam in enumerate_partitions(args.n, "strict"))
@@ -108,6 +102,7 @@ def _cmd_schur_elements(args) -> int:
 
 
 def _cmd_generic_degrees(args) -> int:
+    from .characters import generic_degree
     _print_json_object(
         (partition_str(lam), generic_degree(lam).render())
         for lam in enumerate_partitions(args.n, "strict")
@@ -121,6 +116,7 @@ def _cmd_generic_degrees(args) -> int:
 
 def _broken_relation(n: int) -> str:
     """The name of the first defining relation the normal form breaks, or ""."""
+    from .hecke_clifford import from_word, relations, zero
     for name, lhs, rhs in relations(n):
         if from_word(n, lhs) != sum((from_word(n, word, c) for c, word in rhs), zero(n)):
             return name
@@ -128,6 +124,7 @@ def _broken_relation(n: int) -> str:
 
 
 def _random_basis_term(n: int, rng: random.Random):
+    from .hecke_clifford import from_word
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     cliff = [("c", k) for k in range(1, n + 1) if rng.random() < 0.5]
@@ -135,6 +132,9 @@ def _random_basis_term(n: int, rng: random.Random):
 
 
 def _suite_core(args):
+    from .characters import verify_gimel_decomposition
+    from .hecke_clifford import build_T_w, multiply
+    from .traces import gimel, gimel_weight, reduce
     n = args.n
     yield "normal-form relations", _broken_relation(n)
     rng = random.Random(args.seed)
@@ -151,6 +151,7 @@ def _suite_core(args):
 
 
 def _suite_oracle(args):
+    from .tensor_oracle import TensorSpace, cross_check, relation_failure
     yield "character table cross-check", cross_check(args.n)
     space = TensorSpace(m=args.n, n=args.n)
     rng = random.Random(args.seed)
@@ -168,6 +169,9 @@ def _suite_oracle(args):
 
 
 def _suite_spin(args):
+    from ._linalg import column_rank
+    from .spin_hecke import R_class_vector, R_element, canonical_class_word, class_word_vector
+    from .spin_hecke import spin_schur_elements, verify_iso, verify_trace_vanishing
     yield "embedding relations", verify_iso(args.n)
     yield "spin trace vanishing", verify_trace_vanishing(args.n)
     # the closed-form cycle vectors are observed, not proved: recheck them by
@@ -222,51 +226,45 @@ def _cmd_verify(args) -> int:
 # parser plumbing
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (help, handler, {option besides --n: keywords of add_argument})
+_COMMANDS = {
+    "char-table": ("print the character table", _cmd_char_table, {
+        "--format": dict(choices=["json", "csv", "latex"], default="json")}),
+    "class-poly": ("class polynomials of an element", _cmd_class_poly, {
+        "--element": dict(required=True, metavar="EXPR")}),
+    "spin-class-poly": ("class polynomials of a spin word", _cmd_spin_class_poly, {
+        "--word": dict(required=True, metavar="W")}),
+    "gimel": ("the symmetrizing trace of an element", _cmd_gimel, {
+        "--element": dict(metavar="EXPR"), "--spin": dict(action="store_true"),
+        "--word": dict(metavar="W")}),
+    "schur-elements": ("Schur elements by strict partition", _cmd_schur_elements, {
+        "--spin": dict(action="store_true")}),
+    "generic-degrees": ("generic degrees by strict partition", _cmd_generic_degrees, {}),
+    "verify": ("run a verification suite", _cmd_verify, {
+        "--suite": dict(choices=["core", "oracle", "spin", "all"], required=True),
+        "--seed": dict(type=int, default=0)}),
+}
+
+
+def build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The parser of the commands in `names`; its usage lists every command."""
     parser = argparse.ArgumentParser(
         prog="spinhecke",
         description="Exact character-theoretic computations for the "
         "Hecke-Clifford algebra and its spin subalgebra.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("char-table", help="print the character table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv", "latex"], default="json")
-    p.set_defaults(handler=_cmd_char_table)
-
-    p = sub.add_parser("class-poly", help="class polynomials of an element")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--element", required=True, metavar="EXPR")
-    p.set_defaults(handler=_cmd_class_poly)
-
-    p = sub.add_parser("spin-class-poly", help="class polynomials of a spin word")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--word", required=True, metavar="W")
-    p.set_defaults(handler=_cmd_spin_class_poly)
-
-    p = sub.add_parser("gimel", help="the symmetrizing trace of an element")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--element", metavar="EXPR")
-    p.add_argument("--spin", action="store_true")
-    p.add_argument("--word", metavar="W")
-    p.set_defaults(handler=_cmd_gimel)
-
-    p = sub.add_parser("schur-elements", help="Schur elements by strict partition")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spin", action="store_true")
-    p.set_defaults(handler=_cmd_schur_elements)
-
-    p = sub.add_parser("generic-degrees", help="generic degrees by strict partition")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_generic_degrees)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--suite", choices=["core", "oracle", "spin", "all"], required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_verify)
-
+    # when fewer are built, a metavar keeps every command in the usage; it
+    # stays unset otherwise, as it would also rename the argument in the
+    # errors of a bad or missing command, which only that parser reports
+    listing = "{" + ",".join(_COMMANDS) + "}" if len(names) < len(_COMMANDS) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
+    for name in names:
+        help_, handler, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--n", type=int, required=True)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -283,8 +281,9 @@ def _attach_element(argv: list) -> list:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_element(sys.argv[1:] if argv is None else argv))
+    argv = _attach_element(sys.argv[1:] if argv is None else argv)
+    first = argv[0] if argv else None
+    args = build_parser((first,) if first in _COMMANDS else tuple(_COMMANDS)).parse_args(argv)
     try:
         if args.n < 1:
             raise ValueError("--n must be at least 1")

@@ -84,6 +84,7 @@ from .scalars import (
     _pack,
     _tighten,
     _unpack,
+    register_cache,
     sc_int,
     sc_parse,
 )
@@ -315,7 +316,7 @@ def _act(letters, terms: dict, bound: int) -> tuple:
 
 # (sigma, k) -> (T_sigma * c_k, its exact l1 norm), emptied by
 # traces.clear_caches()
-_PUSH_MEMO: dict = {}
+_PUSH_MEMO: dict = register_cache({})
 
 
 def _push_c_left(sigma, k: int) -> tuple:

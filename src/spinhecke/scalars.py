@@ -44,6 +44,11 @@ numerators or denominators of a genuine fraction are parenthesized:
 'v+1'
 >>> (half(ONE) * (V - ONE)).render()
 '(v-1)/2'
+
+Caches
+------
+Every module registers its caches here, below every route (`register_cache`),
+and `traces.clear_caches()` empties them all.
 """
 
 from __future__ import annotations
@@ -895,13 +900,15 @@ def _poly_add(p, q) -> tuple:
 
 def _poly_mul(p, q) -> tuple:
     """Product of integer polynomials given as ascending coefficient sequences;
-    a zero factor, (), gives ()."""
+    a zero factor, () or (0,), gives ()."""
     if len(p) > len(q):
         p, q = q, p
     if not p:
         return ()
     if len(p) == 1:
         a = p[0]
+        if not a:
+            return ()
         return tuple(q) if a == 1 else tuple(a * b for b in q)
     if len(p) == 2:
         a, b = p
@@ -915,19 +922,18 @@ def _poly_mul(p, q) -> tuple:
 
 
 def _poly_scale(p, k: int) -> tuple:
-    """k * p for an int k and an integer polynomial p."""
-    return tuple([k * a for a in p])
+    """k * p for an int k and an integer polynomial p; () when k is 0."""
+    return tuple([k * a for a in p]) if k else ()
 
 
 def _poly_acc(acc: dict, key, p: tuple) -> None:
     """acc[key] += p on integer polynomials; a key summing to 0 is dropped."""
     cur = acc.get(key)
-    if cur is None:
-        acc[key] = p
-    elif total := _poly_add(cur, p):
+    total = p if cur is None else _poly_add(cur, p)
+    if total:
         acc[key] = total
     else:
-        del acc[key]
+        acc.pop(key, None)
 
 
 # Packed integer polynomials in v: sum_k a_k v^k stored as the one int
@@ -1005,3 +1011,12 @@ def _acc(acc: dict, key, value: Scalar) -> None:
         acc.pop(key, None)
     else:
         acc[key] = total
+
+
+_REGISTERED: list = []
+
+
+def register_cache(cache: dict) -> dict:
+    """Have traces.clear_caches() empty `cache` as well; returns `cache`."""
+    _REGISTERED.append(cache)
+    return cache

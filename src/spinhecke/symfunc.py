@@ -39,9 +39,8 @@ from types import MappingProxyType
 
 from ._linalg import solve_triangular
 from .combinatorics import enumerate_partitions, is_strict, shifted_data
-from .scalars import MINUS_ONE, ONE, Scalar, TWO, ZERO, sc_int
+from .scalars import MINUS_ONE, ONE, Scalar, TWO, ZERO, register_cache, sc_int
 from .scalars import _int_acc, _poly_acc, _poly_mul, _poly_scale
-from .traces import register_cache
 
 
 class SymPoly:

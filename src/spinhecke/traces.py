@@ -57,14 +57,9 @@ from .combinatorics import (
     w_gamma,
     w_gamma_form,
 )
-from .hecke_clifford import (
-    _PUSH_MEMO,
-    AlgebraElement,
-    _lmul_c,
-    _lmul_T,
-    _rmul_c,
-)
+from .hecke_clifford import AlgebraElement, _lmul_c, _lmul_T, _rmul_c
 from .scalars import HALF, Scalar, V_MINUS_1, ZERO, _W, _acc, _int_acc, _norm, _unpack
+from .scalars import _REGISTERED, register_cache
 
 _GIMEL_BASE = V_MINUS_1 * HALF  # (v-1)/2
 
@@ -102,27 +97,14 @@ class ReductionError(RuntimeError):
     """Internal invariant failure; must never fire on valid input."""
 
 
-_MEMO: dict = {}
+_MEMO: dict = register_cache({})
 # never filled; bound only because perfbench/tracer.py reports its size
 _CPUSH_MEMO: dict = {}
 _DEFAULT_FUEL = 5_000_000
 
 
-# every cache that clear_caches() empties: the reduction memo, the Clifford
-# push memo it reads, and those that modules importing this one (the
-# character tables, the Q bases) register, since clear_caches() cannot
-# import them
-_REGISTERED: list = [_MEMO, _PUSH_MEMO]
-
-
-def register_cache(cache: dict) -> dict:
-    """Have clear_caches() empty `cache` as well; returns `cache`."""
-    _REGISTERED.append(cache)
-    return cache
-
-
 def clear_caches() -> None:
-    """Empty every registered cache."""
+    """Empty every cache that a module registered with scalars.register_cache."""
     for cache in _REGISTERED:
         cache.clear()
 

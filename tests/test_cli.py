@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import spinhecke
-from spinhecke import characters, cli, hecke_clifford, spin_hecke, tensor_oracle
+from spinhecke import characters, hecke_clifford, spin_hecke, tensor_oracle, traces
 from spinhecke.cli import run
 from spinhecke.scalars import MINUS_ONE, ONE, _poly_add
 
@@ -165,7 +165,7 @@ def test_relation_suites_read_the_shared_list(capsys, monkeypatch, suite, line):
         false = ("T1 c3 anticommute", (("T", 1), ("c", 3)), [(MINUS_ONE, (("c", 3), ("T", 1)))])
         return exact(n) + [false]
 
-    monkeypatch.setattr(cli, "relations", with_a_false_one)
+    monkeypatch.setattr(hecke_clifford, "relations", with_a_false_one)
     monkeypatch.setattr(tensor_oracle, "relations", with_a_false_one)
     code, out, _ = invoke(capsys, "verify", "--n", "3", "--suite", suite)
     assert code == 1
@@ -229,11 +229,11 @@ def test_core_suite_reports_a_failed_gimel_decomposition(capsys, monkeypatch):
 
 
 def test_core_suite_names_the_class_a_closed_form_misses(capsys, monkeypatch):
-    # a closed form planted wrong on the last class, 1^3, must fail there
-    exact = cli.gimel_weight
-    monkeypatch.setattr(
-        cli, "gimel_weight", lambda n, mu: exact(n, mu) + ONE if mu == (1,) * n else exact(n, mu)
-    )
+    # a trace planted wrong on the last class, 1^3, must fail the closed
+    # form there; gimel_weight stays exact, since gimel reads it too
+    exact = traces.gimel
+    last = hecke_clifford.build_T_w((1, 1, 1))
+    monkeypatch.setattr(traces, "gimel", lambda h: exact(h) + ONE if h == last else exact(h))
     code, out, _ = invoke(capsys, "verify", "--n", "3", "--suite", "core")
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
@@ -526,6 +526,54 @@ def test_usage_errors_exit_two():
     assert info.value.code == 2
 
 
+# sha256 of stdout and of stderr, and the exit code, captured at 80 columns
+# while every launch still built all seven subparsers; the last entry prints
+# the top-level usage after a known command
+_EMPTY = hashlib.sha256(b"").hexdigest()
+_USAGE_DIGESTS = {
+    "--help": ("b711e757960d6cba641f08dec1f8bc0358074ede4e834a31360e68dc5f9bd6c5", _EMPTY, 0),
+    "char-table --help": (
+        "7247246b1797ade6cc74aab95f07994406066773cec7630f548bac94cee59bdc",
+        _EMPTY,
+        0,
+    ),
+    "verify --help": ("55600f986ba49fc7e6372a3bea9879fdcd07063a9512fc6838c1a5b1f064a86e", _EMPTY, 0),
+    "no-such-command": (
+        _EMPTY,
+        "4be3bccb197fa21bed25c9788b9a03109f90e02bbb82cee62977682b8d463ab0",
+        2,
+    ),
+    "char-table": (_EMPTY, "4be0f4e8c0991902bf3ecfac34b220db81443d46aaa7077f78ba104b758205ca", 2),
+    "gimel --n 3 --spin --element T1": (
+        _EMPTY,
+        "3e1ccb1e71e475e24d225093878bf7f96b2b64765c97634deedcf6cd532e7b07",
+        2,
+    ),
+    "class-poly --n 2 --element -T1": (
+        "00936288709fdd0f00d62f3855448eac8b9b27e6702d6418fddc074fcc55e8c2",
+        _EMPTY,
+        0,
+    ),
+    "char-table --n 3 --bogus": (
+        _EMPTY,
+        "b71298aff24c773ea58af1e45b41a7e4cb173a403b98b3b6624fba25eddcd485",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_USAGE_DIGESTS))
+def test_usage_and_error_golden_output(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    try:
+        code = run(command.split())
+    except SystemExit as exit_:
+        code = exit_.code
+    out, err = capsys.readouterr()
+    digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
+    assert (*digests, code) == _USAGE_DIGESTS[command]
+
+
 # -- plumbing -------------------------------------------------------------------
 
 
@@ -551,6 +599,38 @@ def test_import_keeps_the_recursion_limit():
     assert result.returncode == 0, result.stderr
     before, after = result.stdout.split()
     assert before == after
+
+
+_TABLE_ROUTE = {"scalars", "combinatorics", "_linalg", "symfunc", "characters", "cli"}
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("char-table --n 4", _TABLE_ROUTE),
+        ("generic-degrees --n 4", _TABLE_ROUTE),
+        ("schur-elements --n 4", _TABLE_ROUTE),
+        ("verify --suite oracle --n 2", _TABLE_ROUTE | {"hecke_clifford", "tensor_oracle"}),
+    ],
+    ids=["char-table", "generic-degrees", "schur-elements", "verify-oracle"],
+)
+def test_a_launch_loads_only_its_route(command, loaded):
+    # the table commands never load the reduction, the normal form or the
+    # oracle, and the oracle suite never loads the spin side
+    code = (
+        "import contextlib, io, sys\n"
+        "from spinhecke.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = run({command.split()!r})\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('spinhecke.')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    exit_code, *modules = result.stdout.split()
+    assert exit_code == "0"
+    assert {name.removeprefix("spinhecke.") for name in modules} == loaded
 
 
 def test_oracle_suite_reaches_rank_six():

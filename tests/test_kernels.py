@@ -386,12 +386,17 @@ def test_v_ints_round_trips_on_integer_polynomials_in_v(text):
         ((1,), (1, 2, 0), (2, 2)),
         ((1, 2, 3), (-1, -2, -3), ()),
         ((0, 1), (0, -1, 5), (0, 0, 5)),
+        ((), (), ()),
     ],
 )
 def test_int_polynomial_sums_are_trimmed(p, q, total):
     # certificates compare these tuples with !=, so zero must be () and a
     # sum never ends in 0, whatever its operands end in
     assert scalars._poly_add(p, q) == scalars._poly_add(q, p) == total
+    # accumulated onto an absent key, p is stored as it is, and 0 not at all
+    acc = {}
+    scalars._poly_acc(acc, "key", p)
+    assert acc == ({"key": p} if p else {})
 
 
 @pytest.mark.parametrize(
@@ -402,10 +407,16 @@ def test_int_polynomial_sums_are_trimmed(p, q, total):
         ((2,), (0, 3), (0, 6)),
         ((0, 1), (0, -1, 5), (0, 0, -1, 5)),
         ((1, 2, 3), (-1, -2, -3), (-1, -4, -10, -12, -9)),
+        ((0,), (1, 2), ()),
+        ((0,), (0,), ()),
     ],
 )
 def test_int_polynomial_products_by_zero_are_empty(p, q, product):
     assert scalars._poly_mul(p, q) == scalars._poly_mul(q, p) == product
+    # a constant factor k is the same product as the scaling by k
+    for k, r in ((p, q), (q, p)):
+        if len(k) == 1:
+            assert scalars._poly_scale(r, k[0]) == product
 
 
 @pytest.mark.parametrize(

@@ -289,16 +289,18 @@ def test_imports_no_packed_helper(filename):
 
 def test_characters_reach_neither_the_normal_form_nor_the_reduction():
     # both trace decompositions are certified on the int table, so the
-    # character module imports nothing of hecke_clifford and, of traces,
-    # only the cache registry; its columns are built in the Q basis, so of
-    # symfunc it takes only those and it solves no linear system
+    # character module imports nothing of hecke_clifford or traces (its cache
+    # registers in scalars); its columns are built in the Q basis, so of
+    # symfunc it takes only those and it solves no linear system.  Nor does
+    # symfunc reach the reduction
     allowed = {
         "hecke_clifford": set(),
-        "traces": {"register_cache"},
+        "traces": set(),
         "symfunc": {"_g_tilde_vector"},
         "_linalg": set(),
     }
     _assert_imports_within("characters.py", allowed)
+    _assert_imports_within("symfunc.py", {"hecke_clifford": set(), "traces": set()})
 
 
 def test_cli_import_leaves_out_dataclasses():
