@@ -7,10 +7,10 @@ the machine format of record; output bytes are deterministic for fixed flags
 and seed.
 
 One table, `_COMMANDS`, gives each command its help, handler and options
-besides --n.  A launch whose first argument names a command builds that
-command's subparser only, and each handler and suite imports its route when
-it runs: `import spinhecke.cli` loads only the shared layers, scalars and
-combinatorics, and a `char-table` launch never loads the reduction.
+besides --n, and `build_parser` reads it in one loop.  Each handler and suite
+imports its route when it runs: `import spinhecke.cli` loads only the shared
+layers, scalars and combinatorics, and a `char-table` launch never loads the
+reduction.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage, parse, or domain errors, and on a value whose norm bound the
@@ -228,38 +228,55 @@ def _cmd_verify(args) -> int:
 
 # command -> (help, handler, {option besides --n: keywords of add_argument})
 _COMMANDS = {
-    "char-table": ("print the character table", _cmd_char_table, {
-        "--format": dict(choices=["json", "csv", "latex"], default="json")}),
-    "class-poly": ("class polynomials of an element", _cmd_class_poly, {
-        "--element": dict(required=True, metavar="EXPR")}),
-    "spin-class-poly": ("class polynomials of a spin word", _cmd_spin_class_poly, {
-        "--word": dict(required=True, metavar="W")}),
-    "gimel": ("the symmetrizing trace of an element", _cmd_gimel, {
-        "--element": dict(metavar="EXPR"), "--spin": dict(action="store_true"),
-        "--word": dict(metavar="W")}),
-    "schur-elements": ("Schur elements by strict partition", _cmd_schur_elements, {
-        "--spin": dict(action="store_true")}),
+    "char-table": (
+        "print the character table",
+        _cmd_char_table,
+        {"--format": dict(choices=["json", "csv", "latex"], default="json")},
+    ),
+    "class-poly": (
+        "class polynomials of an element",
+        _cmd_class_poly,
+        {"--element": dict(required=True, metavar="EXPR")},
+    ),
+    "spin-class-poly": (
+        "class polynomials of a spin word",
+        _cmd_spin_class_poly,
+        {"--word": dict(required=True, metavar="W")},
+    ),
+    "gimel": (
+        "the symmetrizing trace of an element",
+        _cmd_gimel,
+        {
+            "--element": dict(metavar="EXPR"),
+            "--spin": dict(action="store_true"),
+            "--word": dict(metavar="W"),
+        },
+    ),
+    "schur-elements": (
+        "Schur elements by strict partition",
+        _cmd_schur_elements,
+        {"--spin": dict(action="store_true")},
+    ),
     "generic-degrees": ("generic degrees by strict partition", _cmd_generic_degrees, {}),
-    "verify": ("run a verification suite", _cmd_verify, {
-        "--suite": dict(choices=["core", "oracle", "spin", "all"], required=True),
-        "--seed": dict(type=int, default=0)}),
+    "verify": (
+        "run a verification suite",
+        _cmd_verify,
+        {
+            "--suite": dict(choices=["core", "oracle", "spin", "all"], required=True),
+            "--seed": dict(type=int, default=0),
+        },
+    ),
 }
 
 
-def build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The parser of the commands in `names`; its usage lists every command."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinhecke",
         description="Exact character-theoretic computations for the "
         "Hecke-Clifford algebra and its spin subalgebra.",
     )
-    # when fewer are built, a metavar keeps every command in the usage; it
-    # stays unset otherwise, as it would also rename the argument in the
-    # errors of a bad or missing command, which only that parser reports
-    listing = "{" + ",".join(_COMMANDS) + "}" if len(names) < len(_COMMANDS) else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
-    for name in names:
-        help_, handler, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--n", type=int, required=True)
         for flag, keywords in options.items():
@@ -281,9 +298,8 @@ def _attach_element(argv: list) -> list:
 
 
 def run(argv=None) -> int:
-    argv = _attach_element(sys.argv[1:] if argv is None else argv)
-    first = argv[0] if argv else None
-    args = build_parser((first,) if first in _COMMANDS else tuple(_COMMANDS)).parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(_attach_element(sys.argv[1:] if argv is None else argv))
     try:
         if args.n < 1:
             raise ValueError("--n must be at least 1")

@@ -57,7 +57,12 @@ from .combinatorics import (
     w_gamma,
     w_gamma_form,
 )
-from .hecke_clifford import AlgebraElement, _lmul_c, _lmul_T, _rmul_c
+from .hecke_clifford import (
+    AlgebraElement,
+    _lmul_c,
+    _lmul_T,
+    _rmul_c,
+)
 from .scalars import HALF, Scalar, V_MINUS_1, ZERO, _W, _acc, _int_acc, _norm, _unpack
 from .scalars import _REGISTERED, register_cache
 
